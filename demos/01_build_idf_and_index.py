@@ -7,7 +7,9 @@ estimated from a monolingual corpus (one sentence per line = one
 document), and a Collection that indexes captions by their term types.
 """
 
-from tsr import CaptionDoc, Collection, build_idf, candidates_for
+import numpy as np
+
+from tsr import CaptionDoc, Collection, build_idf
 
 # A miniature monolingual corpus. Common words ("a", "the") appear in
 # most documents and end up with near-zero idf; content words that
@@ -44,13 +46,19 @@ docs = [
 coll = Collection(docs)
 print(f"\n{coll!r}")
 
-print("\npostings (docs containing each term as a type):")
-for term in ("horse", "dog", "a"):
-    ids = [coll.docs[i].caption_id for i in coll.postings(term)]
-    print(f"  {term:6s} -> {ids}")
+# Each row of the CSR matrix lists the term ids that are types of one
+# caption; retrieval scores every caption with one sparse product.
+terms = {tid: term for term, tid in coll.vocab.items()}
+print("\nindex rows (each caption's term types):")
+for i, doc in enumerate(coll.docs):
+    row = coll.matrix.indices[coll.matrix.indptr[i]:coll.matrix.indptr[i + 1]]
+    print(f"  {doc.caption_id} -> {[terms[int(t)] for t in row]}")
 
-# candidates_for gives the only docs that can score above zero for a
-# query — everything else shares no term with it.
+# Only captions sharing a term with the query can score above zero:
+# multiplying the matrix by the query's term indicator finds them.
 query = {"man", "horse", "zebra"}
-hits = sorted(coll.docs[i].caption_id for i in candidates_for(coll, query))
-print(f"\ncandidates for query terms {sorted(query)}: {hits}")
+indicator = np.zeros(len(coll.vocab))
+indicator[[coll.vocab[t] for t in query if t in coll.vocab]] = 1.0
+shared = np.flatnonzero(coll.matrix @ indicator)
+hits = [coll.docs[i].caption_id for i in shared]
+print(f"\ncaptions sharing a term with {sorted(query)}: {hits}")

@@ -12,7 +12,6 @@ from .collection import (
     CaptionDoc,
     Collection,
     FeatureStore,
-    candidates_for,
     ingest_collection,
     load_collection,
     load_features,
@@ -48,15 +47,10 @@ from .retrieval import (
     read_kbest,
     read_matchlists,
     read_queries,
-    retrieve,
-    score_cnn,
-    score_hca,
-    score_txt,
-    visual_distance,
     write_kbest,
     write_matchlists,
 )
-from .textcore import IdfTable, build_idf, read_token_lines, types_of
+from .textcore import IdfTable, build_idf, read_token_lines
 from .tune import DevSet, GridSpec, TuneResult, stepwise_search
 
 __version__ = "0.1.0"
@@ -86,7 +80,6 @@ __all__ = [
     "bleu_score",
     "bleu_stats",
     "build_idf",
-    "candidates_for",
     "ingest_collection",
     "load_collection",
     "load_features",
@@ -96,16 +89,10 @@ __all__ = [
     "read_sentence_file",
     "read_token_lines",
     "relevance_score",
-    "retrieve",
     "save_collection",
-    "score_cnn",
-    "score_hca",
-    "score_txt",
     "select_best",
     "stepwise_search",
     "sum_stats",
-    "types_of",
-    "visual_distance",
     "write_diagnostics",
     "write_kbest",
     "write_matchlists",

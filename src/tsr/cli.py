@@ -10,6 +10,7 @@ rerunning a subcommand reproduces its output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -35,7 +36,6 @@ from .rerank import (
 from .retrieval import (
     MODES,
     RETRIEVAL_DEFAULTS,
-    MatchList,
     Query,
     Retriever,
     RetrievalParams,
@@ -62,8 +62,8 @@ _PIPELINE_KEYS = {
     "k_m": None,
     "k_r": None,
     "interp_weight": None,
-    "distance_weight": 0.01,
-    "distance_cutoff": 90.0,
+    "distance_weight": None,
+    "distance_cutoff": None,
     "workers": 1,
     "diagnostics": False,
     "skip_empty": False,
@@ -73,21 +73,48 @@ _PIPELINE_KEYS = {
 def _resolve_params(
     mode: str, cfg: dict
 ) -> tuple[RetrievalParams, RerankParams]:
-    rdef = RETRIEVAL_DEFAULTS[mode]
-    rrdef = RERANK_DEFAULTS[mode]
-    retrieval = RetrievalParams(
-        k_n=cfg["k_n"] if cfg["k_n"] is not None else rdef.k_n,
-        k_m=cfg["k_m"] if cfg["k_m"] is not None else rdef.k_m,
-        distance_weight=cfg["distance_weight"],
-        distance_cutoff=cfg["distance_cutoff"],
+    """The mode's default parameters, overridden by each one cfg sets."""
+    return (
+        _override(RETRIEVAL_DEFAULTS[mode], cfg),
+        _override(RERANK_DEFAULTS[mode], cfg),
     )
-    rerank = RerankParams(
-        k_r=cfg["k_r"] if cfg["k_r"] is not None else rrdef.k_r,
-        interp_weight=cfg["interp_weight"]
-        if cfg["interp_weight"] is not None
-        else rrdef.interp_weight,
-    )
-    return retrieval, rerank
+
+
+def _override(defaults, cfg: dict):
+    given = {
+        f.name: cfg[f.name]
+        for f in dataclasses.fields(defaults)
+        if cfg.get(f.name) is not None
+    }
+    return dataclasses.replace(defaults, **given)
+
+
+def _require_categories(mode: str, coll) -> None:
+    """hca scores only captions whose category set equals the query's;
+    without any annotation every sentence would fall back to txt."""
+    if mode == "hca" and not any(
+        doc.categories is not None for doc in coll.docs
+    ):
+        raise ValueError("hca mode requires category annotations")
+
+
+def _aligned_references(path, kbests) -> list[list[str]]:
+    """References in k-best order: matched by sentence id when the file
+    carries ids, by position otherwise."""
+    ids, sentences = read_sentence_file(path)
+    if ids is None:
+        if len(sentences) != len(kbests):
+            raise ValueError(
+                f"{len(sentences)} references for {len(kbests)} sentences"
+            )
+        return sentences
+    table = dict(zip(ids, sentences))
+    missing = [kb.sent_id for kb in kbests if kb.sent_id not in table]
+    if missing:
+        raise ValueError(
+            f"references missing sentences: {', '.join(missing)}"
+        )
+    return [table[kb.sent_id] for kb in kbests]
 
 
 def _run_sentences(work, kbests, workers: int) -> list:
@@ -113,7 +140,7 @@ def cmd_build_index(args) -> int:
     coll = load_collection(args.collection, skip_empty=args.skip_empty)
     save_collection(coll, args.out)
     print(f"captions: {len(coll)}")
-    print(f"images: {len(coll.by_image)}")
+    print(f"images: {len({doc.image_id for doc in coll.docs})}")
     print(f"terms: {len(coll.vocab)}")
     return 0
 
@@ -123,16 +150,11 @@ def cmd_retrieve(args) -> int:
     if mode == "cnn" and not args.features:
         raise ValueError("cnn mode requires --features")
     coll = load_collection(args.collection)
+    _require_categories(mode, coll)
     idf = IdfTable.load(args.idf)
     feats = load_features(args.features) if mode == "cnn" else None
     queries = _load_query_table(args.queries)
-    rdef = RETRIEVAL_DEFAULTS[mode]
-    params = RetrievalParams(
-        k_n=args.k_n if args.k_n is not None else rdef.k_n,
-        k_m=args.k_m if args.k_m is not None else rdef.k_m,
-        distance_weight=args.distance_weight,
-        distance_cutoff=args.distance_cutoff,
-    )
+    params, _ = _resolve_params(mode, vars(args))
     retriever = Retriever(coll, idf, feats)
     kbests = read_kbest(args.kbest)
 
@@ -162,10 +184,14 @@ def cmd_rerank(args) -> int:
     matchlists = {
         ml.sent_id: ml for ml in read_matchlists(args.matches, coll)
     }
-    params = RerankParams(k_r=args.k_r, interp_weight=args.interp_weight)
+    params = _override(RerankParams(), vars(args))
     results = []
     for kb in kbests:
-        ml = matchlists.get(kb.sent_id, MatchList(kb.sent_id, []))
+        ml = matchlists.get(kb.sent_id)
+        if ml is None:
+            raise ValueError(
+                f"{args.matches}: no match list for sentence {kb.sent_id}"
+            )
         try:
             out = select_best(kb, ml, idf, params)
         except Exception as exc:
@@ -210,10 +236,7 @@ def cmd_pipeline(args) -> int:
     mode = cfg["mode"]
     idf = IdfTable.load(cfg["idf"])
     coll = load_collection(cfg["collection"], skip_empty=cfg["skip_empty"])
-    if mode == "hca" and not any(
-        doc.categories is not None for doc in coll.docs
-    ):
-        raise ValueError("hca mode requires category annotations")
+    _require_categories(mode, coll)
     feats = load_features(cfg["features"]) if mode == "cnn" else None
     queries = _load_query_table(cfg["queries"])
     retrieval_params, rerank_params = _resolve_params(mode, cfg)
@@ -246,13 +269,11 @@ def cmd_pipeline(args) -> int:
     if cfg["diagnostics"]:
         write_diagnostics(results, out_dir / "diagnostics.txt")
 
-    resolved = dict(cfg)
-    resolved.update(
-        k_n=retrieval_params.k_n,
-        k_m=retrieval_params.k_m,
-        k_r=rerank_params.k_r,
-        interp_weight=rerank_params.interp_weight,
-    )
+    resolved = {
+        **cfg,
+        **dataclasses.asdict(retrieval_params),
+        **dataclasses.asdict(rerank_params),
+    }
     with open(out_dir / "config.json", "w", encoding="utf-8") as handle:
         json.dump(resolved, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -263,23 +284,7 @@ def cmd_pipeline(args) -> int:
         f"fallbacks: {fallbacks} / {len(results)}",
     ]
     if cfg["references"]:
-        ids, sentences = read_sentence_file(cfg["references"])
-        if ids is not None:
-            table = dict(zip(ids, sentences))
-            missing = [
-                kb.sent_id for kb in kbests if kb.sent_id not in table
-            ]
-            if missing:
-                raise ValueError(
-                    f"references missing sentences: {', '.join(missing)}"
-                )
-            refs = [table[kb.sent_id] for kb in kbests]
-        else:
-            if len(sentences) != len(kbests):
-                raise ValueError(
-                    f"{len(sentences)} references for {len(kbests)} sentences"
-                )
-            refs = sentences
+        refs = _aligned_references(cfg["references"], kbests)
         total = sum_stats(
             [
                 bleu_stats(out.chosen.tokens, ref)
@@ -327,7 +332,9 @@ def cmd_tune(args) -> int:
     with open(args.grid, encoding="utf-8") as handle:
         spec = json.load(handle)
     mode = spec.pop("mode", "txt")
-    distance_weight = spec.pop("distance_weight", 0.01)
+    distance_weight = spec.pop(
+        "distance_weight", RetrievalParams.distance_weight
+    )
     known = {"k_n", "k_m", "k_r", "interp_weight", "distance_cutoff"}
     unknown = set(spec) - known
     if unknown:
@@ -342,32 +349,17 @@ def cmd_tune(args) -> int:
     grid = GridSpec(**spec)
 
     coll = load_collection(args.collection)
+    _require_categories(mode, coll)
     idf = IdfTable.load(args.idf)
     feats = load_features(args.features) if args.features else None
     if mode == "cnn" and feats is None:
         raise ValueError("cnn mode requires --features")
     kbests = read_kbest(args.kbest)
-    ids, sentences = read_sentence_file(args.references)
-    if ids is not None:
-        table = dict(zip(ids, sentences))
-        refs = []
-        for kb in kbests:
-            if kb.sent_id not in table:
-                raise ValueError(
-                    f"references missing sentence {kb.sent_id}"
-                )
-            refs.append(table[kb.sent_id])
-    else:
-        if len(sentences) != len(kbests):
-            raise ValueError(
-                f"{len(sentences)} references for {len(kbests)} sentences"
-            )
-        refs = sentences
     dev = DevSet(
         coll=coll,
         idf=idf,
         kbests=kbests,
-        references=refs,
+        references=_aligned_references(args.references, kbests),
         feats=feats,
         queries=_load_query_table(args.queries),
     )
@@ -443,12 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--queries", help="per-sentence image ids / categories")
     sp.add_argument("--k-n", dest="k_n", type=int)
     sp.add_argument("--k-m", dest="k_m", type=int)
-    sp.add_argument(
-        "--distance-weight", dest="distance_weight", type=float, default=0.01
-    )
-    sp.add_argument(
-        "--distance-cutoff", dest="distance_cutoff", type=float, default=90.0
-    )
+    sp.add_argument("--distance-weight", dest="distance_weight", type=float)
+    sp.add_argument("--distance-cutoff", dest="distance_cutoff", type=float)
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_retrieve)
 
@@ -460,10 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kbest", required=True)
     sp.add_argument("--matches", required=True, help="match dump path")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--k-r", dest="k_r", type=int, default=5)
-    sp.add_argument(
-        "--interp-weight", dest="interp_weight", type=float, default=5e4
-    )
+    sp.add_argument("--k-r", dest="k_r", type=int)
+    sp.add_argument("--interp-weight", dest="interp_weight", type=float)
     sp.add_argument("--diagnostics", help="per-sentence diagnostics path")
     sp.set_defaults(func=cmd_rerank)
 

@@ -12,10 +12,10 @@ per line as ``image_id<TAB>f1 f2 ... fD`` with a constant D per file.
 
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
-product. Postings are derived from the CSC view and are always sorted
-by ascending doc index; term ids are assigned in a deterministic order
-(sorted within each doc, docs in file order) so that score accumulation
-order, and therefore every output byte, is reproducible across runs.
+product. Each row holds its doc's term ids in ascending order; term ids
+are assigned in a deterministic order (sorted within each doc, docs in
+file order) so that score accumulation order, and therefore every
+output byte, is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class Collection:
         indices: list[int] = []
         indptr = [0]
         type_counts = np.empty(n, dtype=np.float64)
-        token_counts = np.empty(n, dtype=np.int64)
         for i, doc in enumerate(self.docs):
             cols = [
                 vocab.setdefault(term, len(vocab))
@@ -82,7 +81,6 @@ class Collection:
             indices.extend(cols)
             indptr.append(len(indices))
             type_counts[i] = len(cols)
-            token_counts[i] = len(doc.tokens)
         self.vocab = vocab
         self.matrix = sparse.csr_matrix(
             (
@@ -92,17 +90,7 @@ class Collection:
             ),
             shape=(n, len(vocab)),
         )
-        self._csc = self.matrix.tocsc()
-        self._csc.sort_indices()
         self.type_counts = type_counts
-        self.token_counts = token_counts
-
-        groups: dict[str, list[int]] = {}
-        for i, doc in enumerate(self.docs):
-            groups.setdefault(doc.image_id, []).append(i)
-        self.by_image = {
-            img: np.asarray(ix, dtype=np.int64) for img, ix in groups.items()
-        }
 
         # Rank of each doc's caption_id in lexicographic order, used as
         # the deterministic tie-break key when scores are equal.
@@ -133,8 +121,9 @@ class Collection:
         return self.docs == other.docs
 
     def __repr__(self) -> str:
+        images = len({doc.image_id for doc in self.docs})
         return (
-            f"Collection(docs={len(self.docs)}, images={len(self.by_image)},"
+            f"Collection(docs={len(self.docs)}, images={images},"
             f" terms={len(self.vocab)})"
         )
 
@@ -142,30 +131,9 @@ class Collection:
         """Doc index of a caption_id; KeyError if unknown."""
         return self._id_index[caption_id]
 
-    def postings(self, term: str) -> np.ndarray:
-        """Doc indices containing term as a type, ascending. Read-only view."""
-        tid = self.vocab.get(term)
-        if tid is None:
-            return np.empty(0, dtype=self._csc.indices.dtype)
-        start, end = self._csc.indptr[tid], self._csc.indptr[tid + 1]
-        return self._csc.indices[start:end]
-
     def category_group(self, categories: Iterable[str]) -> int | None:
         """Group id of an exact category set; None if no doc carries it."""
         return self._cat_groups.get(frozenset(categories))
-
-
-def candidates_for(coll: Collection, query_terms: Iterable[str]) -> set[int]:
-    """Indices of docs whose type set intersects query_terms.
-
-    Every doc outside this set has no term in common with the query and
-    therefore scores zero under all scoring modes.
-    """
-    arrays = [coll.postings(t) for t in set(query_terms)]
-    arrays = [a for a in arrays if a.size]
-    if not arrays:
-        return set()
-    return set(int(i) for i in np.unique(np.concatenate(arrays)))
 
 
 def parse_caption_record(line: str, lineno: int | None = None) -> CaptionDoc:
@@ -230,8 +198,8 @@ def load_collection(path, skip_empty: bool = False) -> Collection:
 def save_collection(coll: Collection, path) -> None:
     """Persist a collection in the record format read by load_collection.
 
-    Loading the result reproduces an equal Collection with bit-stable
-    postings order.
+    Loading the result reproduces an equal Collection with the same term
+    ids and index matrix.
     """
     with open(path, "w", encoding="utf-8") as handle:
         for doc in coll.docs:
@@ -279,10 +247,6 @@ class FeatureStore:
 
     def row_of(self, image_id: str) -> int | None:
         return self._row.get(image_id)
-
-    def vector(self, image_id: str) -> np.ndarray:
-        """Stored float32 vector; KeyError if the image has none."""
-        return self.matrix[self._row[image_id]]
 
 
 def load_features(path, expected_dim: int | None = None) -> FeatureStore:

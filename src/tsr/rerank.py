@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .retrieval import Hypothesis, KBestList, MatchList
-from .textcore import types_of
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,9 @@ class RerankParams:
 
 
 RERANK_DEFAULTS = {
-    "txt": RerankParams(k_r=5, interp_weight=5e4),
-    "cnn": RerankParams(k_r=5, interp_weight=70e4),
-    "hca": RerankParams(k_r=5, interp_weight=10e4),
+    "txt": RerankParams(),
+    "cnn": RerankParams(interp_weight=70e4),
+    "hca": RerankParams(interp_weight=10e4),
 }
 
 
@@ -69,7 +68,7 @@ def relevance_score(
         return 0.0
     acc = 0.0
     for doc, _ in matches.matches:
-        for term in sorted(types_of(doc.tokens)):
+        for term in sorted(set(doc.tokens)):
             c = counts.get(term)
             if c:
                 acc += c * idf.idf(term)

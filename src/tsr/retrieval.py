@@ -26,14 +26,12 @@ caption_id.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .collection import CaptionDoc, Collection, FeatureStore
-from .textcore import types_of
 
 MODES = ("txt", "cnn", "hca")
 
@@ -95,9 +93,9 @@ class RetrievalParams:
 
 
 RETRIEVAL_DEFAULTS = {
-    "txt": RetrievalParams(k_n=300, k_m=500),
-    "cnn": RetrievalParams(k_n=300, k_m=300),
-    "hca": RetrievalParams(k_n=300, k_m=500),
+    "txt": RetrievalParams(),
+    "cnn": RetrievalParams(k_m=300),
+    "hca": RetrievalParams(),
 }
 
 
@@ -108,7 +106,6 @@ class MatchList:
     sent_id: str
     matches: list[tuple[CaptionDoc, float]]
     used_fallback: bool = False
-    mode: str = "txt"
 
 
 @dataclass(frozen=True)
@@ -119,78 +116,6 @@ class Query:
     sent_id: str
     image_id: str | None = None
     categories: frozenset[str] | None = None
-
-
-def score_txt(m: CaptionDoc, n_list: Sequence[Hypothesis], idf) -> float:
-    """Idf-weighted term overlap between hypothesis tokens and m's types,
-    normalized by m's type count.
-
-    Each hypothesis token occurrence that is a type of m adds
-    idf(token); repeated tokens add repeatedly, but repeated types on
-    the candidate side do not.
-    """
-    types = types_of(m.tokens)
-    if not types:
-        raise ValueError(f"caption {m.caption_id!r} has no tokens")
-    counts = Counter(tok for hyp in n_list for tok in hyp.tokens)
-    acc = 0.0
-    for term in sorted(types):
-        c = counts.get(term)
-        if c:
-            acc += c * idf.idf(term)
-    return acc / len(types)
-
-
-def visual_distance(a, b) -> float:
-    """Euclidean distance between two equal-length vectors, in float64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def score_cnn(
-    m: CaptionDoc,
-    n_list: Sequence[Hypothesis],
-    query_image: str,
-    feats: FeatureStore,
-    idf,
-    params: RetrievalParams,
-) -> float:
-    """Text score damped by visual distance, zero at or beyond the cutoff.
-
-    The query image must have an embedding; candidates without one are
-    treated as beyond the cutoff and score zero.
-    """
-    if query_image not in feats:
-        raise ValueError(f"query image {query_image!r} has no embedding")
-    if m.image_id not in feats:
-        return 0.0
-    v = visual_distance(feats.vector(m.image_id), feats.vector(query_image))
-    if v >= params.distance_cutoff:
-        return 0.0
-    return score_txt(m, n_list, idf) * float(
-        np.exp(-params.distance_weight * v)
-    )
-
-
-def score_hca(
-    m: CaptionDoc,
-    n_list: Sequence[Hypothesis],
-    query_categories: Iterable[str] | None,
-    idf,
-) -> float:
-    """Text score gated by exact category-set equality.
-
-    Missing annotations on either side score zero (callers count such
-    candidates toward a possible fallback).
-    """
-    if m.categories is None or query_categories is None:
-        return 0.0
-    if m.categories != frozenset(query_categories):
-        return 0.0
-    return score_txt(m, n_list, idf)
 
 
 class Retriever:
@@ -262,33 +187,24 @@ class Retriever:
         s_txt = self._txt_scores(counts)
 
         if mode == "txt":
-            return MatchList(
-                kbest.sent_id, self._select(s_txt, params.k_m), False, mode
-            )
-
-        if mode == "cnn":
+            scores = s_txt
+        elif mode == "cnn":
             scores = self._cnn_scores(counts, s_txt, query_image, params)
-            if scores is None:
-                return MatchList(
-                    kbest.sent_id, self._select(s_txt, params.k_m), True, mode
-                )
-            return MatchList(
-                kbest.sent_id, self._select(scores, params.k_m), False, mode
-            )
-
-        # hca: gate by exact category-group equality, falling back to
-        # txt when nothing scores above zero.
-        scores = None
-        if query_categories is not None:
-            group = self.coll.category_group(query_categories)
-            if group is not None:
-                scores = np.where(self.coll.cat_group == group, s_txt, 0.0)
-        if scores is None or not np.any(scores > 0.0):
-            return MatchList(
-                kbest.sent_id, self._select(s_txt, params.k_m), True, mode
-            )
+        else:
+            # hca: gate by exact category-group equality; a gate that
+            # leaves nothing above zero means fallback.
+            scores = None
+            if query_categories is not None:
+                group = self.coll.category_group(query_categories)
+                if group is not None:
+                    scores = np.where(self.coll.cat_group == group, s_txt, 0.0)
+                    if not np.any(scores > 0.0):
+                        scores = None
+        fallback = scores is None
+        if fallback:
+            scores = s_txt
         return MatchList(
-            kbest.sent_id, self._select(scores, params.k_m), False, mode
+            kbest.sent_id, self._select(scores, params.k_m), fallback
         )
 
     def _cnn_scores(
@@ -324,23 +240,6 @@ class Retriever:
             -params.distance_weight * dist[within]
         )
         return scores
-
-
-def retrieve(
-    coll: Collection,
-    feats: FeatureStore | None,
-    idf,
-    kbest: KBestList,
-    query_image: str | None = None,
-    query_categories: Iterable[str] | None = None,
-    mode: str = "txt",
-    params: RetrievalParams | None = None,
-) -> MatchList:
-    """One-shot retrieval; builds a throwaway Retriever. For repeated
-    queries over one collection, construct the Retriever once."""
-    return Retriever(coll, idf, feats).retrieve(
-        kbest, query_image, query_categories, mode, params
-    )
 
 
 def read_kbest(path) -> list[KBestList]:
@@ -430,8 +329,12 @@ def write_matchlists(matchlists: Iterable[MatchList], path) -> None:
                 )
 
 
-def read_matchlists(path, coll: Collection, mode: str = "txt") -> list[MatchList]:
-    """Read a match dump back, resolving caption ids against coll."""
+def read_matchlists(path, coll: Collection) -> list[MatchList]:
+    """Read a match dump back, resolving caption ids against coll.
+
+    Raises on caption lines whose score is not finite and positive and
+    on a fallback flag that differs between lines of one sentence.
+    """
     lists: list[MatchList] = []
     done: set[str] = set()
     cur: MatchList | None = None
@@ -460,8 +363,18 @@ def read_matchlists(path, coll: Collection, mode: str = "txt") -> list[MatchList
                 if cur is not None:
                     lists.append(cur)
                     done.add(cur.sent_id)
-                cur = MatchList(sent_id, [], flag, mode)
+                cur = MatchList(sent_id, [], flag)
+            elif flag != cur.used_fallback:
+                raise ValueError(
+                    f"{path}:{lineno}: fallback flag differs within"
+                    f" sentence {sent_id}"
+                )
             if caption_id != "-":
+                if not (np.isfinite(score) and score > 0.0):
+                    raise ValueError(
+                        f"{path}:{lineno}: match score must be finite and"
+                        " positive"
+                    )
                 try:
                     doc = coll.docs[coll.index_of(caption_id)]
                 except KeyError:

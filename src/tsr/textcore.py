@@ -17,16 +17,6 @@ import math
 from typing import Iterable, Iterator
 
 
-def types_of(tokens: Iterable[str]) -> set[str]:
-    """Set of types (unique tokens) of a token sequence."""
-    return set(tokens)
-
-
-def split_tokens(line: str) -> list[str]:
-    """Split one pre-tokenized line into its tokens."""
-    return line.split()
-
-
 def read_token_lines(path) -> Iterator[list[str]]:
     """Yield one token list per line of a UTF-8 text file."""
     with open(path, encoding="utf-8") as handle:
@@ -94,6 +84,10 @@ class IdfTable:
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected term<TAB>df")
                 term, count_str = parts
+                if term in df:
+                    raise ValueError(
+                        f"{path}:{lineno}: repeated term {term!r}"
+                    )
                 try:
                     df[term] = int(count_str)
                 except ValueError:

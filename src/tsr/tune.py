@@ -87,7 +87,7 @@ def stepwise_search(
     grid: GridSpec,
     dev: DevSet,
     mode: str = "txt",
-    distance_weight: float = 0.01,
+    distance_weight: float = RetrievalParams.distance_weight,
 ) -> TuneResult:
     """Run the step-wise sweep and return incumbents, their BLEU, and
     the full (parameters, BLEU) trace in evaluation order."""

@@ -32,8 +32,6 @@ from tsr import (
     bleu_score,
     bleu_stats,
     relevance_score,
-    score_cnn,
-    score_txt,
     select_best,
     stepwise_search,
     sum_stats,
@@ -142,17 +140,20 @@ def test_handworked_scoring_fixtures():
     # candidate types {a, dog}; token occurrences contribute 0.1 + 2.0
     # + 2.0, normalized by the 2 candidate types.
     cand = CaptionDoc("c1", "i1", ("a", "dog"))
-    assert abs(score_txt(cand, [hyp], idf) - 2.05) <= 1e-12
-
+    kbest = KBestList("s1", [hyp])
     # visual decay at distance 89.875 (exactly representable in float32,
     # so the stored embedding equals the literal below).
     feats = FeatureStore({"q": [0.0, 0.0], "i1": [89.875, 0.0]})
-    got = score_cnn(
-        cand, [hyp], "q", feats, idf,
-        RetrievalParams(distance_weight=0.01, distance_cutoff=90.0),
-    )
+    retriever = Retriever(Collection([cand]), idf, feats)
+    params = RetrievalParams(distance_weight=0.01, distance_cutoff=90.0)
+    (txt,) = retriever.retrieve(kbest, "q", None, "txt", params).matches
+    assert txt[0] is cand
+    assert abs(txt[1] - 2.05) <= 1e-12
+
+    cnn = retriever.retrieve(kbest, "q", None, "cnn", params)
+    assert not cnn.used_fallback
     want = 2.05 * math.exp(-0.01 * 89.875)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert cnn.matches[0][1] == pytest.approx(want, rel=1e-12)
 
     # relevance of a rerank candidate against a two-caption match list:
     # numerator 0.1 + 2.0 + 2.0 (first match) + 2.0 + 2.0 (second),
@@ -580,7 +581,7 @@ def test_capacity_full_scale_collection():
     del token_ids
     coll = Collection(docs)
     assert len(coll) == 409110
-    assert len(coll.by_image) == 81822
+    assert len({doc.image_id for doc in coll.docs}) == 81822
 
     idf = random_idf_table(rng, vocab)
     retriever = Retriever(coll, idf)

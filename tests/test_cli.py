@@ -155,6 +155,29 @@ class TestRetrieveRerank:
         diag_lines = (ws / "diag.txt").read_text().splitlines()
         assert len(diag_lines) == 2
 
+    def test_rerank_rejects_sentence_missing_from_dump(self, ws, capsys):
+        self.retrieve(ws)
+        dump = ws / "matches.txt"
+        lines = dump.read_text().splitlines(keepends=True)
+        dump.write_text(
+            "".join(line for line in lines if not line.startswith("s2 ")),
+            encoding="utf-8",
+        )
+        assert (
+            run(
+                "rerank",
+                "--collection", ws / "collection.tsv",
+                "--idf", ws / "idf.txt",
+                "--kbest", ws / "kbest.txt",
+                "--matches", dump,
+                "--out", ws / "output.txt",
+            )
+            == 1
+        )
+        err = capsys.readouterr().err
+        assert "sentence s2" in err and str(dump) in err
+        assert not (ws / "output.txt").exists()
+
     def test_two_stage_equals_pipeline(self, ws):
         self.retrieve(ws, "--k-n", "2", "--k-m", "3")
         run(
@@ -284,18 +307,28 @@ class TestPipeline:
         bare.write_text(
             "c1\ti1\ta man rides a horse\n", encoding="utf-8"
         )
-        assert (
-            run(
-                "pipeline",
-                "--collection", bare,
-                "--idf", ws / "idf.txt",
-                "--kbest", ws / "kbest.txt",
-                "--out-dir", ws / "pipe",
-                "--mode", "hca",
-            )
-            == 1
+        grid = ws / "grid.json"
+        grid.write_text(
+            json.dumps({"mode": "hca", "k_n": [1], "k_m": [1], "k_r": [1],
+                        "interp_weight": [0.0]}),
+            encoding="utf-8",
         )
-        assert "categor" in capsys.readouterr().err
+        inputs = (
+            "--collection", bare,
+            "--idf", ws / "idf.txt",
+            "--kbest", ws / "kbest.txt",
+        )
+        for argv in (
+            ("pipeline", *inputs, "--out-dir", ws / "pipe", "--mode", "hca"),
+            ("retrieve", *inputs, "--out", ws / "m.txt", "--mode", "hca"),
+            ("tune", *inputs, "--grid", grid,
+             "--references", ws / "refs.txt"),
+        ):
+            assert run(*argv) == 1, argv[0]
+            assert "hca mode requires category annotations" in (
+                capsys.readouterr().err
+            )
+        assert not (ws / "m.txt").exists()
 
     def test_hca_mode_flips_to_annotated_caption(self, ws):
         assert (

@@ -5,12 +5,15 @@ from tsr import (
     CaptionDoc,
     Collection,
     FeatureStore,
-    candidates_for,
+    Hypothesis,
+    KBestList,
+    Retriever,
     ingest_collection,
     load_collection,
     load_features,
     save_collection,
 )
+from oracles import FixedIdf
 
 
 def make_docs():
@@ -25,17 +28,25 @@ def test_empty_stream_gives_empty_collection():
     coll = ingest_collection([])
     assert len(coll) == 0
     assert coll.vocab == {}
-    assert candidates_for(coll, {"dog"}) == set()
+    assert coll.matrix.shape == (0, 0)
 
 
-def test_shared_term_postings():
+def row_types(coll, i):
+    """Term types of doc i, read back from its CSR row through vocab."""
+    terms = {tid: term for term, tid in coll.vocab.items()}
+    start, end = coll.matrix.indptr[i], coll.matrix.indptr[i + 1]
+    return [terms[int(t)] for t in coll.matrix.indices[start:end]]
+
+
+def test_shared_term_rows():
     coll = Collection(make_docs())
-    assert list(coll.postings("dog")) == [0, 1]
-    assert list(coll.postings("cat")) == [2]
-    assert list(coll.postings("zebra")) == []
+    rows = [row_types(coll, i) for i in range(len(coll))]
+    assert ["dog" in row for row in rows] == [True, True, False]
+    assert ["cat" in row for row in rows] == [False, False, True]
+    assert "zebra" not in coll.vocab
 
 
-def test_postings_reflect_types_exactly():
+def test_matrix_rows_reflect_types_exactly():
     rng = np.random.default_rng(11)
     vocab = [f"t{i}" for i in range(40)]
     for _ in range(20):
@@ -48,18 +59,13 @@ def test_postings_reflect_types_exactly():
             for i in range(int(rng.integers(1, 60)))
         ]
         coll = Collection(docs)
-        for term in vocab:
-            expected = [i for i, d in enumerate(docs) if term in set(d.tokens)]
-            assert list(coll.postings(term)) == expected
-
-
-def test_by_image_groups_disjoint_and_cover():
-    coll = Collection(make_docs())
-    seen = []
-    for indices in coll.by_image.values():
-        seen.extend(int(i) for i in indices)
-    assert sorted(seen) == list(range(len(coll)))
-    assert list(coll.by_image["img1"]) == [0, 1]
+        for i, doc in enumerate(docs):
+            got = row_types(coll, i)
+            assert set(got) == set(doc.tokens)
+            assert len(got) == coll.type_counts[i]
+            ids = [coll.vocab[t] for t in got]
+            assert ids == sorted(set(ids))
+        assert coll.matrix.data.tolist() == [1.0] * coll.matrix.nnz
 
 
 def test_duplicate_caption_id_rejected():
@@ -95,7 +101,8 @@ def test_categories_parsed_and_optional():
     assert coll.category_group({"dog"}) is None
 
 
-def test_candidates_for_brute_force():
+def test_retrieved_docs_are_term_overlap_brute_force():
+    """Only docs sharing a term with the query can score above zero."""
     docs = [
         CaptionDoc("c1", "i1", ("a", "dog")),
         CaptionDoc("c2", "i1", ("the", "cat")),
@@ -103,14 +110,17 @@ def test_candidates_for_brute_force():
         CaptionDoc("c4", "i2", ("dog", "cat")),
         CaptionDoc("c5", "i3", ("fish",)),
     ]
-    coll = Collection(docs)
+    retriever = Retriever(Collection(docs), FixedIdf({}, default=1.0))
+
+    def retrieved(query):
+        kb = KBestList("s", [Hypothesis(tuple(query), -1.0)])
+        return {doc.caption_id for doc, _ in retriever.retrieve(kb).matches}
+
     query = {"dog", "cat"}
-    expected = {
-        i for i, d in enumerate(docs) if set(d.tokens) & query
-    }
-    assert candidates_for(coll, query) == expected == {0, 1, 3}
-    assert candidates_for(coll, set()) == set()
-    assert candidates_for(coll, {"zebra"}) == set()
+    expected = {d.caption_id for d in docs if set(d.tokens) & query}
+    assert retrieved(sorted(query)) == expected == {"c1", "c2", "c4"}
+    assert retrieved([]) == set()
+    assert retrieved(["zebra"]) == set()
 
 
 def test_round_trip_preserves_collection(tmp_path):
@@ -119,8 +129,11 @@ def test_round_trip_preserves_collection(tmp_path):
     save_collection(coll, path)
     loaded = load_collection(path)
     assert loaded == coll
-    for term in coll.vocab:
-        assert list(loaded.postings(term)) == list(coll.postings(term))
+    assert loaded.vocab == coll.vocab
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(
+            getattr(loaded.matrix, name), getattr(coll.matrix, name)
+        )
     save_collection(loaded, tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
@@ -130,7 +143,8 @@ def test_feature_store_basics():
     assert feats.dim == 2
     assert len(feats) == 2
     assert "i1" in feats and "i3" not in feats
-    assert feats.vector("i2").tolist() == [3.0, 4.0]
+    assert feats.matrix[feats.row_of("i2")].tolist() == [3.0, 4.0]
+    assert feats.row_of("i3") is None
 
 
 def test_feature_store_empty():
@@ -144,7 +158,7 @@ def test_load_features(tmp_path):
     path.write_text("i1\t0.5 1.5 -2.0\ni2\t1.0 0.0 3.25\n")
     feats = load_features(path)
     assert feats.dim == 3
-    assert feats.vector("i1").tolist() == [0.5, 1.5, -2.0]
+    assert feats.matrix[feats.row_of("i1")].tolist() == [0.5, 1.5, -2.0]
 
 
 def test_load_features_dim_checks(tmp_path):

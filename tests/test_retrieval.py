@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsr import (
     CaptionDoc,
@@ -9,16 +12,12 @@ from tsr import (
     FeatureStore,
     Hypothesis,
     KBestList,
+    MatchList,
     RetrievalParams,
     Retriever,
     read_kbest,
     read_matchlists,
     read_queries,
-    retrieve,
-    score_cnn,
-    score_hca,
-    score_txt,
-    visual_distance,
     write_kbest,
     write_matchlists,
 )
@@ -27,51 +26,86 @@ from oracles import FixedIdf, ScaledIdf, random_idf_table
 
 DOC = CaptionDoc("c1", "img1", ("a", "dog"))
 IDF = FixedIdf({"a": 0.1, "dog": 2.0})
+WIDE = RetrievalParams(k_n=50, k_m=50)
 
 
 def hyp(text, score=-1.0):
     return Hypothesis(tuple(text.split()), score)
 
 
+def scored(docs, hyps, idf=IDF, feats=None, query_image=None,
+           query_categories=None, mode="txt", params=WIDE):
+    """Retrieve over a collection of docs; returns ({caption_id: score},
+    used_fallback). A caption that scores zero is absent."""
+    kbest = KBestList("s", list(hyps))
+    ml = Retriever(Collection(docs), idf, feats).retrieve(
+        kbest, query_image, query_categories, mode, params
+    )
+    return {doc.caption_id: s for doc, s in ml.matches}, ml.used_fallback
+
+
+def txt_score(doc, hyps, idf=IDF):
+    return scored([doc], hyps, idf)[0][doc.caption_id]
+
+
 class TestScoreTxt:
     def test_no_overlap_is_zero(self):
-        assert score_txt(DOC, [hyp("the cat")], IDF) == 0.0
+        assert scored([DOC], [hyp("the cat")]) == ({}, False)
 
     def test_hand_fixture_with_token_repetition(self):
         # types {a, dog}, hypothesis [a, dog, dog]: the repeated token
         # contributes twice, the candidate-side normalizer is the type
         # count 2, so (0.1 + 2.0 + 2.0) / 2.
-        got = score_txt(DOC, [hyp("a dog dog")], IDF)
+        got = txt_score(DOC, [hyp("a dog dog")])
         assert abs(got - 2.05) <= 1e-12
 
     def test_linear_in_hypothesis_list(self):
-        one = score_txt(DOC, [hyp("a dog dog")], IDF)
-        two = score_txt(DOC, [hyp("a dog dog"), hyp("a dog dog", -2.0)], IDF)
+        one = txt_score(DOC, [hyp("a dog dog")])
+        two = txt_score(DOC, [hyp("a dog dog"), hyp("dog a dog", -2.0)])
         assert two == 2 * one
 
     def test_candidate_types_counted_once(self):
         doubled = CaptionDoc("c2", "img1", ("a", "dog", "dog", "a"))
-        plain = score_txt(DOC, [hyp("a dog")], IDF)
-        assert score_txt(doubled, [hyp("a dog")], IDF) == plain
+        got, _ = scored([DOC, doubled], [hyp("a dog")])
+        assert got["c2"] == got["c1"]
 
 
 class TestVisualDistance:
+    """Euclidean distance as retrieval sees it: through the cnn decay
+    exp(-b * v) applied to the txt score."""
+
+    PARAMS = RetrievalParams(k_n=5, k_m=5, distance_weight=0.7)
+
+    def cnn(self, query_vec, cand_vec):
+        feats = FeatureStore({"q": query_vec, "img1": cand_vec})
+        got, fallback = scored(
+            [DOC], [hyp("a dog dog")], feats=feats, query_image="q",
+            mode="cnn", params=self.PARAMS,
+        )
+        assert not fallback
+        return got["c1"]
+
     def test_identity(self):
-        assert visual_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert self.cnn([1.0, 2.0], [1.0, 2.0]) == txt_score(
+            DOC, [hyp("a dog dog")]
+        )
 
     def test_three_four_five(self):
-        assert visual_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+        want = txt_score(DOC, [hyp("a dog dog")]) * math.exp(-0.7 * 5.0)
+        assert self.cnn([0.0, 0.0], [3.0, 4.0]) == pytest.approx(
+            want, rel=1e-15
+        )
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            a = rng.normal(size=5)
-            b = rng.normal(size=5)
-            assert visual_distance(a, b) == visual_distance(b, a)
+            a = rng.normal(size=5).tolist()
+            b = rng.normal(size=5).tolist()
+            assert self.cnn(a, b) == self.cnn(b, a)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            visual_distance([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="one dimension"):
+            FeatureStore({"q": [1.0], "img1": [1.0, 2.0]})
 
 
 class TestScoreCnn:
@@ -80,38 +114,56 @@ class TestScoreCnn:
     FEATS = FeatureStore(
         {"img1": [0.0, 0.0], "img2": [89.875, 0.0], "img3": [90.0, 0.0]}
     )
+    NEAR = CaptionDoc("c2", "img2", ("a", "dog"))
+
+    def cnn(self, docs, hyps, params, query_image="img1"):
+        return scored(
+            docs, hyps, feats=self.FEATS, query_image=query_image,
+            mode="cnn", params=params,
+        )
 
     def test_zero_distance_equals_txt(self):
         params = RetrievalParams(k_n=5, k_m=5, distance_weight=0.7)
         n = [hyp("a dog dog")]
-        got = score_cnn(DOC, n, "img1", self.FEATS, IDF, params)
-        assert got == score_txt(DOC, n, IDF)
+        got, fallback = self.cnn([DOC], n, params)
+        assert not fallback
+        assert got["c1"] == txt_score(DOC, n)
 
     def test_cutoff_is_strict(self):
         params = RetrievalParams(k_n=5, k_m=5, distance_cutoff=90.0)
         at_cutoff = CaptionDoc("c3", "img3", ("a", "dog"))
-        got = score_cnn(at_cutoff, [hyp("a dog dog")], "img1", self.FEATS, IDF, params)
-        assert got == 0.0
+        got, fallback = self.cnn([at_cutoff, self.NEAR], [hyp("a dog dog")],
+                                 params)
+        assert not fallback
+        assert set(got) == {"c2"}
+        # alone, the caption at the cutoff leaves nothing within it
+        assert self.cnn([at_cutoff], [hyp("a dog dog")], params)[1]
 
     def test_decay_fixture(self):
         params = RetrievalParams(
             k_n=5, k_m=5, distance_weight=0.01, distance_cutoff=90.0
         )
-        near = CaptionDoc("c2", "img2", ("a", "dog"))
-        got = score_cnn(near, [hyp("a dog dog")], "img1", self.FEATS, IDF, params)
+        got, fallback = self.cnn([self.NEAR], [hyp("a dog dog")], params)
+        assert not fallback
         expected = 2.05 * math.exp(-0.01 * 89.875)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(0.834, abs=1e-3)
+        assert got["c2"] == pytest.approx(expected, rel=1e-12)
+        assert got["c2"] == pytest.approx(0.834, abs=1e-3)
 
     def test_candidate_without_embedding_scores_zero(self):
         params = RetrievalParams(k_n=5, k_m=5)
         ghost = CaptionDoc("c9", "imgX", ("a", "dog"))
-        assert score_cnn(ghost, [hyp("a dog")], "img1", self.FEATS, IDF, params) == 0.0
+        got, fallback = self.cnn([ghost, DOC], [hyp("a dog")], params)
+        assert not fallback
+        assert set(got) == {"c1"}
 
     def test_query_without_embedding_is_callers_problem(self):
+        """retrieve() never damps by a missing query embedding: it falls
+        back to txt scores and flags the match list."""
         params = RetrievalParams(k_n=5, k_m=5)
-        with pytest.raises(ValueError, match="no embedding"):
-            score_cnn(DOC, [hyp("a dog")], "nowhere", self.FEATS, IDF, params)
+        n = [hyp("a dog")]
+        got, fallback = self.cnn([DOC, self.NEAR], n, params, "nowhere")
+        assert fallback
+        assert got == scored([DOC, self.NEAR], n, params=params)[0]
 
     def test_never_exceeds_txt_and_monotone_in_distance(self):
         rng = np.random.default_rng(5)
@@ -119,36 +171,53 @@ class TestScoreCnn:
         params = RetrievalParams(
             k_n=5, k_m=5, distance_weight=0.3, distance_cutoff=50.0
         )
+        doc = CaptionDoc("c1", "m", ("a", "dog"))
         prev = None
         for v in sorted(rng.uniform(0.0, 49.9, size=20)):
             feats = FeatureStore({"q": [0.0], "m": [float(np.float32(v))]})
-            doc = CaptionDoc("c1", "m", ("a", "dog"))
-            s = score_cnn(doc, n, "q", feats, IDF, params)
-            assert s <= score_txt(doc, n, IDF)
+            got, fallback = scored(
+                [doc], n, feats=feats, query_image="q", mode="cnn",
+                params=params,
+            )
+            assert not fallback
+            s = got["c1"]
+            assert s <= txt_score(doc, n)
             if prev is not None:
                 assert s <= prev + 1e-15
             prev = s
 
 
 class TestScoreHca:
+    TAGGED = CaptionDoc("c1", "i1", ("a", "dog"), frozenset({"person", "tie"}))
+
+    def hca(self, docs, hyps, query_categories):
+        return scored(docs, hyps, query_categories=query_categories,
+                      mode="hca")
+
     def test_equal_sets_pass_through(self):
-        doc = CaptionDoc("c1", "i1", ("a", "dog"), frozenset({"person", "tie"}))
         n = [hyp("a dog dog")]
-        got = score_hca(doc, n, {"person", "tie"}, IDF)
-        assert got == score_txt(doc, n, IDF)
+        got, fallback = self.hca([self.TAGGED], n, {"person", "tie"})
+        assert not fallback
+        assert got["c1"] == txt_score(self.TAGGED, n)
 
     def test_strict_inequality_zeroes(self):
-        doc = CaptionDoc("c1", "i1", ("a", "dog"), frozenset({"person", "tie"}))
+        # a second caption carrying the query's exact set keeps the gate
+        # from falling back, so c1's absence is its own zero score
         n = [hyp("a dog")]
-        assert score_hca(doc, n, {"person"}, IDF) == 0.0
-        assert score_hca(doc, n, {"person", "tie", "dog"}, IDF) == 0.0
-        assert score_hca(doc, n, {"cat"}, IDF) == 0.0
+        for query in ({"person"}, {"person", "tie", "dog"}, {"cat"}):
+            exact = CaptionDoc("c2", "i2", ("a", "dog"), frozenset(query))
+            got, fallback = self.hca([self.TAGGED, exact], n, query)
+            assert not fallback
+            assert set(got) == {"c2"}
 
     def test_missing_annotations_score_zero(self):
-        bare = CaptionDoc("c1", "i1", ("a", "dog"))
-        assert score_hca(bare, [hyp("a dog")], {"person"}, IDF) == 0.0
+        bare = CaptionDoc("c0", "i1", ("a", "dog"))
         tagged = CaptionDoc("c2", "i1", ("a", "dog"), frozenset({"person"}))
-        assert score_hca(tagged, [hyp("a dog")], None, IDF) == 0.0
+        got, fallback = self.hca([bare, tagged], [hyp("a dog")], {"person"})
+        assert not fallback
+        assert set(got) == {"c2"}
+        # an unannotated query passes no caption through the gate
+        assert self.hca([bare, tagged], [hyp("a dog")], None)[1]
 
 
 def toy_setup():
@@ -171,18 +240,18 @@ class TestRetrieve:
     def test_empty_kbest_errors(self):
         coll, idf, feats = toy_setup()
         with pytest.raises(ValueError, match="empty k-best"):
-            retrieve(coll, feats, idf, KBestList("s1", []))
+            Retriever(coll, idf, feats).retrieve(KBestList("s1", []))
 
     def test_unknown_mode_errors(self):
         coll, idf, feats = toy_setup()
         kb = KBestList("s1", [hyp("a dog")])
         with pytest.raises(ValueError, match="mode"):
-            retrieve(coll, feats, idf, kb, mode="visual")
+            Retriever(coll, idf, feats).retrieve(kb, mode="visual")
 
     def test_no_zero_scores_stored(self):
         coll, idf, feats = toy_setup()
         kb = KBestList("s1", [hyp("a dog")])
-        ml = retrieve(coll, feats, idf, kb, mode="txt")
+        ml = Retriever(coll, idf, feats).retrieve(kb, mode="txt")
         assert all(score > 0 for _, score in ml.matches)
         ids = [doc.caption_id for doc, _ in ml.matches]
         assert "c05" not in ids or idf.idf("a") > 0
@@ -191,7 +260,7 @@ class TestRetrieve:
         coll, idf, feats = toy_setup()
         kb = KBestList("s1", [hyp("a dog cat bird")])
         params = RetrievalParams(k_n=1, k_m=2)
-        ml = retrieve(coll, feats, idf, kb, mode="txt", params=params)
+        ml = Retriever(coll, idf, feats).retrieve(kb, params=params)
         assert len(ml.matches) == 2
 
     def test_descending_scores_with_id_tiebreak(self):
@@ -200,17 +269,17 @@ class TestRetrieve:
             CaptionDoc("a", "i1", ("dog",)),
             CaptionDoc("c", "i2", ("dog", "dog")),
         ]
-        coll = Collection(docs)
-        idf = FixedIdf({"dog": 1.0})
-        ml = retrieve(coll, None, idf, KBestList("s", [hyp("dog")]), mode="txt")
+        retr = Retriever(Collection(docs), FixedIdf({"dog": 1.0}))
+        ml = retr.retrieve(KBestList("s", [hyp("dog")]), mode="txt")
         # all three score 1.0; order falls back to caption_id
         assert [d.caption_id for d, _ in ml.matches] == ["a", "b", "c"]
 
     def test_cnn_fallback_on_missing_query_image(self):
         coll, idf, feats = toy_setup()
+        retr = Retriever(coll, idf, feats)
         kb = KBestList("s1", [hyp("a dog")])
-        ml = retrieve(coll, feats, idf, kb, query_image="missing", mode="cnn")
-        txt = retrieve(coll, feats, idf, kb, mode="txt")
+        ml = retr.retrieve(kb, query_image="missing", mode="cnn")
+        txt = retr.retrieve(kb, mode="txt")
         assert ml.used_fallback
         assert [(d.caption_id, s) for d, s in ml.matches] == [
             (d.caption_id, s) for d, s in txt.matches
@@ -218,35 +287,27 @@ class TestRetrieve:
 
     def test_cnn_fallback_when_no_candidate_within_cutoff(self):
         coll, idf, feats = toy_setup()
+        retr = Retriever(coll, idf, feats)
         kb = KBestList("s1", [hyp("bird flies")])
         # only c05 shares terms; its image i3 sits 50 away from i1
         params = RetrievalParams(k_n=1, k_m=5, distance_cutoff=10.0)
-        ml = retrieve(
-            coll, feats, idf, kb, query_image="i1", mode="cnn", params=params
-        )
+        ml = retr.retrieve(kb, "i1", None, "cnn", params)
         assert ml.used_fallback
-        near = retrieve(
-            coll,
-            feats,
-            idf,
-            kb,
-            query_image="i3",
-            mode="cnn",
-            params=params,
-        )
+        near = retr.retrieve(kb, "i3", None, "cnn", params)
         assert not near.used_fallback
         assert [d.caption_id for d, _ in near.matches] == ["c05"]
 
     def test_cnn_empty_store_matches_txt_for_every_query(self):
         coll, idf, _ = toy_setup()
-        empty = FeatureStore({})
+        empty = Retriever(coll, idf, FeatureStore({}))
+        plain = Retriever(coll, idf)
         rng = np.random.default_rng(4)
         vocab = sorted(coll.vocab)
         for i in range(20):
             tokens = tuple(rng.choice(vocab, size=3))
             kb = KBestList(f"s{i}", [Hypothesis(tokens, -1.0)])
-            cnn = retrieve(coll, empty, idf, kb, query_image="i1", mode="cnn")
-            txt = retrieve(coll, None, idf, kb, mode="txt")
+            cnn = empty.retrieve(kb, query_image="i1", mode="cnn")
+            txt = plain.retrieve(kb, mode="txt")
             assert cnn.used_fallback
             assert [(d.caption_id, s) for d, s in cnn.matches] == [
                 (d.caption_id, s) for d, s in txt.matches
@@ -254,22 +315,23 @@ class TestRetrieve:
 
     def test_hca_strict_match_and_fallback(self):
         coll, idf, feats = toy_setup()
+        retr = Retriever(coll, idf, feats)
         kb = KBestList("s1", [hyp("a dog cat")])
-        ml = retrieve(coll, feats, idf, kb, query_categories={"dog"}, mode="hca")
+        ml = retr.retrieve(kb, query_categories={"dog"}, mode="hca")
         assert not ml.used_fallback
         assert {d.caption_id for d, _ in ml.matches} <= {"c01", "c02"}
-        fb = retrieve(
-            coll, feats, idf, kb, query_categories={"zebra"}, mode="hca"
-        )
+        fb = retr.retrieve(kb, query_categories={"zebra"}, mode="hca")
         assert fb.used_fallback
-        none = retrieve(coll, feats, idf, kb, query_categories=None, mode="hca")
+        none = retr.retrieve(kb, query_categories=None, mode="hca")
         assert none.used_fallback
 
     def test_idf_scaling_preserves_ranking(self):
         coll, idf, feats = toy_setup()
         kb = KBestList("s1", [hyp("a dog cat sits runs")])
-        base = retrieve(coll, feats, idf, kb, mode="txt")
-        scaled = retrieve(coll, feats, ScaledIdf(idf, 3.0), kb, mode="txt")
+        base = Retriever(coll, idf, feats).retrieve(kb, mode="txt")
+        scaled = Retriever(coll, ScaledIdf(idf, 3.0), feats).retrieve(
+            kb, mode="txt"
+        )
         assert [d.caption_id for d, _ in base.matches] == [
             d.caption_id for d, _ in scaled.matches
         ]
@@ -278,10 +340,9 @@ class TestRetrieve:
 
     def test_unseen_query_terms_still_retrieve(self):
         docs = [CaptionDoc("c1", "i1", ("novel", "word"))]
-        coll = Collection(docs)
         idf = random_idf_table(np.random.default_rng(1), ["other"])
         kb = KBestList("s1", [hyp("novel word")])
-        ml = retrieve(coll, None, idf, kb, mode="txt")
+        ml = Retriever(Collection(docs), idf).retrieve(kb, mode="txt")
         assert [d.caption_id for d, _ in ml.matches] == ["c1"]
         assert ml.matches[0][1] > 0
 
@@ -290,14 +351,11 @@ class TestRetrieve:
             CaptionDoc("c1", "near", ("a", "dog")),
             CaptionDoc("c2", "far", ("a", "dog")),
         ]
-        coll = Collection(docs)
         feats = FeatureStore({"q": [0.0], "near": [1.0], "far": [99.0]})
-        idf = FixedIdf({"dog": 2.0})
+        retr = Retriever(Collection(docs), FixedIdf({"dog": 2.0}), feats)
         kb = KBestList("s1", [hyp("a dog")])
         params = RetrievalParams(k_n=1, k_m=5, distance_cutoff=50.0)
-        ml = retrieve(
-            coll, feats, idf, kb, query_image="q", mode="cnn", params=params
-        )
+        ml = retr.retrieve(kb, "q", None, "cnn", params)
         assert [d.caption_id for d, _ in ml.matches] == ["c1"]
 
 
@@ -369,10 +427,8 @@ class TestMatchListIo:
         coll, idf, feats = toy_setup()
         kb1 = KBestList("s1", [hyp("a dog")])
         kb2 = KBestList("s2", [hyp("qqq")])
-        mls = [
-            retrieve(coll, feats, idf, kb1, mode="txt"),
-            retrieve(coll, feats, idf, kb2, mode="txt"),
-        ]
+        retr = Retriever(coll, idf, feats)
+        mls = [retr.retrieve(kb1, mode="txt"), retr.retrieve(kb2, mode="txt")]
         assert mls[1].matches == []
         path = tmp_path / "matches.txt"
         write_matchlists(mls, path)
@@ -391,6 +447,63 @@ class TestMatchListIo:
         path.write_text("s1 ||| nosuch ||| 1.0 ||| 0\n")
         with pytest.raises(ValueError, match="unknown caption_id"):
             read_matchlists(path, coll)
+
+    def test_rejects_bad_scores_and_mixed_flags(self, tmp_path):
+        coll, _, _ = toy_setup()
+        path = tmp_path / "matches.txt"
+        for score in ("nan", "inf", "0.0", "-1.5"):
+            path.write_text(
+                f"s1 ||| c01 ||| 2.0 ||| 0\ns1 ||| c02 ||| {score} ||| 0\n"
+            )
+            with pytest.raises(ValueError, match="matches.txt:2: match score"):
+                read_matchlists(path, coll)
+        path.write_text("s1 ||| c01 ||| 2.0 ||| 1\ns1 ||| c02 ||| 1.0 ||| 0\n")
+        with pytest.raises(ValueError, match="matches.txt:2: fallback flag"):
+            read_matchlists(path, coll)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 4),
+                        st.floats(
+                            min_value=0.0,
+                            exclude_min=True,
+                            allow_infinity=False,
+                        ),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=5,
+        )
+    )
+    def test_round_trip_preserves_ids_score_bits_and_flags(self, drawn):
+        coll, _, _ = toy_setup()
+        mls = [
+            MatchList(
+                f"s{i}",
+                [(coll.docs[j], score) for j, score in matches],
+                fallback,
+            )
+            for i, (fallback, matches) in enumerate(drawn)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "matches.txt"
+            write_matchlists(mls, path)
+            loaded = read_matchlists(path, coll)
+
+        def key(ml):
+            return (
+                ml.sent_id,
+                ml.used_fallback,
+                [(d.caption_id, s.hex()) for d, s in ml.matches],
+            )
+
+        assert [key(ml) for ml in loaded] == [key(ml) for ml in mls]
 
 
 class TestQueriesFile:
@@ -431,11 +544,20 @@ def test_params_validation():
 
 
 def test_retriever_reuse_matches_one_shot():
+    """One Retriever answering many queries gives what a fresh Retriever
+    per query gives."""
     coll, idf, feats = toy_setup()
     retr = Retriever(coll, idf, feats)
-    kb = KBestList("s1", [hyp("a dog cat")])
-    a = retr.retrieve(kb, mode="txt")
-    b = retrieve(coll, feats, idf, kb, mode="txt")
-    assert [(d.caption_id, s) for d, s in a.matches] == [
-        (d.caption_id, s) for d, s in b.matches
+    queries = [
+        (KBestList("s1", [hyp("a dog cat")]), None, None, "txt"),
+        (KBestList("s2", [hyp("a cat sits")]), "i2", None, "cnn"),
+        (KBestList("s3", [hyp("the dog")]), None, {"dog"}, "hca"),
+        (KBestList("s4", [hyp("bird flies")]), "i1", None, "cnn"),
     ]
+    for kb, image, cats, mode in queries * 2:
+        a = retr.retrieve(kb, image, cats, mode)
+        b = Retriever(coll, idf, feats).retrieve(kb, image, cats, mode)
+        assert a.used_fallback == b.used_fallback
+        assert [(d.caption_id, s) for d, s in a.matches] == [
+            (d.caption_id, s) for d, s in b.matches
+        ]

@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tsr import IdfTable, build_idf, types_of
-from tsr.textcore import read_token_lines, split_tokens
-
-
-def test_types_of_deduplicates():
-    assert types_of(["a", "dog", "a"]) == {"a", "dog"}
-    assert types_of([]) == set()
-
-
-def test_split_tokens():
-    assert split_tokens("a  dog\truns ") == ["a", "dog", "runs"]
+from tsr import IdfTable, build_idf
+from tsr.textcore import read_token_lines
 
 
 def test_build_idf_counts_documents_not_tokens():
@@ -90,6 +81,15 @@ def test_load_rejects_malformed_lines(tmp_path):
     path.write_text("N=3\ndog\tthree\n")
     with pytest.raises(ValueError, match="non-integer"):
         IdfTable.load(path)
+    path.write_text("N=3\ncat\t1\ndog\t1\ndog\t2\n")
+    with pytest.raises(ValueError, match="bad.txt:4: repeated term 'dog'"):
+        IdfTable.load(path)
+
+
+def test_split_tokens(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a  dog\truns \n")
+    assert list(read_token_lines(path)) == [["a", "dog", "runs"]]
 
 
 def test_read_token_lines(tmp_path):
