@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -89,15 +90,6 @@ def _override(defaults, cfg: dict):
     return dataclasses.replace(defaults, **given)
 
 
-def _require_categories(mode: str, coll) -> None:
-    """hca scores only captions whose category set equals the query's;
-    without any annotation every sentence would fall back to txt."""
-    if mode == "hca" and not any(
-        doc.categories is not None for doc in coll.docs
-    ):
-        raise ValueError("hca mode requires category annotations")
-
-
 def _aligned_references(path, kbests) -> list[list[str]]:
     """References in k-best order: matched by sentence id when the file
     carries ids, by position otherwise."""
@@ -117,6 +109,27 @@ def _aligned_references(path, kbests) -> list[list[str]]:
     return [table[kb.sent_id] for kb in kbests]
 
 
+def _load_inputs(
+    mode: str, collection, idf, features, queries, skip_empty=False
+):
+    """Check the mode and cnn's features path before reading anything,
+    then load idf, collection, features (cnn only) and queries. hca
+    gates on category sets, so an unannotated collection is rejected:
+    every sentence would fall back to txt."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "cnn" and not features:
+        raise ValueError("cnn mode requires a features path")
+    idf_table = IdfTable.load(idf)
+    coll = load_collection(collection, skip_empty=skip_empty)
+    if mode == "hca" and not any(
+        doc.categories is not None for doc in coll.docs
+    ):
+        raise ValueError("hca mode requires category annotations")
+    feats = load_features(features) if mode == "cnn" else None
+    return idf_table, coll, feats, read_queries(queries) if queries else {}
+
+
 def _run_sentences(work, kbests, workers: int) -> list:
     if workers <= 1:
         return [work(kb) for kb in kbests]
@@ -124,8 +137,29 @@ def _run_sentences(work, kbests, workers: int) -> list:
         return list(pool.map(work, kbests))
 
 
-def _load_query_table(path) -> dict[str, Query]:
-    return read_queries(path) if path else {}
+def _retrieve(retriever: Retriever, queries, mode: str, params, kb):
+    """One sentence's match list; a failure names the sentence."""
+    query = queries.get(kb.sent_id, Query(kb.sent_id))
+    try:
+        return retriever.retrieve(
+            kb, query.image_id, query.categories, mode, params
+        )
+    except Exception as exc:
+        raise RuntimeError(
+            f"retrieve stage failed on sentence {kb.sent_id}: {exc}"
+        ) from exc
+
+
+def _rerank(kb, ml, idf, params):
+    """One sentence's reranked output and its match list's fallback
+    flag; a failure names the sentence."""
+    try:
+        out = select_best(kb, ml, idf, params)
+    except Exception as exc:
+        raise RuntimeError(
+            f"rerank stage failed on sentence {kb.sent_id}: {exc}"
+        ) from exc
+    return out, ml.used_fallback
 
 
 def cmd_extract_idf(args) -> int:
@@ -146,29 +180,13 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    mode = args.mode
-    if mode == "cnn" and not args.features:
-        raise ValueError("cnn mode requires --features")
-    coll = load_collection(args.collection)
-    _require_categories(mode, coll)
-    idf = IdfTable.load(args.idf)
-    feats = load_features(args.features) if mode == "cnn" else None
-    queries = _load_query_table(args.queries)
-    params, _ = _resolve_params(mode, vars(args))
+    idf, coll, feats, queries = _load_inputs(
+        args.mode, args.collection, args.idf, args.features, args.queries
+    )
+    params, _ = _resolve_params(args.mode, vars(args))
     retriever = Retriever(coll, idf, feats)
     kbests = read_kbest(args.kbest)
-
-    def work(kb):
-        query = queries.get(kb.sent_id, Query(kb.sent_id))
-        try:
-            return retriever.retrieve(
-                kb, query.image_id, query.categories, mode, params
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                f"retrieve stage failed on sentence {kb.sent_id}: {exc}"
-            ) from exc
-
+    work = functools.partial(_retrieve, retriever, queries, args.mode, params)
     matchlists = _run_sentences(work, kbests, args.workers)
     write_matchlists(matchlists, args.out)
     fallbacks = sum(ml.used_fallback for ml in matchlists)
@@ -192,13 +210,7 @@ def cmd_rerank(args) -> int:
             raise ValueError(
                 f"{args.matches}: no match list for sentence {kb.sent_id}"
             )
-        try:
-            out = select_best(kb, ml, idf, params)
-        except Exception as exc:
-            raise RuntimeError(
-                f"rerank stage failed on sentence {kb.sent_id}: {exc}"
-            ) from exc
-        results.append((out, ml.used_fallback))
+        results.append(_rerank(kb, ml, idf, params))
     write_output([out for out, _ in results], args.out)
     if args.diagnostics:
         write_diagnostics(results, args.diagnostics)
@@ -224,42 +236,27 @@ def _merge_pipeline_config(args) -> dict:
     for key in ("collection", "idf", "kbest", "out_dir"):
         if not cfg[key]:
             raise ValueError(f"pipeline config is missing {key!r}")
-    if cfg["mode"] not in MODES:
-        raise ValueError(f"unknown mode {cfg['mode']!r}")
-    if cfg["mode"] == "cnn" and not cfg["features"]:
-        raise ValueError("cnn mode requires a features path")
     return cfg
 
 
 def cmd_pipeline(args) -> int:
     cfg = _merge_pipeline_config(args)
     mode = cfg["mode"]
-    idf = IdfTable.load(cfg["idf"])
-    coll = load_collection(cfg["collection"], skip_empty=cfg["skip_empty"])
-    _require_categories(mode, coll)
-    feats = load_features(cfg["features"]) if mode == "cnn" else None
-    queries = _load_query_table(cfg["queries"])
+    idf, coll, feats, queries = _load_inputs(
+        mode,
+        cfg["collection"],
+        cfg["idf"],
+        cfg["features"],
+        cfg["queries"],
+        skip_empty=cfg["skip_empty"],
+    )
     retrieval_params, rerank_params = _resolve_params(mode, cfg)
     retriever = Retriever(coll, idf, feats)
     kbests = read_kbest(cfg["kbest"])
 
     def work(kb):
-        query = queries.get(kb.sent_id, Query(kb.sent_id))
-        try:
-            ml = retriever.retrieve(
-                kb, query.image_id, query.categories, mode, retrieval_params
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                f"retrieve stage failed on sentence {kb.sent_id}: {exc}"
-            ) from exc
-        try:
-            out = select_best(kb, ml, idf, rerank_params)
-        except Exception as exc:
-            raise RuntimeError(
-                f"rerank stage failed on sentence {kb.sent_id}: {exc}"
-            ) from exc
-        return out, ml.used_fallback
+        ml = _retrieve(retriever, queries, mode, retrieval_params, kb)
+        return _rerank(kb, ml, idf, rerank_params)
 
     results = _run_sentences(work, kbests, cfg["workers"])
 
@@ -315,9 +312,7 @@ def cmd_compare(args) -> int:
     stats_b = [bleu_stats(h, r) for h, r in zip(sys_b, refs)]
     score_a = bleu_score(sum_stats(stats_a))
     score_b = bleu_score(sum_stats(stats_b))
-    p = approx_randomization(
-        stats_a, stats_b, args.trials, args.seed, args.workers
-    )
+    p = approx_randomization(stats_a, stats_b, args.trials, args.seed)
     print(f"sentences: {len(refs)}")
     print(f"BLEU_A: {100 * score_a:.2f} ({score_a:.6f})")
     print(f"BLEU_B: {100 * score_b:.2f} ({score_b:.6f})")
@@ -348,12 +343,9 @@ def cmd_tune(args) -> int:
         )
     grid = GridSpec(**spec)
 
-    coll = load_collection(args.collection)
-    _require_categories(mode, coll)
-    idf = IdfTable.load(args.idf)
-    feats = load_features(args.features) if args.features else None
-    if mode == "cnn" and feats is None:
-        raise ValueError("cnn mode requires --features")
+    idf, coll, feats, queries = _load_inputs(
+        mode, args.collection, args.idf, args.features, args.queries
+    )
     kbests = read_kbest(args.kbest)
     dev = DevSet(
         coll=coll,
@@ -361,7 +353,7 @@ def cmd_tune(args) -> int:
         kbests=kbests,
         references=_aligned_references(args.references, kbests),
         feats=feats,
-        queries=_load_query_table(args.queries),
+        queries=queries,
     )
     result = stepwise_search(grid, dev, mode, distance_weight)
 
@@ -498,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("ref")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser(

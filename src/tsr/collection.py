@@ -136,25 +136,6 @@ class Collection:
         return self._cat_groups.get(frozenset(categories))
 
 
-def parse_caption_record(line: str, lineno: int | None = None) -> CaptionDoc:
-    """Parse one collection-file record."""
-    where = f"line {lineno}: " if lineno is not None else ""
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) not in (3, 4):
-        raise ValueError(
-            f"{where}expected 3 or 4 tab-separated fields, got {len(fields)}"
-        )
-    caption_id, image_id = fields[0], fields[1]
-    if not caption_id or not image_id:
-        raise ValueError(f"{where}empty caption_id or image_id")
-    tokens = tuple(fields[2].split())
-    categories: frozenset[str] | None = None
-    if len(fields) == 4:
-        labels = frozenset(c for c in fields[3].split(",") if c)
-        categories = labels or None
-    return CaptionDoc(caption_id, image_id, tokens, categories)
-
-
 def ingest_collection(
     lines: Iterable[str], skip_empty: bool = False
 ) -> Collection:
@@ -163,30 +144,41 @@ def ingest_collection(
     Records with empty captions are rejected (the scorers normalize by
     type count, which an empty caption would make undefined) unless
     skip_empty is set, in which case they are dropped with a warning.
+    Errors and warnings locate the record as ``<file>:<line>`` when
+    lines is an open file, as ``line <line>`` otherwise.
     """
+    source = getattr(lines, "name", None)
     docs: list[CaptionDoc] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        doc = parse_caption_record(line, lineno)
-        if not doc.tokens:
+        where = f"line {lineno}" if source is None else f"{source}:{lineno}"
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) not in (3, 4):
+            raise ValueError(
+                f"{where}: expected 3 or 4 tab-separated fields,"
+                f" got {len(fields)}"
+            )
+        caption_id, image_id = fields[0], fields[1]
+        if not caption_id or not image_id:
+            raise ValueError(f"{where}: empty caption_id or image_id")
+        tokens = tuple(fields[2].split())
+        categories: frozenset[str] | None = None
+        if len(fields) == 4:
+            labels = frozenset(c for c in fields[3].split(",") if c)
+            categories = labels or None
+        if not tokens:
             if skip_empty:
-                log.warning(
-                    "line %d: skipping empty caption %r",
-                    lineno,
-                    doc.caption_id,
-                )
+                log.warning("%s: skipping empty caption %r", where, caption_id)
                 continue
+            raise ValueError(f"{where}: empty caption {caption_id!r}")
+        if caption_id in seen:
             raise ValueError(
-                f"line {lineno}: empty caption {doc.caption_id!r}"
+                f"{where}: duplicate caption_id {caption_id!r}"
             )
-        if doc.caption_id in seen:
-            raise ValueError(
-                f"line {lineno}: duplicate caption_id {doc.caption_id!r}"
-            )
-        seen.add(doc.caption_id)
-        docs.append(doc)
+        seen.add(caption_id)
+        docs.append(CaptionDoc(caption_id, image_id, tokens, categories))
     return Collection(docs)
 
 

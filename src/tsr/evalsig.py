@@ -13,7 +13,7 @@ per-sentence statistics of a random subset of sentences, recompute both
 corpus scores, and count how often the shuffled score difference
 reaches the observed one. Each trial draws from its own generator
 seeded by a spawned child of the master seed, so p-values are
-bit-identical across runs and across worker counts.
+bit-identical across runs.
 
 The random source is numpy's default generator (PCG64, numpy >= 1.24)
 with SeedSequence.spawn for per-trial child seeds; changing either
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,14 +88,21 @@ def sum_stats(stats: Sequence[BleuStats]) -> BleuStats:
 
 def bleu_score(stats: BleuStats) -> float:
     """Corpus BLEU in [0, 1] from summed statistics."""
-    if stats.hyp_len == 0:
+    return _bleu(*stats.matches, *stats.totals, stats.hyp_len, stats.ref_len)
+
+
+def _bleu(*row: int) -> float:
+    """BLEU of one flat statistics row: the MAX_ORDER clipped match
+    counts, the MAX_ORDER n-gram totals, hyp_len and ref_len."""
+    hyp_len, ref_len = row[-2:]
+    if hyp_len == 0:
         return 0.0
     log_precisions = 0.0
-    for m, t in zip(stats.matches, stats.totals):
+    for m, t in zip(row[:MAX_ORDER], row[MAX_ORDER : 2 * MAX_ORDER]):
         if m == 0 or t == 0:
             return 0.0
         log_precisions += math.log(m / t) / MAX_ORDER
-    brevity = min(1.0, math.exp(1.0 - stats.ref_len / stats.hyp_len))
+    brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     return brevity * math.exp(log_precisions)
 
 
@@ -107,25 +113,11 @@ def _stats_array(stats: Sequence[BleuStats]) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _bleu_from_row(row: np.ndarray) -> float:
-    if row[8] == 0:
-        return 0.0
-    log_precisions = 0.0
-    for n in range(MAX_ORDER):
-        m, t = int(row[n]), int(row[MAX_ORDER + n])
-        if m == 0 or t == 0:
-            return 0.0
-        log_precisions += math.log(m / t) / MAX_ORDER
-    brevity = min(1.0, math.exp(1.0 - int(row[9]) / int(row[8])))
-    return brevity * math.exp(log_precisions)
-
-
 def approx_randomization(
     stats_a: Sequence[BleuStats],
     stats_b: Sequence[BleuStats],
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> float:
     """Two-sided approximate-randomization p-value for the corpus BLEU
     difference between aligned systems A and B.
@@ -145,33 +137,17 @@ def approx_randomization(
     b = _stats_array(stats_b)
     sum_a = a.sum(axis=0)
     sum_b = b.sum(axis=0)
-    observed = abs(_bleu_from_row(sum_a) - _bleu_from_row(sum_b))
+    observed = abs(_bleu(*sum_a.tolist()) - _bleu(*sum_b.tolist()))
     delta = b - a
     n = len(stats_a)
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    def count_range(lo: int, hi: int) -> int:
-        count = 0
-        for i in range(lo, hi):
-            rng = np.random.default_rng(children[i])
-            mask = rng.random(n) < 0.5
-            shift = delta[mask].sum(axis=0)
-            diff = abs(
-                _bleu_from_row(sum_a + shift) - _bleu_from_row(sum_b - shift)
-            )
-            if diff >= observed:
-                count += 1
-        return count
-
-    if workers <= 1:
-        exceed = count_range(0, trials)
-    else:
-        step = -(-trials // workers)
-        bounds = [
-            (lo, min(lo + step, trials)) for lo in range(0, trials, step)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            exceed = sum(pool.map(lambda b_: count_range(*b_), bounds))
+    exceed = 0
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        mask = np.random.default_rng(child).random(n) < 0.5
+        shift = delta[mask].sum(axis=0)
+        shuffled_a = _bleu(*(sum_a + shift).tolist())
+        shuffled_b = _bleu(*(sum_b - shift).tolist())
+        if abs(shuffled_a - shuffled_b) >= observed:
+            exceed += 1
     return (exceed + 1) / (trials + 1)
 
 

@@ -16,7 +16,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .retrieval import Hypothesis, KBestList, MatchList
+from .retrieval import (
+    Hypothesis,
+    KBestList,
+    MatchList,
+    check_count,
+    check_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -27,10 +33,8 @@ class RerankParams:
     interp_weight: float = 5e4
 
     def __post_init__(self):
-        if self.k_r < 1:
-            raise ValueError("k_r must be positive")
-        if self.interp_weight < 0:
-            raise ValueError("interp_weight must be non-negative")
+        check_count("k_r", self.k_r)
+        check_weight("interp_weight", self.interp_weight)
 
 
 RERANK_DEFAULTS = {

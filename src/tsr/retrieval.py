@@ -26,6 +26,8 @@ caption_id.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,12 +86,34 @@ class RetrievalParams:
     distance_cutoff: float = 90.0
 
     def __post_init__(self):
-        if self.k_n < 1 or self.k_m < 1:
-            raise ValueError("k_n and k_m must be positive")
-        if self.distance_weight < 0:
-            raise ValueError("distance_weight must be non-negative")
-        if self.distance_cutoff <= 0:
-            raise ValueError("distance_cutoff must be positive")
+        check_count("k_n", self.k_n)
+        check_count("k_m", self.k_m)
+        check_weight("distance_weight", self.distance_weight)
+        cutoff = self.distance_cutoff
+        if not (_is_number(cutoff, numbers.Real) and cutoff > 0):
+            raise ValueError(
+                f"distance_cutoff must be positive, got {cutoff!r}"
+            )
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_count(name: str, value) -> None:
+    """Reject anything but a positive integer; bools are not integers."""
+    if not (_is_number(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_weight(name: str, value) -> None:
+    """Reject anything but a finite non-negative number."""
+    if not (
+        _is_number(value, numbers.Real) and math.isfinite(value) and value >= 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite non-negative number, got {value!r}"
+        )
 
 
 RETRIEVAL_DEFAULTS = {
@@ -332,8 +356,9 @@ def write_matchlists(matchlists: Iterable[MatchList], path) -> None:
 def read_matchlists(path, coll: Collection) -> list[MatchList]:
     """Read a match dump back, resolving caption ids against coll.
 
-    Raises on caption lines whose score is not finite and positive and
-    on a fallback flag that differs between lines of one sentence.
+    Raises on caption lines whose score is not finite and positive, on a
+    fallback flag other than 0 or 1, and on a fallback flag that differs
+    between lines of one sentence.
     """
     lists: list[MatchList] = []
     done: set[str] = set()
@@ -350,11 +375,14 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
             sent_id, caption_id, score_str, flag_str = parts
             try:
                 score = float(score_str)
-                flag = bool(int(flag_str))
             except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad score") from None
+            flag = {"0": False, "1": True}.get(flag_str.strip())
+            if flag is None:
                 raise ValueError(
-                    f"{path}:{lineno}: bad score or fallback flag"
-                ) from None
+                    f"{path}:{lineno}: fallback flag must be 0 or 1,"
+                    f" got {flag_str!r}"
+                )
             if cur is None or sent_id != cur.sent_id:
                 if sent_id in done:
                     raise ValueError(

@@ -122,8 +122,8 @@ def stepwise_search(
         matchlists = match_cache.get(key)
         if matchlists is None:
             rparams = RetrievalParams(
-                k_n=int(point["k_n"]),
-                k_m=int(point["k_m"]),
+                k_n=point["k_n"],
+                k_m=point["k_m"],
                 distance_weight=distance_weight,
                 distance_cutoff=point["distance_cutoff"],
             )
@@ -137,7 +137,7 @@ def stepwise_search(
                 )
             match_cache[key] = matchlists
         params = RerankParams(
-            k_r=int(point["k_r"]), interp_weight=point["interp_weight"]
+            k_r=point["k_r"], interp_weight=point["interp_weight"]
         )
         total = BleuStats.zero()
         for kb, ml, ref in zip(dev.kbests, matchlists, dev.references):
@@ -166,14 +166,13 @@ def stepwise_search(
 
     return TuneResult(
         RetrievalParams(
-            k_n=int(current["k_n"]),
-            k_m=int(current["k_m"]),
+            k_n=current["k_n"],
+            k_m=current["k_m"],
             distance_weight=distance_weight,
             distance_cutoff=current["distance_cutoff"],
         ),
         RerankParams(
-            k_r=int(current["k_r"]),
-            interp_weight=current["interp_weight"],
+            k_r=current["k_r"], interp_weight=current["interp_weight"]
         ),
         best_bleu,
         trace,

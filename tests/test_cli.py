@@ -36,6 +36,8 @@ QUERIES = "s1\ti1\tperson,horse\ns2\ti2\tdog\n"
 
 REFS_KEYED = "s1 ||| a man rides a horse\ns2 ||| a dog runs\n"
 
+SMALL_GRID = {"k_n": [1, 2], "k_m": [2], "k_r": [2], "interp_weight": [0.0]}
+
 
 @pytest.fixture
 def ws(tmp_path):
@@ -406,27 +408,29 @@ class TestEvaluateCompare:
 
 
 class TestTune:
-    def test_end_to_end(self, ws, capsys):
-        grid = ws / "grid.json"
-        grid.write_text(
-            json.dumps(
-                {
-                    "k_n": [1, 2],
-                    "k_m": [1, 2],
-                    "k_r": [2],
-                    "interp_weight": [0.0, 1000.0],
-                }
-            ),
-            encoding="utf-8",
+    def tune(self, ws, grid, *extra, collection=None):
+        path = ws / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        return run(
+            "tune",
+            "--grid", path,
+            "--collection", collection or ws / "collection.tsv",
+            "--idf", ws / "idf.txt",
+            "--kbest", ws / "kbest.txt",
+            "--references", ws / "refs.txt",
+            *extra,
         )
+
+    def test_end_to_end(self, ws, capsys):
+        grid = {
+            "k_n": [1, 2],
+            "k_m": [1, 2],
+            "k_r": [2],
+            "interp_weight": [0.0, 1000.0],
+        }
         assert (
-            run(
-                "tune",
-                "--grid", grid,
-                "--collection", ws / "collection.tsv",
-                "--idf", ws / "idf.txt",
-                "--kbest", ws / "kbest.txt",
-                "--references", ws / "refs.txt",
+            self.tune(
+                ws, grid,
                 "--trace-out", ws / "trace.jsonl",
                 "--best-out", ws / "best.json",
             )
@@ -445,40 +449,77 @@ class TestTune:
         assert best["mode"] == "txt"
 
     def test_unknown_grid_key_rejected(self, ws, capsys):
-        grid = ws / "grid.json"
-        grid.write_text(
-            json.dumps({"k_n": [1], "k_m": [1], "k_r": [1],
-                        "interp_weight": [0.0], "cutoff": [1.0]}),
-            encoding="utf-8",
-        )
-        assert (
-            run(
-                "tune",
-                "--grid", grid,
-                "--collection", ws / "collection.tsv",
-                "--idf", ws / "idf.txt",
-                "--kbest", ws / "kbest.txt",
-                "--references", ws / "refs.txt",
-            )
-            == 1
-        )
+        grid = {"k_n": [1], "k_m": [1], "k_r": [1], "interp_weight": [0.0],
+                "cutoff": [1.0]}
+        assert self.tune(ws, grid) == 1
         assert "unknown grid keys: cutoff" in capsys.readouterr().err
 
     def test_missing_grid_list_rejected(self, ws, capsys):
+        assert self.tune(ws, {"k_n": [1], "k_m": [1], "k_r": [1]}) == 1
+        assert "interp_weight" in capsys.readouterr().err
+
+    def test_unknown_mode_rejected_before_loading(self, ws, capsys):
+        grid = {"mode": "foo", **SMALL_GRID}
+        assert self.tune(ws, grid, collection=ws / "missing.tsv") == 1
+        err = capsys.readouterr().err
+        assert "unknown mode 'foo'" in err and "missing.tsv" not in err
+
+    def test_cnn_without_features_rejected_before_loading(self, ws, capsys):
+        grid = {"mode": "cnn", **SMALL_GRID}
+        assert self.tune(ws, grid, collection=ws / "missing.tsv") == 1
+        err = capsys.readouterr().err
+        assert "features" in err and "missing.tsv" not in err
+
+    def test_txt_mode_never_reads_features(self, ws):
+        bad = ws / "bad_features.tsv"
+        bad.write_text("i1\tnot numbers\n", encoding="utf-8")
+        assert self.tune(ws, SMALL_GRID, "--best-out", ws / "plain.json") == 0
+        assert (
+            self.tune(
+                ws, SMALL_GRID, "--features", bad, "--best-out", ws / "bad.json"
+            )
+            == 0
+        )
+        assert (ws / "bad.json").read_bytes() == (ws / "plain.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "route, field, value",
+    [
+        ("flag", "interp_weight", "nan"),
+        ("flag", "distance_weight", "nan"),
+        ("flag", "distance_cutoff", "nan"),
+        ("config", "k_n", 2.5),
+        ("config", "k_r", True),
+        ("config", "interp_weight", float("inf")),
+        ("grid", "k_n", 1.5),
+        ("grid", "k_m", True),
+        ("grid", "interp_weight", float("nan")),
+    ],
+)
+def test_bad_parameter_named_on_every_route(ws, capsys, route, field, value):
+    inputs = (
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+    )
+    if route == "flag":
+        flag = "--" + field.replace("_", "-")
+        argv = ("pipeline", *inputs, "--out-dir", ws / "out", flag, value)
+    elif route == "config":
+        cfg = ws / "cfg.json"
+        cfg.write_text(json.dumps({field: value}), encoding="utf-8")
+        argv = ("pipeline", "--config", cfg, *inputs, "--out-dir", ws / "out")
+    else:
         grid = ws / "grid.json"
         grid.write_text(
-            json.dumps({"k_n": [1], "k_m": [1], "k_r": [1]}),
-            encoding="utf-8",
+            json.dumps({**SMALL_GRID, field: [value]}), encoding="utf-8"
         )
-        assert (
-            run(
-                "tune",
-                "--grid", grid,
-                "--collection", ws / "collection.tsv",
-                "--idf", ws / "idf.txt",
-                "--kbest", ws / "kbest.txt",
-                "--references", ws / "refs.txt",
-            )
-            == 1
+        argv = (
+            "tune", "--grid", grid, *inputs,
+            "--references", ws / "refs.txt",
+            "--trace-out", ws / "out",
         )
-        assert "interp_weight" in capsys.readouterr().err
+    assert run(*argv) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (ws / "out").exists()

@@ -68,15 +68,24 @@ def test_matrix_rows_reflect_types_exactly():
         assert coll.matrix.data.tolist() == [1.0] * coll.matrix.nnz
 
 
-def test_duplicate_caption_id_rejected():
+def test_duplicate_caption_id_rejected(tmp_path):
     lines = ["c1\timg1\ta dog", "c1\timg2\ta cat"]
     with pytest.raises(ValueError, match="line 2.*c1"):
         ingest_collection(lines)
+    path = tmp_path / "dup.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"dup\.tsv:2: duplicate caption_id"):
+        load_collection(path)
 
 
-def test_malformed_record_names_line():
+def test_malformed_record_names_line(tmp_path):
+    lines = ["c1\timg1\ta dog", "just one field"]
     with pytest.raises(ValueError, match="line 2"):
-        ingest_collection(["c1\timg1\ta dog", "just one field"])
+        ingest_collection(lines)
+    path = tmp_path / "bad.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:2: expected 3 or 4"):
+        load_collection(path)
 
 
 def test_empty_caption_rejected_by_default():

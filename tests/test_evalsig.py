@@ -198,11 +198,13 @@ class TestApproxRandomization:
         p = approx_randomization(stats_a, stats_b, trials=2000, seed=7)
         assert p < 0.01
 
-    def test_worker_count_does_not_change_result(self):
-        stats_a, stats_b = self.fixture()
-        p1 = approx_randomization(stats_a, stats_b, trials=400, seed=13, workers=1)
-        p4 = approx_randomization(stats_a, stats_b, trials=400, seed=13, workers=4)
-        assert p1 == p4
+    def test_fixed_seed_gives_pinned_p_value(self):
+        # 83 of 400 trials reach the observed difference; the count is
+        # fixed by the per-trial spawned PCG64 streams and the BLEU
+        # arithmetic, so a change to either moves it.
+        stats_a, stats_b = self.close_fixture()
+        p = approx_randomization(stats_a, stats_b, trials=400, seed=13)
+        assert p == 84 / 401
 
     def test_matches_exhaustive_enumeration_in_the_limit(self):
         # with very few sentences the trial distribution concentrates near

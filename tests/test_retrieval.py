@@ -13,6 +13,7 @@ from tsr import (
     Hypothesis,
     KBestList,
     MatchList,
+    RerankParams,
     RetrievalParams,
     Retriever,
     read_kbest,
@@ -460,6 +461,14 @@ class TestMatchListIo:
         path.write_text("s1 ||| c01 ||| 2.0 ||| 1\ns1 ||| c02 ||| 1.0 ||| 0\n")
         with pytest.raises(ValueError, match="matches.txt:2: fallback flag"):
             read_matchlists(path, coll)
+        for flag in ("7", "2", "-1", "1.0", "true", ""):
+            path.write_text(
+                f"s1 ||| c01 ||| 2.0 ||| 1\ns1 ||| c02 ||| 1.5 ||| {flag}\n"
+            )
+            with pytest.raises(
+                ValueError, match="matches.txt:2: fallback flag must be 0 or 1"
+            ):
+                read_matchlists(path, coll)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -541,6 +550,24 @@ def test_params_validation():
         RetrievalParams(distance_weight=-0.1)
     with pytest.raises(ValueError):
         RetrievalParams(distance_cutoff=0.0)
+    nan, inf = float("nan"), float("inf")
+    for field, value in [
+        ("k_n", 2.5), ("k_n", True), ("k_m", 3.0), ("k_m", "3"),
+        ("distance_weight", nan), ("distance_weight", inf),
+        ("distance_cutoff", nan),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RetrievalParams(**{field: value})
+    for field, value in [
+        ("k_r", 1.5), ("k_r", False), ("interp_weight", nan),
+        ("interp_weight", -inf), ("interp_weight", True),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RerankParams(**{field: value})
+    # an infinite cutoff keeps every embedded candidate; numpy scalars
+    # are numbers like any other
+    RetrievalParams(k_n=np.int64(3), distance_cutoff=inf)
+    RerankParams(k_r=np.int32(2), interp_weight=np.float32(0.5))
 
 
 def test_retriever_reuse_matches_one_shot():
