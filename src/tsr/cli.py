@@ -40,6 +40,8 @@ from .retrieval import (
     Query,
     Retriever,
     RetrievalParams,
+    check_count,
+    check_weight,
     read_kbest,
     read_matchlists,
     read_queries,
@@ -236,6 +238,10 @@ def _merge_pipeline_config(args) -> dict:
     for key in ("collection", "idf", "kbest", "out_dir"):
         if not cfg[key]:
             raise ValueError(f"pipeline config is missing {key!r}")
+    check_count("workers", cfg["workers"])
+    for key in ("diagnostics", "skip_empty"):
+        if not isinstance(cfg[key], bool):
+            raise ValueError(f"{key} must be true or false, got {cfg[key]!r}")
     return cfg
 
 
@@ -330,6 +336,7 @@ def cmd_tune(args) -> int:
     distance_weight = spec.pop(
         "distance_weight", RetrievalParams.distance_weight
     )
+    check_weight("distance_weight", distance_weight)
     known = {"k_n", "k_m", "k_r", "interp_weight", "distance_cutoff"}
     unknown = set(spec) - known
     if unknown:

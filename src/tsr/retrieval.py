@@ -37,6 +37,9 @@ from .collection import CaptionDoc, Collection, FeatureStore
 
 MODES = ("txt", "cnn", "hca")
 
+# Feature rows upcast to float64 at once by the cnn distance gate.
+_DISTANCE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -89,11 +92,7 @@ class RetrievalParams:
         check_count("k_n", self.k_n)
         check_count("k_m", self.k_m)
         check_weight("distance_weight", self.distance_weight)
-        cutoff = self.distance_cutoff
-        if not (_is_number(cutoff, numbers.Real) and cutoff > 0):
-            raise ValueError(
-                f"distance_cutoff must be positive, got {cutoff!r}"
-            )
+        check_cutoff("distance_cutoff", self.distance_cutoff)
 
 
 def _is_number(value, kind) -> bool:
@@ -114,6 +113,12 @@ def check_weight(name: str, value) -> None:
         raise ValueError(
             f"{name} must be a finite non-negative number, got {value!r}"
         )
+
+
+def check_cutoff(name: str, value) -> None:
+    """Reject anything but a positive number; infinity passes, NaN not."""
+    if not (_is_number(value, numbers.Real) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 RETRIEVAL_DEFAULTS = {
@@ -147,7 +152,10 @@ class Retriever:
 
     Precomputes the per-term idf weight vector and the doc-to-embedding
     row map; retrieve() is then a sparse matvec plus a top-k selection
-    and is safe to call from many threads at once.
+    and is safe to call from many threads at once. Selection partitions
+    around the k_m-th largest score and sorts only k_m docs plus the tie
+    group at the cut, not every doc scoring above zero. The cnn gate
+    measures each feature row's distance once, block by block.
     """
 
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
@@ -185,9 +193,19 @@ class Retriever:
         return hits > 0
 
     def _select(self, scores: np.ndarray, k_m: int) -> list[tuple[CaptionDoc, float]]:
-        pos = np.flatnonzero(scores > 0.0)
-        if pos.size == 0:
-            return []
+        positive = scores > 0.0
+        n_pos = np.count_nonzero(positive)
+        if n_pos > k_m:
+            # Keep every doc scoring at least the k_m-th largest score:
+            # the whole tie group at the cut survives, so the caption-id
+            # tie-break below sees every doc it has to order. Zeros stay
+            # out of the partition, which is slow on many equal values.
+            vals = scores
+            if n_pos < scores.size:
+                vals = scores[np.flatnonzero(positive)]
+            cut = vals.size - k_m
+            positive = scores >= np.partition(vals, cut)[cut]
+        pos = np.flatnonzero(positive)
         order = np.lexsort((self.coll.caption_rank[pos], -scores[pos]))
         top = pos[order[:k_m]]
         return [(self.coll.docs[i], float(scores[i])) for i in top]
@@ -245,25 +263,37 @@ class Retriever:
             qrow = feats.row_of(query_image)
         if qrow is None:
             return None
-        overlap = self._overlap_mask(counts)
-        cand = np.flatnonzero(overlap & (self._img_row >= 0))
-        if cand.size == 0:
-            return None
-        qvec = feats.matrix[qrow].astype(np.float64)
-        rows = self._img_row[cand]
-        urows, inverse = np.unique(rows, return_inverse=True)
-        diffs = feats.matrix[urows].astype(np.float64) - qvec
-        udist = np.sqrt(np.sum(diffs * diffs, axis=1))
-        dist = udist[inverse]
-        within = dist < params.distance_cutoff
-        if not np.any(within):
+        if np.all(self.weights[counts > 0] > 0.0):
+            # Every query term adds a positive weight, so a doc shares a
+            # term exactly when its txt score is positive.
+            overlap = s_txt > 0.0
+        else:
+            overlap = self._overlap_mask(counts)
+        dist = self._row_distances(qrow)[self._img_row]
+        keep = np.flatnonzero(overlap & (dist < params.distance_cutoff))
+        if keep.size == 0:
             return None
         scores = np.zeros(len(self.coll), dtype=np.float64)
-        keep = cand[within]
         scores[keep] = s_txt[keep] * np.exp(
-            -params.distance_weight * dist[within]
+            -params.distance_weight * dist[keep]
         )
         return scores
+
+    def _row_distances(self, qrow: int) -> np.ndarray:
+        """Euclidean distance from feature row qrow to every feature row,
+        upcast to float64 one block of rows at a time. One more entry,
+        +inf, follows the last row: docs without an embedding have row
+        -1 and so land on it, beyond every cutoff."""
+        matrix = self.feats.matrix
+        qvec = matrix[qrow].astype(np.float64)
+        n = len(matrix)
+        dist = np.empty(n + 1, dtype=np.float64)
+        dist[n] = np.inf
+        for start in range(0, n, _DISTANCE_BLOCK):
+            stop = min(start + _DISTANCE_BLOCK, n)
+            diffs = matrix[start:stop].astype(np.float64) - qvec
+            dist[start:stop] = np.sqrt(np.sum(diffs * diffs, axis=1))
+        return dist
 
 
 def read_kbest(path) -> list[KBestList]:

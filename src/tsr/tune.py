@@ -24,7 +24,15 @@ from typing import Sequence
 from .collection import Collection, FeatureStore
 from .evalsig import BleuStats, bleu_score, bleu_stats
 from .rerank import RerankParams, select_best
-from .retrieval import KBestList, Query, Retriever, RetrievalParams
+from .retrieval import (
+    KBestList,
+    Query,
+    Retriever,
+    RetrievalParams,
+    check_count,
+    check_cutoff,
+    check_weight,
+)
 
 
 @dataclass
@@ -40,16 +48,24 @@ class GridSpec:
 
     def __post_init__(self):
         named = [
-            ("k_n", self.k_n),
-            ("k_m", self.k_m),
-            ("k_r", self.k_r),
-            ("interp_weight", self.interp_weight),
+            ("k_n", self.k_n, check_count),
+            ("k_m", self.k_m, check_count),
+            ("k_r", self.k_r, check_count),
+            ("interp_weight", self.interp_weight, check_weight),
         ]
         if self.distance_cutoff is not None:
-            named.append(("distance_cutoff", self.distance_cutoff))
-        for name, values in named:
+            named.append(
+                ("distance_cutoff", self.distance_cutoff, check_cutoff)
+            )
+        for name, values, check in named:
+            if not isinstance(values, list):
+                raise ValueError(
+                    f"{name} must be a list of candidates, got {values!r}"
+                )
             if not values:
                 raise ValueError(f"empty candidate list for {name}")
+            for value in values:
+                check(name, value)
 
 
 @dataclass

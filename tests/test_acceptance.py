@@ -131,6 +131,108 @@ def test_retrieval_matches_bruteforce_oracle():
     assert time.monotonic() - start < 60.0
 
 
+def test_retrieval_ties_and_zero_idf_match_oracle():
+    """Tie groups that straddle the k_m cut and query terms weighing 0
+    reproduce the oracle exactly in every mode, for k_m below, at and
+    above the number of positive scores. Stock captions are copied
+    under shuffled caption ids, and dyadic weights make equal scores
+    exact in both implementations."""
+    rng = np.random.default_rng(202)
+    vocab = [f"t{i:02d}" for i in range(12)]
+    category_pool = ["animal", "person", "vehicle"]
+    straddled = 0
+
+    def check(retriever, docs, feats_map, idf, kbest, image, cats, mode, d):
+        nonlocal straddled
+        full, _ = oracle_retrieve(
+            docs, feats_map, idf, kbest.hyps, image, cats, mode,
+            len(kbest.hyps), len(docs), 0.5, d,
+        )
+        cuts = [i for i in range(1, len(full)) if full[i - 1][1] == full[i][1]]
+        straddled += bool(cuts)
+        positive = len(full)
+        for k_m in {1, positive - 1, positive, positive + 2, *cuts[:3]}:
+            if k_m < 1:
+                continue
+            params = RetrievalParams(
+                k_n=len(kbest.hyps), k_m=k_m, distance_weight=0.5,
+                distance_cutoff=d,
+            )
+            got = retriever.retrieve(kbest, image, cats, mode, params)
+            want, want_fallback = oracle_retrieve(
+                docs, feats_map, idf, kbest.hyps, image, cats, mode,
+                params.k_n, k_m, 0.5, d,
+            )
+            assert got.used_fallback == want_fallback, (mode, k_m)
+            assert [doc.caption_id for doc, _ in got.matches] == [
+                cid for cid, _ in want
+            ], (mode, k_m)
+            for (_, got_s), (_, want_s) in zip(got.matches, want):
+                assert got_s == pytest.approx(want_s, rel=1e-12, abs=0.0)
+        return got
+
+    for trial in range(30):
+        weights = {
+            t: float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0])) for t in vocab
+        }
+        weights[vocab[0]] = 0.0
+        idf = FixedIdf(weights)
+        feats_map = {
+            f"img{i}": float32_exact(rng.uniform(0.0, 1.0, size=3))
+            for i in range(int(rng.integers(3, 10)))
+        }
+        images = sorted(feats_map) + ["img-without-features"]
+        stock = [
+            (
+                tuple(rng.choice(vocab, size=int(rng.integers(1, 5)))),
+                images[int(rng.integers(0, len(images)))],
+            )
+            for _ in range(4)
+        ]
+        n_docs = int(rng.integers(15, 60))
+        ids = rng.permutation(1000)[:n_docs]
+        docs = []
+        for i in range(n_docs):
+            if rng.random() < 0.6:
+                tokens, image = stock[int(rng.integers(0, len(stock)))]
+            else:
+                tokens = tuple(rng.choice(vocab, size=int(rng.integers(1, 5))))
+                image = images[int(rng.integers(0, len(images)))]
+            cats = None
+            if rng.random() < 0.8:
+                cats = frozenset(
+                    rng.choice(category_pool, size=int(rng.integers(1, 3)),
+                               replace=False)
+                )
+            docs.append(CaptionDoc(f"c{ids[i]:03d}", image, tokens, cats))
+        retriever = Retriever(Collection(docs), idf, FeatureStore(feats_map))
+        for q in range(2):
+            kbest = random_kbest(rng, f"s{q}", vocab, int(rng.integers(1, 5)))
+            image = images[int(rng.integers(0, len(images)))]
+            cats = docs[int(rng.integers(0, n_docs))].categories
+            d = float(rng.uniform(0.2, 2.0))
+            for mode in MODES:
+                check(retriever, docs, feats_map, idf, kbest, image, cats,
+                      mode, d)
+    assert straddled >= 100
+
+    # c1 shares only the zero-weight term and lies within the cutoff;
+    # c2 carries the query's weighted term but lies outside. A term
+    # overlap, not a positive txt score, makes c1 a candidate, so cnn
+    # does not fall back and returns nothing.
+    docs = [
+        CaptionDoc("c1", "near", ("zero", "dog")),
+        CaptionDoc("c2", "far", ("cat",)),
+    ]
+    feats_map = {"near": [0.0, 0.0], "far": [5.0, 5.0]}
+    idf = FixedIdf({"zero": 0.0, "dog": 1.0, "cat": 1.0})
+    retriever = Retriever(Collection(docs), idf, FeatureStore(feats_map))
+    kbest = KBestList("s", [Hypothesis(("zero", "cat"), -1.0)])
+    got = check(retriever, docs, feats_map, idf, kbest, "near", None, "cnn",
+                1.0)
+    assert not got.used_fallback and got.matches == []
+
+
 def test_handworked_scoring_fixtures():
     """Candidate scoring, visual decay, and match-list relevance agree
     with hand-derived values to 1e-12."""

@@ -495,6 +495,10 @@ class TestTune:
         ("grid", "k_n", 1.5),
         ("grid", "k_m", True),
         ("grid", "interp_weight", float("nan")),
+        ("grid", "k_n", "3"),
+        ("grid", "distance_cutoff", 0),
+        ("bare grid value", "k_n", 3),
+        ("bare grid value", "distance_weight", "x"),
     ],
 )
 def test_bad_parameter_named_on_every_route(ws, capsys, route, field, value):
@@ -511,9 +515,10 @@ def test_bad_parameter_named_on_every_route(ws, capsys, route, field, value):
         cfg.write_text(json.dumps({field: value}), encoding="utf-8")
         argv = ("pipeline", "--config", cfg, *inputs, "--out-dir", ws / "out")
     else:
+        candidates = [value] if route == "grid" else value
         grid = ws / "grid.json"
         grid.write_text(
-            json.dumps({**SMALL_GRID, field: [value]}), encoding="utf-8"
+            json.dumps({**SMALL_GRID, field: candidates}), encoding="utf-8"
         )
         argv = (
             "tune", "--grid", grid, *inputs,
@@ -522,4 +527,25 @@ def test_bad_parameter_named_on_every_route(ws, capsys, route, field, value):
         )
     assert run(*argv) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("workers", "2"), ("workers", 0), ("diagnostics", "yes"),
+     ("skip_empty", 1)],
+)
+def test_pipeline_config_types_checked_before_loading(ws, capsys, key, value):
+    cfg = ws / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = (
+        "pipeline", "--config", cfg,
+        "--collection", ws / "missing.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+        "--out-dir", ws / "out",
+    )
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be" in err and "missing.tsv" not in err
     assert not (ws / "out").exists()
