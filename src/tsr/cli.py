@@ -41,7 +41,6 @@ from .retrieval import (
     Retriever,
     RetrievalParams,
     check_count,
-    check_weight,
     read_kbest,
     read_matchlists,
     read_queries,
@@ -52,6 +51,9 @@ from .tune import DevSet, GridSpec, stepwise_search
 
 log = logging.getLogger(__name__)
 
+_PARAMS = (RetrievalParams, RerankParams)
+
+# Parameter keys default to None: the mode's defaults fill them in.
 _PIPELINE_KEYS = {
     "collection": None,
     "idf": None,
@@ -61,12 +63,7 @@ _PIPELINE_KEYS = {
     "features": None,
     "queries": None,
     "references": None,
-    "k_n": None,
-    "k_m": None,
-    "k_r": None,
-    "interp_weight": None,
-    "distance_weight": None,
-    "distance_cutoff": None,
+    **{f.name: None for cls in _PARAMS for f in dataclasses.fields(cls)},
     "workers": 1,
     "diagnostics": False,
     "skip_empty": False,
@@ -103,6 +100,8 @@ def _aligned_references(path, kbests) -> list[list[str]]:
             )
         return sentences
     table = dict(zip(ids, sentences))
+    if len(table) != len(ids):
+        raise ValueError(f"{path}: duplicate sent_ids")
     missing = [kb.sent_id for kb in kbests if kb.sent_id not in table]
     if missing:
         raise ValueError(
@@ -182,6 +181,7 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    check_count("workers", args.workers)
     idf, coll, feats, queries = _load_inputs(
         args.mode, args.collection, args.idf, args.features, args.queries
     )
@@ -259,6 +259,11 @@ def cmd_pipeline(args) -> int:
     retrieval_params, rerank_params = _resolve_params(mode, cfg)
     retriever = Retriever(coll, idf, feats)
     kbests = read_kbest(cfg["kbest"])
+    refs = (
+        _aligned_references(cfg["references"], kbests)
+        if cfg["references"]
+        else None
+    )
 
     def work(kb):
         ml = _retrieve(retriever, queries, mode, retrieval_params, kb)
@@ -286,8 +291,7 @@ def cmd_pipeline(args) -> int:
         f"sentences: {len(results)}",
         f"fallbacks: {fallbacks} / {len(results)}",
     ]
-    if cfg["references"]:
-        refs = _aligned_references(cfg["references"], kbests)
+    if refs is not None:
         total = sum_stats(
             [
                 bleu_stats(out.chosen.tokens, ref)
@@ -333,22 +337,7 @@ def cmd_tune(args) -> int:
     with open(args.grid, encoding="utf-8") as handle:
         spec = json.load(handle)
     mode = spec.pop("mode", "txt")
-    distance_weight = spec.pop(
-        "distance_weight", RetrievalParams.distance_weight
-    )
-    check_weight("distance_weight", distance_weight)
-    known = {"k_n", "k_m", "k_r", "interp_weight", "distance_cutoff"}
-    unknown = set(spec) - known
-    if unknown:
-        raise ValueError(
-            f"unknown grid keys: {', '.join(sorted(unknown))}"
-        )
-    missing = {"k_n", "k_m", "k_r", "interp_weight"} - set(spec)
-    if missing:
-        raise ValueError(
-            f"grid is missing candidate lists: {', '.join(sorted(missing))}"
-        )
-    grid = GridSpec(**spec)
+    grid = GridSpec.from_dict(spec)
 
     idf, coll, feats, queries = _load_inputs(
         mode, args.collection, args.idf, args.features, args.queries
@@ -362,7 +351,7 @@ def cmd_tune(args) -> int:
         feats=feats,
         queries=queries,
     )
-    result = stepwise_search(grid, dev, mode, distance_weight)
+    result = stepwise_search(grid, dev, mode)
 
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
@@ -372,12 +361,8 @@ def cmd_tune(args) -> int:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
     best = {
         "mode": mode,
-        "k_n": result.retrieval_params.k_n,
-        "k_m": result.retrieval_params.k_m,
-        "k_r": result.rerank_params.k_r,
-        "interp_weight": result.rerank_params.interp_weight,
-        "distance_weight": distance_weight,
-        "distance_cutoff": result.retrieval_params.distance_cutoff,
+        **dataclasses.asdict(result.retrieval_params),
+        **dataclasses.asdict(result.rerank_params),
         "bleu": result.best_bleu,
     }
     if args.best_out:
@@ -388,6 +373,19 @@ def cmd_tune(args) -> int:
     for key, value in best.items():
         print(f"{key}: {value}")
     return 0
+
+
+def _add_param_flags(parser, *classes) -> None:
+    """One flag per parameter field: field ``a_b`` gives flag ``--a-b``
+    with dest ``a_b``, typed like the field's default. An unset flag
+    stays None, so a config value or the mode's default applies."""
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            parser.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=type(f.default),
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,10 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=MODES, default="txt")
     sp.add_argument("--features", help="image feature file (cnn mode)")
     sp.add_argument("--queries", help="per-sentence image ids / categories")
-    sp.add_argument("--k-n", dest="k_n", type=int)
-    sp.add_argument("--k-m", dest="k_m", type=int)
-    sp.add_argument("--distance-weight", dest="distance_weight", type=float)
-    sp.add_argument("--distance-cutoff", dest="distance_cutoff", type=float)
+    _add_param_flags(sp, RetrievalParams)
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_retrieve)
 
@@ -447,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kbest", required=True)
     sp.add_argument("--matches", required=True, help="match dump path")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--k-r", dest="k_r", type=int)
-    sp.add_argument("--interp-weight", dest="interp_weight", type=float)
+    _add_param_flags(sp, RerankParams)
     sp.add_argument("--diagnostics", help="per-sentence diagnostics path")
     sp.set_defaults(func=cmd_rerank)
 
@@ -464,12 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--features")
     sp.add_argument("--queries")
     sp.add_argument("--references")
-    sp.add_argument("--k-n", dest="k_n", type=int)
-    sp.add_argument("--k-m", dest="k_m", type=int)
-    sp.add_argument("--k-r", dest="k_r", type=int)
-    sp.add_argument("--interp-weight", dest="interp_weight", type=float)
-    sp.add_argument("--distance-weight", dest="distance_weight", type=float)
-    sp.add_argument("--distance-cutoff", dest="distance_cutoff", type=float)
+    _add_param_flags(sp, *_PARAMS)
     sp.add_argument("--workers", type=int)
     sp.add_argument(
         "--diagnostics", action="store_const", const=True, default=None

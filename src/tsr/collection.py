@@ -241,11 +241,11 @@ class FeatureStore:
         return self._row.get(image_id)
 
 
-def load_features(path, expected_dim: int | None = None) -> FeatureStore:
+def load_features(path) -> FeatureStore:
     """Read a feature file into a FeatureStore.
 
-    Raises on ragged vector lengths, non-finite components, repeated
-    image ids, or a dimension differing from expected_dim.
+    Raises on ragged vector lengths, non-finite components or repeated
+    image ids.
     """
     vectors: dict[str, list[float]] = {}
     dim: int | None = None
@@ -278,8 +278,4 @@ def load_features(path, expected_dim: int | None = None) -> FeatureStore:
                     f"{path}:{lineno}: vector length {len(vec)} != {dim}"
                 )
             vectors[image_id] = vec
-    if expected_dim is not None and dim is not None and dim != expected_dim:
-        raise ValueError(
-            f"{path}: feature dimension {dim} != expected {expected_dim}"
-        )
     return FeatureStore(vectors)

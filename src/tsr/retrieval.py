@@ -386,9 +386,11 @@ def write_matchlists(matchlists: Iterable[MatchList], path) -> None:
 def read_matchlists(path, coll: Collection) -> list[MatchList]:
     """Read a match dump back, resolving caption ids against coll.
 
-    Raises on caption lines whose score is not finite and positive, on a
-    fallback flag other than 0 or 1, and on a fallback flag that differs
-    between lines of one sentence.
+    Only a ``- ||| 0.0`` line is the empty-list placeholder; ``-`` with
+    any other score is a caption id like any other. Raises on caption
+    lines whose score is not finite and positive, on a fallback flag
+    other than 0 or 1, and on a fallback flag that differs between lines
+    of one sentence.
     """
     lists: list[MatchList] = []
     done: set[str] = set()
@@ -427,7 +429,7 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
                     f"{path}:{lineno}: fallback flag differs within"
                     f" sentence {sent_id}"
                 )
-            if caption_id != "-":
+            if not (caption_id == "-" and score == 0.0):
                 if not (np.isfinite(score) and score > 0.0):
                     raise ValueError(
                         f"{path}:{lineno}: match score must be finite and"

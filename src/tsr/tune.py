@@ -11,53 +11,42 @@ always re-evaluates the incumbent configuration and the incumbent BLEU
 never decreases; the final incumbent therefore attains the maximum over
 the whole trace.
 
-Retrieval output depends only on (k_n, k_m, distance_cutoff), so match
-lists are cached on that key and the k_r and interp_weight sweeps cost
-almost nothing.
+Retrieval output depends only on the RetrievalParams of a point
+(k_n, k_m, distance_cutoff and the grid's fixed distance_weight), so
+match lists are cached on them and the k_r and interp_weight sweeps
+cost almost nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
 
 from .collection import Collection, FeatureStore
 from .evalsig import BleuStats, bleu_score, bleu_stats
 from .rerank import RerankParams, select_best
-from .retrieval import (
-    KBestList,
-    Query,
-    Retriever,
-    RetrievalParams,
-    check_count,
-    check_cutoff,
-    check_weight,
-)
+from .retrieval import MODES, KBestList, Query, Retriever, RetrievalParams
+
+_PARAMS = (RetrievalParams, RerankParams)
+_DECLARED_BY = {f.name: cls for cls in _PARAMS for f in fields(cls)}
 
 
 @dataclass
 class GridSpec:
-    """Ordered candidate lists, one per swept parameter. distance_cutoff
-    may be omitted; providing it outside cnn mode is an error."""
+    """Ordered candidate lists, one per swept parameter, plus the scalar
+    distance_weight every cnn retrieval uses. distance_cutoff may be
+    omitted; providing it outside cnn mode is an error. Each value must
+    pass the rule of the params class that declares its field."""
 
     k_n: list[int]
     k_m: list[int]
     k_r: list[int]
     interp_weight: list[float]
     distance_cutoff: list[float] | None = None
+    distance_weight: float = RetrievalParams.distance_weight
 
     def __post_init__(self):
-        named = [
-            ("k_n", self.k_n, check_count),
-            ("k_m", self.k_m, check_count),
-            ("k_r", self.k_r, check_count),
-            ("interp_weight", self.interp_weight, check_weight),
-        ]
-        if self.distance_cutoff is not None:
-            named.append(
-                ("distance_cutoff", self.distance_cutoff, check_cutoff)
-            )
-        for name, values, check in named:
+        RetrievalParams(distance_weight=self.distance_weight)
+        for name, values in self.sweep():
             if not isinstance(values, list):
                 raise ValueError(
                     f"{name} must be a list of candidates, got {values!r}"
@@ -65,7 +54,35 @@ class GridSpec:
             if not values:
                 raise ValueError(f"empty candidate list for {name}")
             for value in values:
-                check(name, value)
+                _DECLARED_BY[name](**{name: value})
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> GridSpec:
+        """Build from a grid JSON object without its ``mode`` key,
+        rejecting keys that are not fields and missing candidate lists."""
+        unknown = set(spec) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown grid keys: {', '.join(sorted(unknown))}"
+            )
+        missing = {
+            f.name for f in fields(cls) if f.default is MISSING
+        } - set(spec)
+        if missing:
+            raise ValueError(
+                f"grid is missing candidate lists: {', '.join(sorted(missing))}"
+            )
+        return cls(**spec)
+
+    def sweep(self) -> list[tuple[str, list]]:
+        """(name, candidates) in sweep order; an omitted distance_cutoff
+        is not swept."""
+        return [
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "distance_weight"
+            and (f.default is MISSING or getattr(self, f.name) is not None)
+        ]
 
 
 @dataclass
@@ -100,14 +117,11 @@ class TuneResult:
 
 
 def stepwise_search(
-    grid: GridSpec,
-    dev: DevSet,
-    mode: str = "txt",
-    distance_weight: float = RetrievalParams.distance_weight,
+    grid: GridSpec, dev: DevSet, mode: str = "txt"
 ) -> TuneResult:
     """Run the step-wise sweep and return incumbents, their BLEU, and
     the full (parameters, BLEU) trace in evaluation order."""
-    if mode not in ("txt", "cnn", "hca"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if grid.distance_cutoff is not None and mode != "cnn":
         raise ValueError("distance_cutoff can only be swept in cnn mode")
@@ -117,32 +131,24 @@ def stepwise_search(
             f"k-best depth {depth} is shallower than max k_n {max(grid.k_n)}"
         )
 
-    sweep: list[tuple[str, Sequence[float]]] = [
-        ("k_n", grid.k_n),
-        ("k_m", grid.k_m),
-        ("k_r", grid.k_r),
-        ("interp_weight", grid.interp_weight),
-    ]
+    sweep = grid.sweep()
     current: dict[str, float] = {name: values[0] for name, values in sweep}
-    if mode == "cnn" and grid.distance_cutoff is not None:
-        sweep.append(("distance_cutoff", grid.distance_cutoff))
-        current["distance_cutoff"] = grid.distance_cutoff[0]
-    else:
-        current["distance_cutoff"] = RetrievalParams().distance_cutoff
+    current.setdefault("distance_cutoff", RetrievalParams.distance_cutoff)
+
+    def params_at(point: dict[str, float]):
+        values = {"distance_weight": grid.distance_weight, **point}
+        return tuple(
+            cls(**{f.name: values[f.name] for f in fields(cls)})
+            for cls in _PARAMS
+        )
 
     retriever = Retriever(dev.coll, dev.idf, dev.feats)
-    match_cache: dict[tuple, list] = {}
+    match_cache: dict[RetrievalParams, list] = {}
 
     def evaluate(point: dict[str, float]) -> float:
-        key = (point["k_n"], point["k_m"], point["distance_cutoff"])
-        matchlists = match_cache.get(key)
+        rparams, params = params_at(point)
+        matchlists = match_cache.get(rparams)
         if matchlists is None:
-            rparams = RetrievalParams(
-                k_n=point["k_n"],
-                k_m=point["k_m"],
-                distance_weight=distance_weight,
-                distance_cutoff=point["distance_cutoff"],
-            )
             matchlists = []
             for kb in dev.kbests:
                 query = dev.queries.get(kb.sent_id, Query(kb.sent_id))
@@ -151,10 +157,7 @@ def stepwise_search(
                         kb, query.image_id, query.categories, mode, rparams
                     )
                 )
-            match_cache[key] = matchlists
-        params = RerankParams(
-            k_r=point["k_r"], interp_weight=point["interp_weight"]
-        )
+            match_cache[rparams] = matchlists
         total = BleuStats.zero()
         for kb, ml, ref in zip(dev.kbests, matchlists, dev.references):
             out = select_best(kb, ml, dev.idf, params)
@@ -180,16 +183,4 @@ def stepwise_search(
         current[name] = swept_best
         best_bleu = swept_bleu
 
-    return TuneResult(
-        RetrievalParams(
-            k_n=current["k_n"],
-            k_m=current["k_m"],
-            distance_weight=distance_weight,
-            distance_cutoff=current["distance_cutoff"],
-        ),
-        RerankParams(
-            k_r=current["k_r"], interp_weight=current["interp_weight"]
-        ),
-        best_bleu,
-        trace,
-    )
+    return TuneResult(*params_at(current), best_bleu, trace)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -180,32 +181,58 @@ class TestRetrieveRerank:
         assert "sentence s2" in err and str(dump) in err
         assert not (ws / "output.txt").exists()
 
-    def test_two_stage_equals_pipeline(self, ws):
-        self.retrieve(ws, "--k-n", "2", "--k-m", "3")
-        run(
-            "rerank",
-            "--collection", ws / "collection.tsv",
+    def assert_two_stage_equals_pipeline(
+        self, ws, collection, retrieve_args=(), rerank_args=()
+    ):
+        inputs = (
+            "--collection", collection,
             "--idf", ws / "idf.txt",
             "--kbest", ws / "kbest.txt",
-            "--matches", ws / "matches.txt",
-            "--out", ws / "two_stage.txt",
-            "--k-r", "2",
-            "--interp-weight", "10.0",
         )
-        run(
-            "pipeline",
-            "--collection", ws / "collection.tsv",
-            "--idf", ws / "idf.txt",
-            "--kbest", ws / "kbest.txt",
-            "--out-dir", ws / "pipe",
-            "--k-n", "2",
-            "--k-m", "3",
-            "--k-r", "2",
-            "--interp-weight", "10.0",
-        )
+        assert run("retrieve", *inputs, "--out", ws / "matches.txt",
+                   *retrieve_args) == 0
+        assert run("rerank", *inputs, "--matches", ws / "matches.txt",
+                   "--out", ws / "two_stage.txt", *rerank_args) == 0
+        assert run("pipeline", *inputs, "--out-dir", ws / "pipe",
+                   *retrieve_args, *rerank_args) == 0
         assert (ws / "two_stage.txt").read_bytes() == (
             ws / "pipe" / "output.txt"
         ).read_bytes()
+
+    def test_two_stage_equals_pipeline(self, ws):
+        self.assert_two_stage_equals_pipeline(
+            ws,
+            ws / "collection.tsv",
+            ("--k-n", "2", "--k-m", "3"),
+            ("--k-r", "2", "--interp-weight", "10.0"),
+        )
+
+    def test_two_stage_equals_pipeline_with_caption_id_dash(self, ws):
+        # "-" is a valid caption id; only "- ||| 0.0" is the empty-list
+        # placeholder of a match dump
+        dashed = ws / "dashed.tsv"
+        dashed.write_text(
+            "-\ti1\ta man rides a horse\nc2\ti2\tthe dog runs\n",
+            encoding="utf-8",
+        )
+        self.assert_two_stage_equals_pipeline(ws, dashed)
+        assert "s1 ||| - ||| " in (ws / "matches.txt").read_text()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_checked_before_loading(self, ws, capsys, workers):
+        argv = (
+            "retrieve",
+            "--collection", ws / "missing.tsv",
+            "--idf", ws / "idf.txt",
+            "--kbest", ws / "kbest.txt",
+            "--out", ws / "m.txt",
+            "--workers", workers,
+        )
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: workers must be a positive integer, got {workers}\n"
+        )
+        assert not (ws / "m.txt").exists()
 
 
 class TestPipeline:
@@ -354,6 +381,26 @@ class TestPipeline:
                 ws / "two" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "refs, message",
+        [
+            (None, "No such file"),
+            ("s1 ||| a man\n", "references missing sentences: s2"),
+            (REFS_KEYED + "s1 ||| a man\n", "refs.txt: duplicate sent_ids"),
+        ],
+        ids=["missing-file", "missing-sentence", "duplicate-id"],
+    )
+    def test_bad_references_rejected_before_scoring(
+        self, ws, capsys, refs, message
+    ):
+        path = ws / "bad" / "refs.txt"
+        if refs is not None:
+            path.parent.mkdir()
+            path.write_text(refs, encoding="utf-8")
+        assert self.pipeline(ws, "pipe", "--references", path) == 1
+        assert message in capsys.readouterr().err
+        assert not (ws / "pipe").exists()
+
     def test_worker_count_does_not_change_output(self, ws):
         self.pipeline(ws, "w1", "--workers", "1")
         self.pipeline(ws, "w4", "--workers", "4")
@@ -470,6 +517,13 @@ class TestTune:
         err = capsys.readouterr().err
         assert "features" in err and "missing.tsv" not in err
 
+    def test_duplicate_reference_ids_rejected(self, ws, capsys):
+        refs = ws / "refs.txt"
+        refs.write_text(REFS_KEYED + "s1 ||| a man\n", encoding="utf-8")
+        assert self.tune(ws, SMALL_GRID, "--best-out", ws / "best.json") == 1
+        assert f"{refs}: duplicate sent_ids" in capsys.readouterr().err
+        assert not (ws / "best.json").exists()
+
     def test_txt_mode_never_reads_features(self, ws):
         bad = ws / "bad_features.tsv"
         bad.write_text("i1\tnot numbers\n", encoding="utf-8")
@@ -483,25 +537,44 @@ class TestTune:
         assert (ws / "bad.json").read_bytes() == (ws / "plain.json").read_bytes()
 
 
+COUNT = "must be a positive integer, got"
+WEIGHT = "must be a finite non-negative number, got"
+CUTOFF = "must be positive, got"
+
+
+ROUTE_CASES = [
+    ("flag", "k_n", "0", f"k_n {COUNT} 0"),
+    ("flag", "k_m", "-2", f"k_m {COUNT} -2"),
+    ("flag", "k_r", "0", f"k_r {COUNT} 0"),
+    ("flag", "interp_weight", "nan", f"interp_weight {WEIGHT} nan"),
+    ("flag", "distance_weight", "nan", f"distance_weight {WEIGHT} nan"),
+    ("flag", "distance_cutoff", "nan", f"distance_cutoff {CUTOFF} nan"),
+    ("config", "k_n", 2.5, f"k_n {COUNT} 2.5"),
+    ("config", "k_m", "3", f"k_m {COUNT} '3'"),
+    ("config", "k_r", True, f"k_r {COUNT} True"),
+    ("config", "interp_weight", math.inf, f"interp_weight {WEIGHT} inf"),
+    ("config", "distance_weight", -1, f"distance_weight {WEIGHT} -1"),
+    ("config", "distance_cutoff", 0, f"distance_cutoff {CUTOFF} 0"),
+    ("grid", "k_n", 1.5, f"k_n {COUNT} 1.5"),
+    ("grid", "k_n", "3", f"k_n {COUNT} '3'"),
+    ("grid", "k_m", True, f"k_m {COUNT} True"),
+    ("grid", "k_r", 0, f"k_r {COUNT} 0"),
+    ("grid", "interp_weight", math.nan, f"interp_weight {WEIGHT} nan"),
+    ("grid", "distance_cutoff", 0, f"distance_cutoff {CUTOFF} 0"),
+    ("bare grid value", "k_n", 3, "k_n must be a list of candidates, got 3"),
+    ("bare grid value", "distance_weight", "x",
+     f"distance_weight {WEIGHT} 'x'"),
+]
+
+
 @pytest.mark.parametrize(
-    "route, field, value",
-    [
-        ("flag", "interp_weight", "nan"),
-        ("flag", "distance_weight", "nan"),
-        ("flag", "distance_cutoff", "nan"),
-        ("config", "k_n", 2.5),
-        ("config", "k_r", True),
-        ("config", "interp_weight", float("inf")),
-        ("grid", "k_n", 1.5),
-        ("grid", "k_m", True),
-        ("grid", "interp_weight", float("nan")),
-        ("grid", "k_n", "3"),
-        ("grid", "distance_cutoff", 0),
-        ("bare grid value", "k_n", 3),
-        ("bare grid value", "distance_weight", "x"),
-    ],
+    "route, field, value, message",
+    ROUTE_CASES,
+    ids=[f"{route}-{field}-{value}" for route, field, value, _ in ROUTE_CASES],
 )
-def test_bad_parameter_named_on_every_route(ws, capsys, route, field, value):
+def test_bad_parameter_named_on_every_route(
+    ws, capsys, route, field, value, message
+):
     inputs = (
         "--collection", ws / "collection.tsv",
         "--idf", ws / "idf.txt",
@@ -526,7 +599,7 @@ def test_bad_parameter_named_on_every_route(ws, capsys, route, field, value):
             "--trace-out", ws / "out",
         )
     assert run(*argv) == 1
-    assert f"error: {field} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (ws / "out").exists()
 
 

@@ -175,10 +175,6 @@ def test_load_features_dim_checks(tmp_path):
     path.write_text("i1\t1.0 2.0 3.0\ni2\t1.0 2.0\n")
     with pytest.raises(ValueError, match="length"):
         load_features(path)
-    path.write_text("i1\t1.0 2.0\n")
-    with pytest.raises(ValueError, match="expected 3"):
-        load_features(path, expected_dim=3)
-    assert load_features(path, expected_dim=2).dim == 2
 
 
 def test_load_features_rejects_bad_values(tmp_path):

@@ -477,7 +477,7 @@ class TestMatchListIo:
                 st.booleans(),
                 st.lists(
                     st.tuples(
-                        st.integers(0, 4),
+                        st.integers(0, 5),
                         st.floats(
                             min_value=0.0,
                             exclude_min=True,
@@ -491,7 +491,9 @@ class TestMatchListIo:
         )
     )
     def test_round_trip_preserves_ids_score_bits_and_flags(self, drawn):
-        coll, _, _ = toy_setup()
+        # "-" is also the empty-list placeholder's caption id
+        docs = toy_setup()[0].docs
+        coll = Collection([*docs, CaptionDoc("-", "i4", ("a", "fish"))])
         mls = [
             MatchList(
                 f"s{i}",

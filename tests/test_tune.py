@@ -104,6 +104,23 @@ class TestSweepStructure:
         assert len(res.trace) == 4 + 2
         assert {p["distance_cutoff"] for p, _ in res.trace} == {100.0, 2.5}
 
+    def test_grid_distance_weight_reaches_every_retrieval(self, monkeypatch):
+        weights = []
+        original = Retriever.retrieve
+
+        def recording(self, kbest, image_id, categories, mode, params):
+            weights.append(params.distance_weight)
+            return original(self, kbest, image_id, categories, mode, params)
+
+        monkeypatch.setattr(tsr.tune.Retriever, "retrieve", recording)
+        feats = FeatureStore({f"i{k}": [float(k), 0.0] for k in range(1, 6)})
+        queries = {"s1": Query("s1", "i1"), "s2": Query("s2", "i4")}
+        grid = GridSpec([1, 2], [2], [2], [1000.0], [100.0, 2.5], 0.5)
+        res = stepwise_search(grid, make_dev(feats, queries), mode="cnn")
+        assert set(weights) == {0.5} and len(weights) == 2 * 3
+        assert res.retrieval_params.distance_weight == 0.5
+        assert "distance_weight" not in res.trace[0][0]
+
     def test_trace_points_carry_all_parameters(self):
         grid = GridSpec([2], [2], [2], [1000.0])
         res = stepwise_search(grid, make_dev())
