@@ -46,7 +46,7 @@ from .retrieval import (
     read_queries,
     write_matchlists,
 )
-from .textcore import build_idf, IdfTable, read_token_lines
+from .textcore import build_idf, IdfTable, read_token_lines, write_lines
 from .tune import DevSet, GridSpec, stepwise_search
 
 log = logging.getLogger(__name__)
@@ -100,14 +100,21 @@ def _aligned_references(path, kbests) -> list[list[str]]:
             )
         return sentences
     table = dict(zip(ids, sentences))
-    if len(table) != len(ids):
-        raise ValueError(f"{path}: duplicate sent_ids")
     missing = [kb.sent_id for kb in kbests if kb.sent_id not in table]
     if missing:
         raise ValueError(
             f"references missing sentences: {', '.join(missing)}"
         )
     return [table[kb.sent_id] for kb in kbests]
+
+
+def _load_json_object(path) -> dict:
+    """The JSON object a config or grid file holds."""
+    with open(path, encoding="utf-8") as handle:
+        loaded = json.load(handle)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return loaded
 
 
 def _load_inputs(
@@ -223,8 +230,7 @@ def cmd_rerank(args) -> int:
 def _merge_pipeline_config(args) -> dict:
     cfg = dict(_PIPELINE_KEYS)
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            loaded = json.load(handle)
+        loaded = _load_json_object(args.config)
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ValueError(
@@ -282,9 +288,8 @@ def cmd_pipeline(args) -> int:
         **dataclasses.asdict(retrieval_params),
         **dataclasses.asdict(rerank_params),
     }
-    with open(out_dir / "config.json", "w", encoding="utf-8") as handle:
-        json.dump(resolved, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    config = json.dumps(resolved, indent=2, sort_keys=True)
+    write_lines(out_dir / "config.json", [config])
 
     fallbacks = sum(fb for _, fb in results)
     report = [
@@ -302,8 +307,7 @@ def cmd_pipeline(args) -> int:
         report.append(f"BLEU: {100 * score:.2f} ({score:.6f})")
     for line in report:
         print(line)
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(report) + "\n")
+    write_lines(out_dir / "report.txt", report)
     return 0
 
 
@@ -334,8 +338,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    with open(args.grid, encoding="utf-8") as handle:
-        spec = json.load(handle)
+    spec = _load_json_object(args.grid)
     mode = spec.pop("mode", "txt")
     grid = GridSpec.from_dict(spec)
 
@@ -354,11 +357,11 @@ def cmd_tune(args) -> int:
     result = stepwise_search(grid, dev, mode)
 
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            for point, bleu in result.trace:
-                record = dict(point)
-                record["bleu"] = bleu
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        trace = (
+            json.dumps({**point, "bleu": bleu}, sort_keys=True)
+            for point, bleu in result.trace
+        )
+        write_lines(args.trace_out, trace)
     best = {
         "mode": mode,
         **dataclasses.asdict(result.retrieval_params),
@@ -366,9 +369,8 @@ def cmd_tune(args) -> int:
         "bleu": result.best_bleu,
     }
     if args.best_out:
-        with open(args.best_out, "w", encoding="utf-8") as handle:
-            json.dump(best, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        best_json = json.dumps(best, indent=2, sort_keys=True)
+        write_lines(args.best_out, [best_json])
     print(f"evaluated points: {len(result.trace)}")
     for key, value in best.items():
         print(f"{key}: {value}")

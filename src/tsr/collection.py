@@ -27,6 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from .textcore import read_records, write_lines
+
 log = logging.getLogger(__name__)
 
 
@@ -136,38 +138,32 @@ class Collection:
         return self._cat_groups.get(frozenset(categories))
 
 
+def parse_categories(field: str) -> frozenset[str] | None:
+    """The labels of a ``cat1,cat2`` field; None when it names none."""
+    return frozenset(c for c in field.split(",") if c) or None
+
+
 def ingest_collection(
     lines: Iterable[str], skip_empty: bool = False
 ) -> Collection:
-    """Build a Collection from an iterable of record lines.
+    """Build a Collection from record lines or from a collection file.
 
     Records with empty captions are rejected (the scorers normalize by
     type count, which an empty caption would make undefined) unless
     skip_empty is set, in which case they are dropped with a warning.
     Errors and warnings locate the record as ``<file>:<line>`` when
-    lines is an open file, as ``line <line>`` otherwise.
+    lines is a path or an open file, as ``line <line>`` otherwise.
     """
-    source = getattr(lines, "name", None)
     docs: list[CaptionDoc] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}" if source is None else f"{source}:{lineno}"
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) not in (3, 4):
-            raise ValueError(
-                f"{where}: expected 3 or 4 tab-separated fields,"
-                f" got {len(fields)}"
-            )
+    for where, fields in read_records(
+        lines, "\t", (3, 4), "expected 3 or 4 tab-separated fields, got {n}"
+    ):
         caption_id, image_id = fields[0], fields[1]
         if not caption_id or not image_id:
             raise ValueError(f"{where}: empty caption_id or image_id")
         tokens = tuple(fields[2].split())
-        categories: frozenset[str] | None = None
-        if len(fields) == 4:
-            labels = frozenset(c for c in fields[3].split(",") if c)
-            categories = labels or None
+        categories = parse_categories(fields[3]) if len(fields) == 4 else None
         if not tokens:
             if skip_empty:
                 log.warning("%s: skipping empty caption %r", where, caption_id)
@@ -183,8 +179,7 @@ def ingest_collection(
 
 
 def load_collection(path, skip_empty: bool = False) -> Collection:
-    with open(path, encoding="utf-8") as handle:
-        return ingest_collection(handle, skip_empty=skip_empty)
+    return ingest_collection(path, skip_empty=skip_empty)
 
 
 def save_collection(coll: Collection, path) -> None:
@@ -193,12 +188,15 @@ def save_collection(coll: Collection, path) -> None:
     Loading the result reproduces an equal Collection with the same term
     ids and index matrix.
     """
-    with open(path, "w", encoding="utf-8") as handle:
+
+    def lines():
         for doc in coll.docs:
             fields = [doc.caption_id, doc.image_id, " ".join(doc.tokens)]
             if doc.categories is not None:
                 fields.append(",".join(sorted(doc.categories)))
-            handle.write("\t".join(fields) + "\n")
+            yield "\t".join(fields)
+
+    write_lines(path, lines())
 
 
 class FeatureStore:
@@ -249,33 +247,22 @@ def load_features(path) -> FeatureStore:
     """
     vectors: dict[str, list[float]] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected image_id<TAB>components"
-                )
-            image_id, rest = parts
-            if image_id in vectors:
-                raise ValueError(
-                    f"{path}:{lineno}: repeated image_id {image_id!r}"
-                )
-            try:
-                vec = [float(x) for x in rest.split()]
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric feature component"
-                ) from None
-            if not vec:
-                raise ValueError(f"{path}:{lineno}: empty feature vector")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: vector length {len(vec)} != {dim}"
-                )
-            vectors[image_id] = vec
+    for where, (image_id, rest) in read_records(
+        path, "\t", (2,), "expected image_id<TAB>components"
+    ):
+        if image_id in vectors:
+            raise ValueError(f"{where}: repeated image_id {image_id!r}")
+        try:
+            vec = [float(x) for x in rest.split()]
+        except ValueError:
+            raise ValueError(
+                f"{where}: non-numeric feature component"
+            ) from None
+        if not vec:
+            raise ValueError(f"{where}: empty feature vector")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ValueError(f"{where}: vector length {len(vec)} != {dim}")
+        vectors[image_id] = vec
     return FeatureStore(vectors)

@@ -156,7 +156,8 @@ def read_sentence_file(path) -> tuple[list[str] | None, list[list[str]]]:
 
     Two layouts are accepted: plain one-sentence-per-line token text
     (returns ids None), or ``sent_id ||| tokens`` lines (returns the id
-    list). Mixing layouts within one file is an error.
+    list). Mixing layouts within one file, and repeating a sent_id, are
+    errors.
     """
     ids: list[str] = []
     sentences: list[list[str]] = []
@@ -179,6 +180,8 @@ def read_sentence_file(path) -> tuple[list[str] | None, list[list[str]]]:
                 sentences.append(parts[1].split())
             else:
                 sentences.append(line.split())
+    if tagged and len(set(ids)) != len(ids):
+        raise ValueError(f"{path}: duplicate sent_ids")
     return (ids if tagged else None), sentences
 
 
@@ -193,14 +196,10 @@ def align_sentences(
     """
     loaded = [read_sentence_file(p) for p in paths]
     base_ids = loaded[0][0]
-    if base_ids is not None and len(set(base_ids)) != len(base_ids):
-        raise ValueError(f"{paths[0]}: duplicate sent_ids")
     result: list[list[list[str]]] = []
     for path, (ids, sentences) in zip(paths, loaded):
         if (ids is None) != (base_ids is None):
-            raise ValueError(
-                f"{path}: layout differs from {paths[0]}"
-            )
+            raise ValueError(f"{path}: layout differs from {paths[0]}")
         if ids is None:
             if len(sentences) != len(loaded[0][1]):
                 raise ValueError(
@@ -210,12 +209,7 @@ def align_sentences(
             result.append(sentences)
         else:
             table = dict(zip(ids, sentences))
-            if len(table) != len(ids):
-                raise ValueError(f"{path}: duplicate sent_ids")
-            missing = [sid for sid in base_ids if sid not in table]
-            if missing or len(ids) != len(base_ids):
-                raise ValueError(
-                    f"{path}: sent_ids do not match {paths[0]}"
-                )
+            if table.keys() != set(base_ids):
+                raise ValueError(f"{path}: sent_ids do not match {paths[0]}")
             result.append([table[sid] for sid in base_ids])
     return result

@@ -23,6 +23,7 @@ from .retrieval import (
     check_count,
     check_weight,
 )
+from .textcore import write_lines
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,6 @@ def select_best(
     ties."""
     if params is None:
         params = RerankParams()
-    if not rbest.hyps:
-        raise ValueError(f"sentence {rbest.sent_id}: empty k-best list")
     best: RerankedOutput | None = None
     for rank, hyp in enumerate(rbest.hyps[: params.k_r], start=1):
         rel = relevance_score(hyp.tokens, matches, idf)
@@ -103,9 +102,8 @@ def select_best(
 
 def write_output(outputs: Iterable[RerankedOutput], path) -> None:
     """Write chosen hypotheses, one ``sent_id ||| tokens`` line each."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for out in outputs:
-            handle.write(f"{out.sent_id} ||| {' '.join(out.chosen.tokens)}\n")
+    lines = (f"{o.sent_id} ||| {' '.join(o.chosen.tokens)}" for o in outputs)
+    write_lines(path, lines)
 
 
 def write_diagnostics(
@@ -114,10 +112,10 @@ def write_diagnostics(
     """Write per-sentence rerank diagnostics: decoder rank of the chosen
     hypothesis, its combined and relevance scores, and whether retrieval
     fell back to text-only scoring."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for out, used_fallback in outputs:
-            handle.write(
-                f"{out.sent_id} ||| {out.decoder_rank_of_chosen}"
-                f" ||| {out.combined_score!r} ||| {out.relevance!r}"
-                f" ||| {int(used_fallback)}\n"
-            )
+    lines = (
+        f"{out.sent_id} ||| {out.decoder_rank_of_chosen}"
+        f" ||| {out.combined_score!r} ||| {out.relevance!r}"
+        f" ||| {int(used_fallback)}"
+        for out, used_fallback in outputs
+    )
+    write_lines(path, lines)

@@ -26,14 +26,18 @@ caption_id.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .collection import CaptionDoc, Collection, FeatureStore
+from .collection import CaptionDoc, Collection, FeatureStore, parse_categories
+from .textcore import read_records, write_lines
 
 MODES = ("txt", "cnn", "hca")
 
@@ -51,14 +55,16 @@ class Hypothesis:
 class KBestList:
     """Decoder hypotheses for one sentence, best first.
 
-    Token sequences are pairwise distinct and decoder scores are
-    non-increasing; both are checked at construction.
+    The list is not empty, token sequences are pairwise distinct and
+    decoder scores are non-increasing; all are checked at construction.
     """
 
     sent_id: str
     hyps: list[Hypothesis]
 
     def __post_init__(self):
+        if not self.hyps:
+            raise ValueError(f"sentence {self.sent_id}: empty k-best list")
         seen: set[tuple[str, ...]] = set()
         prev = None
         for hyp in self.hyps:
@@ -222,8 +228,6 @@ class Retriever:
             raise ValueError(f"unknown mode {mode!r}")
         if params is None:
             params = RETRIEVAL_DEFAULTS[mode]
-        if not kbest.hyps:
-            raise ValueError(f"sentence {kbest.sent_id}: empty k-best list")
         hyps = kbest.hyps[: params.k_n]
         counts = self._query_counts(hyps)
         s_txt = self._txt_scores(counts)
@@ -296,6 +300,18 @@ class Retriever:
         return dist
 
 
+def _sentence_runs(records: Iterable[tuple]) -> Iterator[tuple[str, Iterator]]:
+    """One (sent_id, run) per run of consecutive ``(where, sent_id, ...)``
+    records; all of a sentence's records must be in one run."""
+    done: set[str] = set()
+    for sent_id, run in itertools.groupby(records, key=itemgetter(1)):
+        if sent_id in done:
+            where = next(run)[0]
+            raise ValueError(f"{where}: sentence {sent_id} not contiguous")
+        done.add(sent_id)
+        yield sent_id, run
+
+
 def read_kbest(path) -> list[KBestList]:
     """Parse a k-best file: ``sent_id ||| token token ... ||| score``.
 
@@ -305,82 +321,64 @@ def read_kbest(path) -> list[KBestList]:
     sentence keep the first (highest-scored) occurrence.
     """
     lists: list[KBestList] = []
-    done: set[str] = set()
-    cur_id: str | None = None
-    cur_hyps: list[Hypothesis] = []
-    cur_seen: set[tuple[str, ...]] = set()
-
-    def flush():
-        if cur_id is not None:
-            lists.append(KBestList(cur_id, list(cur_hyps)))
-            done.add(cur_id)
-
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(" ||| ")
-            if len(parts) < 3:
+    for sent_id, run in _sentence_runs(_kbest_records(path)):
+        hyps: list[Hypothesis] = []
+        seen: set[tuple[str, ...]] = set()
+        for where, _, tokens, score in run:
+            if hyps and score > hyps[-1].decoder_score:
                 raise ValueError(
-                    f"{path}:{lineno}: expected sent_id ||| tokens ||| score"
-                )
-            sent_id = parts[0].strip()
-            tokens = tuple(parts[1].split())
-            try:
-                score = float(parts[-1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad decoder score {parts[-1]!r}"
-                ) from None
-            if not np.isfinite(score):
-                raise ValueError(
-                    f"{path}:{lineno}: non-finite decoder score"
-                )
-            if sent_id != cur_id:
-                if sent_id in done:
-                    raise ValueError(
-                        f"{path}:{lineno}: sentence {sent_id} not contiguous"
-                    )
-                flush()
-                cur_id, cur_hyps, cur_seen = sent_id, [], set()
-            if cur_hyps and score > cur_hyps[-1].decoder_score:
-                raise ValueError(
-                    f"{path}:{lineno}: decoder scores increase within"
+                    f"{where}: decoder scores increase within"
                     f" sentence {sent_id}"
                 )
-            if tokens in cur_seen:
-                continue
-            cur_seen.add(tokens)
-            cur_hyps.append(Hypothesis(tokens, score))
-    flush()
+            if tokens not in seen:
+                seen.add(tokens)
+                hyps.append(Hypothesis(tokens, score))
+        lists.append(KBestList(sent_id, hyps))
     return lists
 
 
+def _kbest_records(path) -> Iterator[tuple]:
+    """(where, sent_id, tokens, score) per k-best line."""
+    message = "expected sent_id ||| tokens ||| score"
+    records = read_records(path, " ||| ", range(3, sys.maxsize), message)
+    for where, parts in records:
+        try:
+            score = float(parts[-1])
+        except ValueError:
+            raise ValueError(
+                f"{where}: bad decoder score {parts[-1]!r}"
+            ) from None
+        if not np.isfinite(score):
+            raise ValueError(f"{where}: non-finite decoder score")
+        yield where, parts[0].strip(), tuple(parts[1].split()), score
+
+
 def write_kbest(lists: Iterable[KBestList], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for kb in lists:
-            for hyp in kb.hyps:
-                handle.write(
-                    f"{kb.sent_id} ||| {' '.join(hyp.tokens)}"
-                    f" ||| {hyp.decoder_score!r}\n"
-                )
+    lines = (
+        f"{kb.sent_id} ||| {' '.join(hyp.tokens)} ||| {hyp.decoder_score!r}"
+        for kb in lists
+        for hyp in kb.hyps
+    )
+    write_lines(path, lines)
 
 
 def write_matchlists(matchlists: Iterable[MatchList], path) -> None:
     """Dump match lists, one ``sent_id ||| caption_id ||| score ||| flag``
     line per match. Sentences with no matches emit one line with the
     placeholder caption_id ``-`` so fallback flags survive a round trip."""
-    with open(path, "w", encoding="utf-8") as handle:
+
+    def lines():
         for ml in matchlists:
             flag = int(ml.used_fallback)
             if not ml.matches:
-                handle.write(f"{ml.sent_id} ||| - ||| 0.0 ||| {flag}\n")
-                continue
+                yield f"{ml.sent_id} ||| - ||| 0.0 ||| {flag}"
             for doc, score in ml.matches:
-                handle.write(
+                yield (
                     f"{ml.sent_id} ||| {doc.caption_id} ||| {score!r}"
-                    f" ||| {flag}\n"
+                    f" ||| {flag}"
                 )
+
+    write_lines(path, lines())
 
 
 def read_matchlists(path, coll: Collection) -> list[MatchList]:
@@ -393,58 +391,48 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
     of one sentence.
     """
     lists: list[MatchList] = []
-    done: set[str] = set()
-    cur: MatchList | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(" ||| ")
-            if len(parts) != 4:
+    for sent_id, run in _sentence_runs(_match_records(path)):
+        ml = None
+        for where, _, caption_id, score, flag in run:
+            if ml is None:
+                ml = MatchList(sent_id, [], flag)
+            elif flag != ml.used_fallback:
                 raise ValueError(
-                    f"{path}:{lineno}: expected 4 |||-separated fields"
-                )
-            sent_id, caption_id, score_str, flag_str = parts
-            try:
-                score = float(score_str)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad score") from None
-            flag = {"0": False, "1": True}.get(flag_str.strip())
-            if flag is None:
-                raise ValueError(
-                    f"{path}:{lineno}: fallback flag must be 0 or 1,"
-                    f" got {flag_str!r}"
-                )
-            if cur is None or sent_id != cur.sent_id:
-                if sent_id in done:
-                    raise ValueError(
-                        f"{path}:{lineno}: sentence {sent_id} not contiguous"
-                    )
-                if cur is not None:
-                    lists.append(cur)
-                    done.add(cur.sent_id)
-                cur = MatchList(sent_id, [], flag)
-            elif flag != cur.used_fallback:
-                raise ValueError(
-                    f"{path}:{lineno}: fallback flag differs within"
+                    f"{where}: fallback flag differs within"
                     f" sentence {sent_id}"
                 )
-            if not (caption_id == "-" and score == 0.0):
-                if not (np.isfinite(score) and score > 0.0):
-                    raise ValueError(
-                        f"{path}:{lineno}: match score must be finite and"
-                        " positive"
-                    )
-                try:
-                    doc = coll.docs[coll.index_of(caption_id)]
-                except KeyError:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown caption_id {caption_id!r}"
-                    ) from None
-                cur.matches.append((doc, score))
-    if cur is not None:
-        lists.append(cur)
+            if caption_id == "-" and score == 0.0:
+                continue
+            if not (np.isfinite(score) and score > 0.0):
+                raise ValueError(
+                    f"{where}: match score must be finite and positive"
+                )
+            try:
+                doc = coll.docs[coll.index_of(caption_id)]
+            except KeyError:
+                raise ValueError(
+                    f"{where}: unknown caption_id {caption_id!r}"
+                ) from None
+            ml.matches.append((doc, score))
+        lists.append(ml)
     return lists
+
+
+def _match_records(path) -> Iterator[tuple]:
+    """(where, sent_id, caption_id, score, flag) per match dump line."""
+    for where, (sent_id, caption_id, score_str, flag_str) in read_records(
+        path, " ||| ", (4,), "expected 4 |||-separated fields"
+    ):
+        try:
+            score = float(score_str)
+        except ValueError:
+            raise ValueError(f"{where}: bad score") from None
+        flag = {"0": False, "1": True}.get(flag_str.strip())
+        if flag is None:
+            raise ValueError(
+                f"{where}: fallback flag must be 0 or 1, got {flag_str!r}"
+            )
+        yield where, sent_id, caption_id, score, flag
 
 
 def read_queries(path) -> dict[str, Query]:
@@ -454,24 +442,13 @@ def read_queries(path) -> dict[str, Query]:
     for a missing image id.
     """
     queries: dict[str, Query] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) not in (2, 3):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 or 3 tab-separated fields"
-                )
-            sent_id = fields[0]
-            if sent_id in queries:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate sent_id {sent_id!r}"
-                )
-            image_id = fields[1] if fields[1] != "-" else None
-            categories: frozenset[str] | None = None
-            if len(fields) == 3:
-                labels = frozenset(c for c in fields[2].split(",") if c)
-                categories = labels or None
-            queries[sent_id] = Query(sent_id, image_id, categories)
+    for where, fields in read_records(
+        path, "\t", (2, 3), "expected 2 or 3 tab-separated fields"
+    ):
+        sent_id = fields[0]
+        if sent_id in queries:
+            raise ValueError(f"{where}: duplicate sent_id {sent_id!r}")
+        image_id = fields[1] if fields[1] != "-" else None
+        categories = parse_categories(fields[2]) if len(fields) == 3 else None
+        queries[sent_id] = Query(sent_id, image_id, categories)
     return queries

@@ -1,4 +1,5 @@
-"""Token primitives and inverse document frequency estimation.
+"""Token primitives, the record reader and the atomic writer that every
+text artifact goes through, and inverse document frequency estimation.
 
 All text handled by this package is assumed to be pre-tokenized and
 lowercased; the only processing done here is whitespace splitting on
@@ -14,7 +15,10 @@ into relevance scores.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+import os
+import uuid
+from contextlib import nullcontext
+from typing import Container, Iterable, Iterator
 
 
 def read_token_lines(path) -> Iterator[list[str]]:
@@ -22,6 +26,53 @@ def read_token_lines(path) -> Iterator[list[str]]:
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             yield line.split()
+
+
+def read_records(
+    source, sep: str, counts: Container[int], message: str, header=False
+) -> Iterator[tuple[str, list[str]]]:
+    """Yield ``(where, fields)`` per line of a file path (read as UTF-8)
+    or an iterable of lines, skipping whitespace-only lines. Each line,
+    less its newline, is split on sep and needs a field count in counts,
+    else ValueError ``<where>: <message>``, ``{n}`` in message being the
+    count. where is ``<file>:<line>``, or ``line <line>`` for a source
+    without a name. With header set, the raw first line comes first,
+    unchecked, as ``(where, [line])``."""
+    path = isinstance(source, (str, os.PathLike))
+    context = open(source, encoding="utf-8") if path else nullcontext(source)
+    with context as src:
+        name = getattr(src, "name", None)
+        prefix = "line " if name is None else f"{name}:"
+        lines = iter(src)
+        if header:
+            yield f"{prefix}1", [next(lines, "")]
+        for lineno, line in enumerate(lines, start=2 if header else 1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split(sep)
+            where = f"{prefix}{lineno}"
+            if len(fields) not in counts:
+                raise ValueError(f"{where}: " + message.format(n=len(fields)))
+            yield where, fields
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each of lines plus a newline to path as UTF-8, atomically: to
+    a temporary file beside path, renamed over it at the end. A failure
+    partway, in lines too, removes that file and keeps an earlier path
+    whole. A new file gets mode 0o666 under the umask, as open() gives."""
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class IdfTable:
@@ -59,41 +110,31 @@ class IdfTable:
     def save(self, path) -> None:
         """Write a line-oriented dump: header ``N=<doc_count>``, then one
         ``term<TAB>df`` line per term, sorted by term for reproducibility."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"N={self.doc_count}\n")
-            for term in sorted(self.df):
-                handle.write(f"{term}\t{self.df[term]}\n")
+        terms = [f"{term}\t{self.df[term]}" for term in sorted(self.df)]
+        write_lines(path, [f"N={self.doc_count}", *terms])
 
     @classmethod
     def load(cls, path) -> "IdfTable":
         """Read a dump produced by :meth:`save`."""
-        with open(path, encoding="utf-8") as handle:
-            header = handle.readline()
-            if not header.startswith("N="):
-                raise ValueError(f"{path}: missing N=<doc_count> header")
+        message = "expected term<TAB>df"
+        records = read_records(path, "\t", (2,), message, header=True)
+        _, (header,) = next(records)
+        if not header.startswith("N="):
+            raise ValueError(f"{path}: missing N=<doc_count> header")
+        try:
+            doc_count = int(header[2:].strip())
+        except ValueError:
+            raise ValueError(f"{path}: bad doc_count in header") from None
+        df: dict[str, int] = {}
+        for where, (term, count_str) in records:
+            if term in df:
+                raise ValueError(f"{where}: repeated term {term!r}")
             try:
-                doc_count = int(header[2:].strip())
+                df[term] = int(count_str)
             except ValueError:
-                raise ValueError(f"{path}: bad doc_count in header") from None
-            df: dict[str, int] = {}
-            for lineno, line in enumerate(handle, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected term<TAB>df")
-                term, count_str = parts
-                if term in df:
-                    raise ValueError(
-                        f"{path}:{lineno}: repeated term {term!r}"
-                    )
-                try:
-                    df[term] = int(count_str)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-integer df {count_str!r}"
-                    ) from None
+                raise ValueError(
+                    f"{where}: non-integer df {count_str!r}"
+                ) from None
         return cls(doc_count, df)
 
 

@@ -622,3 +622,26 @@ def test_pipeline_config_types_checked_before_loading(ws, capsys, key, value):
     err = capsys.readouterr().err
     assert f"error: {key} must be" in err and "missing.tsv" not in err
     assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("route", ["config", "grid"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+def test_json_file_must_hold_an_object(ws, capsys, route, text):
+    path = ws / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    inputs = (
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+    )
+    if route == "config":
+        argv = ("pipeline", "--config", path, *inputs, "--out-dir", ws / "out")
+    else:
+        argv = (
+            "tune", "--grid", path, *inputs,
+            "--references", ws / "refs.txt",
+            "--best-out", ws / "out",
+        )
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+    assert not (ws / "out").exists()

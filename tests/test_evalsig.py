@@ -250,6 +250,20 @@ class TestSentenceFiles:
         with pytest.raises(ValueError, match="mixed"):
             read_sentence_file(p)
 
+    def test_duplicate_ids_rejected_in_any_file(self, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("s1 ||| x\ns2 ||| y\n", encoding="utf-8")
+        b.write_text("s1 ||| q\ns1 ||| r\n", encoding="utf-8")
+        for read in (
+            lambda: read_sentence_file(b),
+            lambda: align_sentences([a, b]),
+            lambda: align_sentences([b, a]),
+        ):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == f"{b}: duplicate sent_ids"
+
     def test_align_by_key_uses_first_file_order(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
