@@ -49,8 +49,6 @@ from .retrieval import (
 from .textcore import build_idf, IdfTable, read_token_lines, write_lines
 from .tune import DevSet, GridSpec, stepwise_search
 
-log = logging.getLogger(__name__)
-
 _PARAMS = (RetrievalParams, RerankParams)
 
 # Parameter keys default to None: the mode's defaults fill them in.

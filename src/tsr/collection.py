@@ -20,6 +20,7 @@ output byte, is reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,14 +33,29 @@ from .textcore import read_records, write_lines
 log = logging.getLogger(__name__)
 
 
+class EmptyCaption(ValueError):
+    """A caption without tokens; ingest_collection may skip these."""
+
+
 @dataclass(frozen=True)
 class CaptionDoc:
-    """One caption of one image, with optional category annotations."""
+    """One caption of one image, with optional category annotations.
+    Ids, tokens and a given category set must be non-empty."""
 
     caption_id: str
     image_id: str
     tokens: tuple[str, ...]
     categories: frozenset[str] | None = None
+
+    def __post_init__(self):
+        if not self.caption_id or not self.image_id:
+            raise ValueError("empty caption_id or image_id")
+        if not self.tokens:
+            raise EmptyCaption(f"empty caption {self.caption_id!r}")
+        if self.categories is not None and not self.categories:
+            raise ValueError(
+                f"empty category set on caption {self.caption_id!r}"
+            )
 
 
 class Collection:
@@ -57,12 +73,6 @@ class Collection:
         for i, doc in enumerate(self.docs):
             if doc.caption_id in self._id_index:
                 raise ValueError(f"duplicate caption_id {doc.caption_id!r}")
-            if not doc.tokens:
-                raise ValueError(f"empty caption {doc.caption_id!r}")
-            if doc.categories is not None and not doc.categories:
-                raise ValueError(
-                    f"empty category set on caption {doc.caption_id!r}"
-                )
             self._id_index[doc.caption_id] = i
 
         # Type-incidence matrix: one row per doc, one column per term,
@@ -159,22 +169,20 @@ def ingest_collection(
     for where, fields in read_records(
         lines, "\t", (3, 4), "expected 3 or 4 tab-separated fields, got {n}"
     ):
-        caption_id, image_id = fields[0], fields[1]
-        if not caption_id or not image_id:
-            raise ValueError(f"{where}: empty caption_id or image_id")
-        tokens = tuple(fields[2].split())
-        categories = parse_categories(fields[3]) if len(fields) == 4 else None
-        if not tokens:
-            if skip_empty:
-                log.warning("%s: skipping empty caption %r", where, caption_id)
-                continue
-            raise ValueError(f"{where}: empty caption {caption_id!r}")
-        if caption_id in seen:
+        cats = parse_categories(fields[3]) if len(fields) == 4 else None
+        try:
+            doc = CaptionDoc(*fields[:2], tuple(fields[2].split()), cats)
+        except ValueError as exc:
+            if not (skip_empty and isinstance(exc, EmptyCaption)):
+                raise ValueError(f"{where}: {exc}") from None
+            log.warning("%s: skipping %s", where, exc)
+            continue
+        if doc.caption_id in seen:
             raise ValueError(
-                f"{where}: duplicate caption_id {caption_id!r}"
+                f"{where}: duplicate caption_id {doc.caption_id!r}"
             )
-        seen.add(caption_id)
-        docs.append(CaptionDoc(caption_id, image_id, tokens, categories))
+        seen.add(doc.caption_id)
+        docs.append(doc)
     return Collection(docs)
 
 
@@ -207,62 +215,58 @@ class FeatureStore:
     """
 
     def __init__(self, vectors: dict[str, Sequence[float]] | None = None):
-        vectors = vectors or {}
-        self.ids = list(vectors)
-        self._row = {img: i for i, img in enumerate(self.ids)}
-        if vectors:
-            with np.errstate(over="ignore"):
-                rows = [
-                    np.asarray(v, dtype=np.float32) for v in vectors.values()
-                ]
-            dims = {r.shape for r in rows}
-            if len(dims) > 1 or rows[0].ndim != 1 or rows[0].size == 0:
-                raise ValueError("feature vectors must share one dimension")
-            self.matrix = np.vstack(rows)
-            self.dim: int | None = self.matrix.shape[1]
-            if not np.all(np.isfinite(self.matrix)):
-                bad = self.ids[
-                    int(np.argwhere(~np.isfinite(self.matrix))[0][0])
-                ]
-                raise ValueError(f"non-finite feature component for {bad!r}")
-        else:
-            self.matrix = np.empty((0, 0), dtype=np.float32)
-            self.dim = None
+        self._fill((f"image {i!r}", i, v) for i, v in (vectors or {}).items())
+
+    @np.errstate(over="ignore")  # rounding to float32 may overflow
+    def _fill(self, records: Iterable[tuple[str, str, Sequence]]) -> None:
+        """Keep one float32 row per ``(label, image_id, values)`` record,
+        values read as float64 and rounded. Fails as ``<label>: ...`` on a
+        repeated id, a non-number, an empty vector, a length other than
+        the first row's, or a value not finite once rounded."""
+        self._row: dict[str, int] = {}
+        rows: list[np.ndarray] = []
+        for label, image_id, values in records:
+            if image_id in self._row:
+                raise ValueError(f"{label}: repeated image_id {image_id!r}")
+            try:
+                row = np.asarray(values, np.float64).astype(np.float32)
+            except ValueError:
+                raise ValueError(
+                    f"{label}: non-numeric feature component"
+                ) from None
+            if not row.size:
+                raise ValueError(f"{label}: empty feature vector")
+            dim = rows[0].size if rows else row.size
+            if row.shape != (dim,):
+                raise ValueError(
+                    f"{label}: vector length {row.size} != {dim};"
+                    " feature vectors must share one dimension"
+                )
+            if not np.isfinite(row).all():
+                raise ValueError(f"{label}: non-finite feature component")
+            self._row[image_id] = len(rows)
+            rows.append(row)
+        self.ids = list(self._row)
+        self.matrix = np.vstack(rows) if rows else np.empty((0, 0), np.float32)
+        self.dim: int | None = self.matrix.shape[1] if rows else None
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._row
-
     def row_of(self, image_id: str) -> int | None:
         return self._row.get(image_id)
 
+    def rows_of(self, image_ids: Iterable[str]) -> np.ndarray:
+        """The feature row of each image id, -1 for one without."""
+        lookup = map(self._row.get, image_ids, itertools.repeat(-1))
+        return np.fromiter(lookup, dtype=np.int64)
+
 
 def load_features(path) -> FeatureStore:
-    """Read a feature file into a FeatureStore.
-
-    Raises on ragged vector lengths, non-finite components or repeated
-    image ids.
-    """
-    vectors: dict[str, list[float]] = {}
-    dim: int | None = None
-    for where, (image_id, rest) in read_records(
-        path, "\t", (2,), "expected image_id<TAB>components"
-    ):
-        if image_id in vectors:
-            raise ValueError(f"{where}: repeated image_id {image_id!r}")
-        try:
-            vec = [float(x) for x in rest.split()]
-        except ValueError:
-            raise ValueError(
-                f"{where}: non-numeric feature component"
-            ) from None
-        if not vec:
-            raise ValueError(f"{where}: empty feature vector")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ValueError(f"{where}: vector length {len(vec)} != {dim}")
-        vectors[image_id] = vec
-    return FeatureStore(vectors)
+    """Read a feature file into a FeatureStore; a malformed line fails
+    naming its ``<file>:<line>``."""
+    message = "expected image_id<TAB>components"
+    records = read_records(path, "\t", (2,), message)
+    store = FeatureStore()
+    store._fill((where, img, rest.split()) for where, (img, rest) in records)
+    return store

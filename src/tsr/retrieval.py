@@ -166,19 +166,14 @@ class Retriever:
 
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
         self.coll = coll
-        self.idf = idf
         self.feats = feats
         weights = np.zeros(len(coll.vocab), dtype=np.float64)
         for term, tid in coll.vocab.items():
             weights[tid] = idf.idf(term)
         self.weights = weights
-        img_row = np.full(len(coll), -1, dtype=np.int64)
+        self._img_row = np.full(len(coll), -1, dtype=np.int64)
         if feats is not None and len(feats):
-            for i, doc in enumerate(coll.docs):
-                row = feats.row_of(doc.image_id)
-                if row is not None:
-                    img_row[i] = row
-        self._img_row = img_row
+            self._img_row = feats.rows_of(doc.image_id for doc in coll.docs)
 
     def _query_counts(self, hyps: Sequence[Hypothesis]) -> np.ndarray:
         counts = np.zeros(len(self.coll.vocab), dtype=np.float64)
@@ -432,7 +427,7 @@ def _match_records(path) -> Iterator[tuple]:
             raise ValueError(
                 f"{where}: fallback flag must be 0 or 1, got {flag_str!r}"
             )
-        yield where, sent_id, caption_id, score, flag
+        yield where, sent_id.strip(), caption_id, score, flag
 
 
 def read_queries(path) -> dict[str, Query]:
@@ -445,7 +440,7 @@ def read_queries(path) -> dict[str, Query]:
     for where, fields in read_records(
         path, "\t", (2, 3), "expected 2 or 3 tab-separated fields"
     ):
-        sent_id = fields[0]
+        sent_id = fields[0].strip()
         if sent_id in queries:
             raise ValueError(f"{where}: duplicate sent_id {sent_id!r}")
         image_id = fields[1] if fields[1] != "-" else None

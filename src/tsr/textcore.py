@@ -84,13 +84,20 @@ class IdfTable:
     def __init__(self, doc_count: int, df: dict[str, int]):
         if doc_count <= 0:
             raise ValueError("doc_count must be positive")
-        for term, count in df.items():
-            if not 1 <= count <= doc_count:
-                raise ValueError(
-                    f"df({term!r})={count} outside [1, {doc_count}]"
-                )
         self.doc_count = doc_count
-        self.df = dict(df)
+        self.df: dict[str, int] = {}
+        for term, count in df.items():
+            self._add(term, count)
+
+    def _add(self, term: str, count: int) -> None:
+        """Enter one term: each term once, with 1 <= df <= doc_count."""
+        if term in self.df:
+            raise ValueError(f"repeated term {term!r}")
+        if not 1 <= count <= self.doc_count:
+            raise ValueError(
+                f"df({term!r})={count} outside [1, {self.doc_count}]"
+            )
+        self.df[term] = count
 
     def idf(self, term: str) -> float:
         """ln(N / df(term)); unseen terms use the df=1 floor."""
@@ -125,17 +132,22 @@ class IdfTable:
             doc_count = int(header[2:].strip())
         except ValueError:
             raise ValueError(f"{path}: bad doc_count in header") from None
-        df: dict[str, int] = {}
+        try:
+            table = cls(doc_count, {})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         for where, (term, count_str) in records:
-            if term in df:
-                raise ValueError(f"{where}: repeated term {term!r}")
             try:
-                df[term] = int(count_str)
+                count = int(count_str)
             except ValueError:
                 raise ValueError(
                     f"{where}: non-integer df {count_str!r}"
                 ) from None
-        return cls(doc_count, df)
+            try:
+                table._add(term, count)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return table
 
 
 def build_idf(corpus: Iterable[Iterable[str]]) -> IdfTable:

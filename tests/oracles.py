@@ -48,6 +48,36 @@ def random_idf_table(rng: np.random.Generator, terms) -> IdfTable:
     return IdfTable(10001, {t: int(df) for t, df in zip(terms, dfs)})
 
 
+def oracle_index(docs) -> dict:
+    """A collection's index recomputed from its definition: term ids in
+    order of first appearance over each doc's sorted types, each CSR row
+    holding its doc's term ids ascending, type counts, each caption id's
+    rank in sorted order and category sets numbered by first appearance
+    (-1 for an unannotated doc)."""
+    vocab: dict[str, int] = {}
+    rows = []
+    for doc in docs:
+        types = sorted(set(doc.tokens))
+        for term in types:
+            if term not in vocab:
+                vocab[term] = len(vocab)
+        rows.append(sorted(vocab[term] for term in types))
+    ids = sorted(doc.caption_id for doc in docs)
+    groups: dict[frozenset, int] = {}
+    return {
+        "vocab": vocab,
+        "indices": [tid for row in rows for tid in row],
+        "indptr": [0] + list(itertools.accumulate(len(row) for row in rows)),
+        "type_counts": [len(row) for row in rows],
+        "caption_rank": [ids.index(doc.caption_id) for doc in docs],
+        "cat_group": [
+            -1 if doc.categories is None
+            else groups.setdefault(doc.categories, len(groups))
+            for doc in docs
+        ],
+    }
+
+
 def oracle_score_txt(doc: CaptionDoc, hyps, idf) -> float:
     types = set(doc.tokens)
     addends = [

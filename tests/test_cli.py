@@ -181,6 +181,38 @@ class TestRetrieveRerank:
         assert "sentence s2" in err and str(dump) in err
         assert not (ws / "output.txt").exists()
 
+    def test_padded_sent_id_in_dump_still_matches(self, ws):
+        # sent_ids are compared without surrounding whitespace
+        self.retrieve(ws)
+        dump = ws / "matches.txt"
+        padded = ws / "padded.txt"
+        padded.write_text(
+            "".join(
+                " " + line.replace(" ||| ", "  ||| ", 1)
+                for line in dump.read_text().splitlines(keepends=True)
+            ),
+            encoding="utf-8",
+        )
+        for matches, out in ((dump, "clean.txt"), (padded, "padded_out.txt")):
+            assert run(
+                "rerank",
+                "--collection", ws / "collection.tsv",
+                "--idf", ws / "idf.txt",
+                "--kbest", ws / "kbest.txt",
+                "--matches", matches,
+                "--out", ws / out,
+            ) == 0
+        assert (ws / "padded_out.txt").read_bytes() == (
+            ws / "clean.txt"
+        ).read_bytes()
+
+    def test_padded_sent_id_in_queries_still_matches(self, ws, capsys):
+        padded = ws / "padded.tsv"
+        padded.write_text("s1 \ti1\n s2\ti2\n", encoding="utf-8")
+        cnn = ("--mode", "cnn", "--features", ws / "features.tsv")
+        assert self.retrieve(ws, *cnn, "--queries", padded) == 0
+        assert "fallbacks: 0 / 2" in capsys.readouterr().out
+
     def assert_two_stage_equals_pipeline(
         self, ws, collection, retrieve_args=(), rerank_args=()
     ):
@@ -400,6 +432,42 @@ class TestPipeline:
         assert self.pipeline(ws, "pipe", "--references", path) == 1
         assert message in capsys.readouterr().err
         assert not (ws / "pipe").exists()
+
+    @pytest.mark.parametrize(
+        "name, mode, lineno, fault",
+        [
+            ("kbest.txt", "txt", 4, "s2 ||| a dog runs ||| x"),
+            ("features.tsv", "cnn", 3, "i3\t60.0 inf"),
+        ],
+        ids=["kbest-last-line", "features-last-line"],
+    )
+    def test_failed_run_leaves_earlier_outputs_whole(
+        self, ws, capsys, name, mode, lineno, fault
+    ):
+        args = (
+            "--mode", mode,
+            "--features", ws / "features.tsv",
+            "--queries", ws / "queries.tsv",
+            "--references", ws / "refs.txt",
+            "--diagnostics",
+        )
+        outputs = ("output.txt", "diagnostics.txt", "config.json", "report.txt")
+        assert self.pipeline(ws, "pipe", *args) == 0
+        before = {out: (ws / "pipe" / out).read_bytes() for out in outputs}
+        bad = ws / "bad" / name
+        bad.parent.mkdir()
+        lines = (ws / name).read_text().splitlines()
+        bad.write_text("\n".join(lines[:-1] + [fault]) + "\n")
+        flag = "--" + name.split(".")[0]  # the last --kbest/--features wins
+        capsys.readouterr()
+        assert self.pipeline(ws, "pipe", *args, flag, bad) == 1
+        assert f"error: {bad}:{lineno}: " in capsys.readouterr().err
+        assert {
+            out: (ws / "pipe" / out).read_bytes() for out in outputs
+        } == before
+        assert sorted(p.name for p in (ws / "pipe").iterdir()) == sorted(
+            outputs
+        )
 
     def test_worker_count_does_not_change_output(self, ws):
         self.pipeline(ws, "w1", "--workers", "1")

@@ -13,7 +13,7 @@ from tsr import (
     load_features,
     save_collection,
 )
-from oracles import FixedIdf
+from oracles import FixedIdf, oracle_index
 
 
 def make_docs():
@@ -66,6 +66,44 @@ def test_matrix_rows_reflect_types_exactly():
             ids = [coll.vocab[t] for t in got]
             assert ids == sorted(set(ids))
         assert coll.matrix.data.tolist() == [1.0] * coll.matrix.nnz
+
+
+def record(doc):
+    fields = [doc.caption_id, doc.image_id, " ".join(doc.tokens)]
+    if doc.categories is not None:
+        fields.append(",".join(sorted(doc.categories)))
+    return "\t".join(fields)
+
+
+def test_index_equals_oracle_on_random_collections():
+    rng = np.random.default_rng(23)
+    vocab = [f"t{i}" for i in range(30)]
+    cat_sets = [None, frozenset({"dog"}), frozenset({"dog", "person"}),
+                frozenset({"cat"}), frozenset({"cat", "dog", "person"})]
+    for _ in range(40):
+        n = int(rng.integers(1, 80))
+        docs = [
+            CaptionDoc(
+                f"c{int(num)}",
+                f"img{int(rng.integers(0, 6))}",
+                tuple(str(t) for t in rng.choice(
+                    vocab, size=int(rng.integers(1, 8))
+                )),
+                cat_sets[int(rng.integers(0, len(cat_sets)))],
+            )
+            for num in rng.permutation(n)
+        ]
+        lines = [record(doc) for doc in docs]
+        lines.insert(int(rng.integers(0, n + 1)), "c-empty\timg0\t \tdog")
+        want = oracle_index(docs)
+        for coll in (Collection(docs), ingest_collection(lines, True)):
+            assert coll.docs == docs
+            assert coll.vocab == want["vocab"]
+            assert coll.matrix.indices.tolist() == want["indices"]
+            assert coll.matrix.indptr.tolist() == want["indptr"]
+            assert coll.type_counts.tolist() == want["type_counts"]
+            assert coll.caption_rank.tolist() == want["caption_rank"]
+            assert coll.cat_group.tolist() == want["cat_group"]
 
 
 def test_duplicate_caption_id_rejected(tmp_path):
@@ -151,9 +189,8 @@ def test_feature_store_basics():
     feats = FeatureStore({"i1": [0.0, 1.0], "i2": [3.0, 4.0]})
     assert feats.dim == 2
     assert len(feats) == 2
-    assert "i1" in feats and "i3" not in feats
+    assert feats.row_of("i1") == 0 and feats.row_of("i3") is None
     assert feats.matrix[feats.row_of("i2")].tolist() == [3.0, 4.0]
-    assert feats.row_of("i3") is None
 
 
 def test_feature_store_empty():

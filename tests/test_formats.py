@@ -100,13 +100,16 @@ ARTIFACTS = {
         IdfTable.load,
         ["N=4", "a\t4", "dog\t1", "man\t2"],
         {"no tab": lambda l: l.replace("\t", " "),
-         "bad df": lambda l: l.split("\t")[0] + "\tx"},
+         "bad df": lambda l: l.split("\t")[0] + "\tx",
+         "df above N": lambda l: l.split("\t")[0] + "\t99",
+         "df zero": lambda l: l.split("\t")[0] + "\t0"},
     ),
     "collection": (
         load_collection,
         ["c1\ti1\ta man\tperson", "c2\ti1\ta horse", "c3\ti2\tthe dog\tdog"],
         {"no tabs": lambda l: l.replace("\t", " "),
-         "empty caption": lambda l: "\t".join(l.split("\t")[:2] + [" "])},
+         "empty caption": lambda l: "\t".join(l.split("\t")[:2] + [" "]),
+         "empty caption_id": lambda l: "\t" + l.split("\t", 1)[1]},
     ),
     "kbest": (
         read_kbest,
@@ -120,7 +123,9 @@ ARTIFACTS = {
         ["i1\t0.0 1.0", "i2\t3.0 4.0", "i3\t-1 2e3"],
         {"no tab": lambda l: l.replace("\t", " "),
          "bad component": lambda l: l + "x",
-         "empty vector": lambda l: l.split("\t")[0] + "\t "},
+         "empty vector": lambda l: l.split("\t")[0] + "\t ",
+         "infinite": lambda l: l.split("\t")[0] + "\t0.0 inf",
+         "float32 overflow": lambda l: l.split("\t")[0] + "\t1e39 0.0"},
     ),
     "queries": (
         read_queries,
@@ -147,6 +152,21 @@ def test_corrupted_line_fails_with_its_location(tmp_path, name, kind):
         path.write_text("\n".join(broken) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
             read(path)
+
+
+def test_idf_header_below_one_names_the_file(tmp_path):
+    path = tmp_path / "idf.txt"
+    path.write_text("N=0\na\t1\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        IdfTable.load(path)
+    assert str(err.value) == f"{path}: doc_count must be positive"
+
+
+def test_library_records_check_themselves():
+    with pytest.raises(ValueError, match="^empty caption_id or image_id$"):
+        CaptionDoc("", "i1", ("a",))
+    with pytest.raises(ValueError, match="^image 'b': vector length 2 != 1"):
+        FeatureStore({"a": [1.0], "b": [1.0, 2.0]})
 
 
 def comparable(loaded):
