@@ -50,9 +50,9 @@ print(f"\n{coll!r}")
 # caption; retrieval scores every caption with one sparse product.
 terms = {tid: term for term, tid in coll.vocab.items()}
 print("\nindex rows (each caption's term types):")
-for i, doc in enumerate(coll.docs):
+for i, caption_id in enumerate(coll.caption_ids):
     row = coll.matrix.indices[coll.matrix.indptr[i]:coll.matrix.indptr[i + 1]]
-    print(f"  {doc.caption_id} -> {[terms[int(t)] for t in row]}")
+    print(f"  {caption_id} -> {[terms[int(t)] for t in row]}")
 
 # Only captions sharing a term with the query can score above zero:
 # multiplying the matrix by the query's term indicator finds them.
@@ -60,5 +60,5 @@ query = {"man", "horse", "zebra"}
 indicator = np.zeros(len(coll.vocab))
 indicator[[coll.vocab[t] for t in query if t in coll.vocab]] = 1.0
 shared = np.flatnonzero(coll.matrix @ indicator)
-hits = [coll.docs[i].caption_id for i in shared]
+hits = [coll.caption_ids[i] for i in shared]
 print(f"\ncaptions sharing a term with {sorted(query)}: {hits}")

@@ -128,9 +128,7 @@ def _load_inputs(
         raise ValueError("cnn mode requires a features path")
     idf_table = IdfTable.load(idf)
     coll = load_collection(collection, skip_empty=skip_empty)
-    if mode == "hca" and not any(
-        doc.categories is not None for doc in coll.docs
-    ):
+    if mode == "hca" and not (coll.cat_group >= 0).any():
         raise ValueError("hca mode requires category annotations")
     feats = load_features(features) if mode == "cnn" else None
     return idf_table, coll, feats, read_queries(queries) if queries else {}
@@ -180,7 +178,7 @@ def cmd_build_index(args) -> int:
     coll = load_collection(args.collection, skip_empty=args.skip_empty)
     save_collection(coll, args.out)
     print(f"captions: {len(coll)}")
-    print(f"images: {len({doc.image_id for doc in coll.docs})}")
+    print(f"images: {len(set(coll.image_ids))}")
     print(f"terms: {len(coll.vocab)}")
     return 0
 

@@ -10,25 +10,35 @@ record per line:
 with the fourth field optional. Feature files carry one image embedding
 per line as ``image_id<TAB>f1 f2 ... fD`` with a constant D per file.
 
+A Collection is held as columns, not as one object per caption: the
+caption ids and image ids as lists of str, every caption's term ids in
+token order as one int32 array cut by an offsets array, and one
+category group id per doc (-1 for none) into the list of distinct
+category sets, numbered by first appearance. ``CaptionDoc`` objects are
+made from these columns only when asked for.
+
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
-product. Each row holds its doc's term ids in ascending order; term ids
-are assigned in a deterministic order (sorted within each doc, docs in
-file order) so that score accumulation order, and therefore every
-output byte, is reproducible across runs.
+product. Each row holds its doc's term ids in ascending order. Term ids
+are ordered by (first doc holding the term, term string), the order a
+walk over the docs in file order, each doc's types sorted, assigns
+them; so score accumulation order, and therefore every output byte, is
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .textcore import read_records, write_lines
+from .textcore import line_prefix, read_records, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -37,10 +47,26 @@ class EmptyCaption(ValueError):
     """A caption without tokens; ingest_collection may skip these."""
 
 
+def check_record(
+    caption_id: str,
+    image_id: str,
+    tokens: Sequence[str],
+    categories: frozenset[str] | None,
+) -> None:
+    """The rules of one caption record: ids, tokens and a given category
+    set must be non-empty; EmptyCaption when only the tokens are."""
+    if not caption_id or not image_id:
+        raise ValueError("empty caption_id or image_id")
+    if not tokens:
+        raise EmptyCaption(f"empty caption {caption_id!r}")
+    if categories is not None and not categories:
+        raise ValueError(f"empty category set on caption {caption_id!r}")
+
+
 @dataclass(frozen=True)
 class CaptionDoc:
-    """One caption of one image, with optional category annotations.
-    Ids, tokens and a given category set must be non-empty."""
+    """One caption of one image, with optional category annotations,
+    checked by check_record."""
 
     caption_id: str
     image_id: str
@@ -48,96 +74,169 @@ class CaptionDoc:
     categories: frozenset[str] | None = None
 
     def __post_init__(self):
-        if not self.caption_id or not self.image_id:
-            raise ValueError("empty caption_id or image_id")
-        if not self.tokens:
-            raise EmptyCaption(f"empty caption {self.caption_id!r}")
-        if self.categories is not None and not self.categories:
-            raise ValueError(
-                f"empty category set on caption {self.caption_id!r}"
+        check_record(
+            self.caption_id, self.image_id, self.tokens, self.categories
+        )
+
+
+@dataclass
+class Columns:
+    """Checked caption records before indexing. Term ids are provisional:
+    given in order of first appearance in the token stream."""
+
+    caption_ids: list[str]
+    image_ids: list[str]
+    lengths: np.ndarray  # token count per doc
+    tokens: np.ndarray  # provisional term id per token, docs in order
+    terms: list[str]  # term per provisional id
+    group: np.ndarray  # category group id per doc, -1 for none
+    group_sets: list[frozenset[str]]
+    where: Callable[[int], str] = lambda i: ""  # error prefix of doc i
+
+    @classmethod
+    def of(cls, records: Iterable[tuple]) -> Columns:
+        """Columns of checked (caption_id, image_id, tokens, categories)."""
+        ids, images, lengths, tokens, group = [], [], [], [], []
+        term_ids = defaultdict(itertools.count().__next__)
+        group_ids: dict[frozenset[str], int] = {}
+        add_tokens, term_id = tokens.extend, term_ids.__getitem__
+        for caption_id, image_id, toks, cats in records:
+            ids.append(caption_id)
+            images.append(image_id)
+            lengths.append(len(toks))
+            add_tokens(map(term_id, toks))
+            group.append(
+                -1 if cats is None
+                else group_ids.setdefault(cats, len(group_ids))
             )
+        return cls(
+            ids,
+            images,
+            np.array(lengths, dtype=np.int64),
+            np.array(tokens, dtype=np.int32),
+            list(term_ids),
+            np.array(group, dtype=np.int64),
+            list(group_ids),
+        )
 
 
 class Collection:
     """Immutable indexed collection of caption documents.
 
     Safe for concurrent reads; all derived structures are built once in
-    the constructor.
+    the constructor, from docs or from the columns ingest_collection
+    parsed. Docs are made on demand: equal to the ones passed in, not
+    the same objects.
     """
 
-    def __init__(self, docs: Sequence[CaptionDoc]):
-        self.docs = list(docs)
-        n = len(self.docs)
+    def __init__(
+        self, docs: Iterable[CaptionDoc] = (), columns: Columns | None = None
+    ):
+        if columns is None:
+            columns = Columns.of(
+                (d.caption_id, d.image_id, d.tokens, d.categories)
+                for d in docs
+            )
+        self.caption_ids = ids = columns.caption_ids
+        self.image_ids = columns.image_ids
+        n = len(ids)
+        self._id_index = dict(zip(ids, range(n)))
+        if len(self._id_index) < n:
+            seen: set[str] = set()
+            for i, caption_id in enumerate(ids):
+                if caption_id in seen:
+                    where = columns.where(i)
+                    raise ValueError(
+                        f"{where}duplicate caption_id {caption_id!r}"
+                    )
+                seen.add(caption_id)
 
-        self._id_index: dict[str, int] = {}
-        for i, doc in enumerate(self.docs):
-            if doc.caption_id in self._id_index:
-                raise ValueError(f"duplicate caption_id {doc.caption_id!r}")
-            self._id_index[doc.caption_id] = i
-
-        # Type-incidence matrix: one row per doc, one column per term,
-        # entry 1.0 where the term is a type of the doc. Term ids are
-        # assigned on first appearance, iterating each doc's types in
-        # sorted order, which fixes the accumulation order of sparse
-        # matvec products independent of hash seeds.
-        vocab: dict[str, int] = {}
-        indices: list[int] = []
-        indptr = [0]
-        type_counts = np.empty(n, dtype=np.float64)
-        for i, doc in enumerate(self.docs):
-            cols = [
-                vocab.setdefault(term, len(vocab))
-                for term in sorted(set(doc.tokens))
-            ]
-            cols.sort()
-            indices.extend(cols)
-            indptr.append(len(indices))
-            type_counts[i] = len(cols)
-        self.vocab = vocab
-        self.matrix = sparse.csr_matrix(
-            (
-                np.ones(len(indices), dtype=np.float64),
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(n, len(vocab)),
+        # Final term ids order terms by (first doc, term string). Each new
+        # provisional id is one above all ids before it in the token
+        # stream, so first appearances are where the running max grows.
+        self._offsets = np.concatenate(([0], np.cumsum(columns.lengths)))
+        grows = np.diff(np.maximum.accumulate(columns.tokens), prepend=-1) > 0
+        first = np.flatnonzero(grows)  # token position, by provisional id
+        doc_of = np.searchsorted(self._offsets, first, "right") - 1
+        terms, first_doc = columns.terms, doc_of.tolist()
+        order = sorted(
+            range(len(terms)), key=lambda p: (first_doc[p], terms[p])
         )
-        self.type_counts = type_counts
+        self.vocab = {terms[p]: i for i, p in enumerate(order)}
+        self._term_of = np.array(list(self.vocab), dtype=object)
+        final = np.empty(len(order), dtype=np.int32)
+        final[order] = np.arange(len(order), dtype=np.int32)
+        self._tokens = final[columns.tokens]
+        self.matrix, counts = _type_incidence(
+            columns.lengths, self._tokens, len(order)
+        )
+        self.type_counts = counts.astype(np.float64)
 
         # Rank of each doc's caption_id in lexicographic order, used as
-        # the deterministic tie-break key when scores are equal.
-        order = sorted(range(n), key=lambda i: self.docs[i].caption_id)
-        rank = np.empty(n, dtype=np.int64)
-        for pos, i in enumerate(order):
-            rank[i] = pos
-        self.caption_rank = rank
+        # the deterministic tie-break key when scores are equal. A numpy
+        # string sort would tie ids that differ only by trailing NULs.
+        self.caption_rank = np.empty(n, dtype=np.int64)
+        self.caption_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
         # Category sets mapped to small group ids; -1 marks docs with
         # no annotations (they can never satisfy a strict-equality gate).
-        self._cat_groups: dict[frozenset[str], int] = {}
-        cat_group = np.full(n, -1, dtype=np.int64)
-        for i, doc in enumerate(self.docs):
-            if doc.categories is not None:
-                gid = self._cat_groups.setdefault(
-                    doc.categories, len(self._cat_groups)
-                )
-                cat_group[i] = gid
-        self.cat_group = cat_group
+        self.cat_group = columns.group
+        self._cat_groups = dict(zip(columns.group_sets, itertools.count()))
+        # Indexed by group id; group -1 reads the None at the end.
+        self._categories = [*columns.group_sets, None]
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.caption_ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Collection):
             return NotImplemented
-        return self.docs == other.docs
+        # Term ids and group ids follow from the docs alone, so equal
+        # docs give equal columns, and equal columns equal docs.
+        return (
+            self.caption_ids == other.caption_ids
+            and self.image_ids == other.image_ids
+            and self.vocab == other.vocab
+            and self._categories == other._categories
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._tokens, other._tokens)
+            and np.array_equal(self.cat_group, other.cat_group)
+        )
 
     def __repr__(self) -> str:
-        images = len({doc.image_id for doc in self.docs})
         return (
-            f"Collection(docs={len(self.docs)}, images={images},"
+            f"Collection(docs={len(self)}, images={len(set(self.image_ids))},"
             f" terms={len(self.vocab)})"
         )
+
+    @property
+    def docs(self) -> list[CaptionDoc]:
+        """Every doc, made anew on each access."""
+        return self.docs_at(np.arange(len(self)))
+
+    def docs_at(self, rows: Sequence[int]) -> list[CaptionDoc]:
+        """The docs at the given indices, made in one batch."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ids, images, cats = self.caption_ids, self.image_ids, self._categories
+        return [
+            CaptionDoc(ids[i], images[i], tokens, cats[g])
+            for i, tokens, g in zip(
+                rows.tolist(),
+                self._token_tuples(rows),
+                self.cat_group[rows].tolist(),
+            )
+        ]
+
+    def _token_tuples(self, rows: np.ndarray) -> Iterator[tuple[str, ...]]:
+        """The tokens of each doc in rows, with one gather of term ids."""
+        starts = self._offsets[rows]
+        ends = np.cumsum(self._offsets[rows + 1] - starts)
+        # Gathered position j of doc d reads token starts[d] + j - base[d].
+        base = np.concatenate(([0], ends[:-1]))
+        at = np.arange(ends[-1] if ends.size else 0)
+        at += np.repeat(starts - base, ends - base)
+        words = tuple(self._term_of[self._tokens[at]].tolist())
+        return (words[a:b] for a, b in zip(base.tolist(), ends.tolist()))
 
     def index_of(self, caption_id: str) -> int:
         """Doc index of a caption_id; KeyError if unknown."""
@@ -146,6 +245,33 @@ class Collection:
     def category_group(self, categories: Iterable[str]) -> int | None:
         """Group id of an exact category set; None if no doc carries it."""
         return self._cat_groups.get(frozenset(categories))
+
+
+def _type_incidence(
+    lengths: np.ndarray, tokens: np.ndarray, n_terms: int
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The docs-by-terms matrix with 1.0 where a term is a type of a doc,
+    and each doc's type count. One sort of the (doc, term) keys orders
+    every row by term id; int64, as docs times terms outgrows int32. A
+    function of its own so that its key arrays are freed on return,
+    before the constructor's next pass: that bounds the load's peak
+    memory."""
+    n = lengths.size
+    width = max(n_terms, 1)
+    keys = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys *= width
+    keys += tokens
+    keys.sort()
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    counts = np.bincount(keys // width, minlength=n)
+    keys %= width  # each type's term id
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    matrix = sparse.csr_matrix(
+        (np.ones(keys.size), keys, indptr), shape=(n, n_terms)
+    )
+    return matrix, counts
 
 
 def parse_categories(field: str) -> frozenset[str] | None:
@@ -164,26 +290,33 @@ def ingest_collection(
     Errors and warnings locate the record as ``<file>:<line>`` when
     lines is a path or an open file, as ``line <line>`` otherwise.
     """
-    docs: list[CaptionDoc] = []
-    seen: set[str] = set()
-    for where, fields in read_records(
-        lines, "\t", (3, 4), "expected 3 or 4 tab-separated fields, got {n}"
-    ):
-        cats = parse_categories(fields[3]) if len(fields) == 4 else None
-        try:
-            doc = CaptionDoc(*fields[:2], tuple(fields[2].split()), cats)
-        except ValueError as exc:
-            if not (skip_empty and isinstance(exc, EmptyCaption)):
-                raise ValueError(f"{where}: {exc}") from None
-            log.warning("%s: skipping %s", where, exc)
-            continue
-        if doc.caption_id in seen:
-            raise ValueError(
-                f"{where}: duplicate caption_id {doc.caption_id!r}"
-            )
-        seen.add(doc.caption_id)
-        docs.append(doc)
-    return Collection(docs)
+    prefix = line_prefix(lines)
+    kept = array("q")  # line number of each kept record
+
+    def records():
+        for lineno, fields in read_records(
+            lines,
+            "\t",
+            (3, 4),
+            "expected 3 or 4 tab-separated fields, got {n}",
+            numbered=True,
+        ):
+            tokens = fields[2].split()
+            cats = parse_categories(fields[3]) if len(fields) == 4 else None
+            try:
+                check_record(fields[0], fields[1], tokens, cats)
+            except ValueError as exc:
+                where = f"{prefix}{lineno}"
+                if not (skip_empty and isinstance(exc, EmptyCaption)):
+                    raise ValueError(f"{where}: {exc}") from None
+                log.warning("%s: skipping %s", where, exc)
+                continue
+            kept.append(lineno)
+            yield fields[0], fields[1], tokens, cats
+
+    columns = Columns.of(records())
+    columns.where = lambda i: f"{prefix}{kept[i]}: "
+    return Collection(columns=columns)
 
 
 def load_collection(path, skip_empty: bool = False) -> Collection:
@@ -196,15 +329,18 @@ def save_collection(coll: Collection, path) -> None:
     Loading the result reproduces an equal Collection with the same term
     ids and index matrix.
     """
-
-    def lines():
-        for doc in coll.docs:
-            fields = [doc.caption_id, doc.image_id, " ".join(doc.tokens)]
-            if doc.categories is not None:
-                fields.append(",".join(sorted(doc.categories)))
-            yield "\t".join(fields)
-
-    write_lines(path, lines())
+    # The fourth field of each group, then "" that group -1 reads.
+    cats = [f"\t{','.join(sorted(c))}" for c in coll._categories[:-1]] + [""]
+    lines = (
+        f"{caption_id}\t{image_id}\t{' '.join(tokens)}{cats[g]}"
+        for caption_id, image_id, tokens, g in zip(
+            coll.caption_ids,
+            coll.image_ids,
+            coll._token_tuples(np.arange(len(coll))),
+            coll.cat_group.tolist(),
+        )
+    )
+    write_lines(path, lines)
 
 
 class FeatureStore:

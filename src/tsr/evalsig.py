@@ -156,11 +156,12 @@ def read_sentence_file(path) -> tuple[list[str] | None, list[list[str]]]:
 
     Two layouts are accepted: plain one-sentence-per-line token text
     (returns ids None), or ``sent_id ||| tokens`` lines (returns the id
-    list). Mixing layouts within one file, and repeating a sent_id, are
-    errors.
+    list). Mixing layouts within one file, and repeating a sent_id
+    (compared stripped), fail naming the line.
     """
     ids: list[str] = []
     sentences: list[list[str]] = []
+    seen: set[str] = set()
     tagged: bool | None = None
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -176,12 +177,16 @@ def read_sentence_file(path) -> tuple[list[str] | None, list[list[str]]]:
                     f"{path}:{lineno}: mixed plain and sent_id ||| layouts"
                 )
             if is_tagged:
-                ids.append(parts[0].strip())
+                sent_id = parts[0].strip()
+                if sent_id in seen:
+                    raise ValueError(
+                        f"{path}:{lineno}: duplicate sent_id {sent_id!r}"
+                    )
+                seen.add(sent_id)
+                ids.append(sent_id)
                 sentences.append(parts[1].split())
             else:
                 sentences.append(line.split())
-    if tagged and len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate sent_ids")
     return (ids if tagged else None), sentences
 
 

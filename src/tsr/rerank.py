@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Iterable, Sequence
 
 from .retrieval import (
@@ -65,18 +68,34 @@ def relevance_score(
     empty match list scores 0, so reranking degenerates gracefully to
     the decoder order.
     """
-    if not matches.matches:
-        return 0.0
-    counts = Counter(tokens)
+    return _relevance(tokens, *_match_types(matches, idf))
+
+
+def _match_types(matches: MatchList, idf) -> tuple[list[str], dict, int]:
+    """What relevance needs of a match list, for any hypothesis: each
+    matched caption's sorted types, in match order; the idf weight of
+    each type; and the summed token count of the matched captions."""
+    types = [sorted(set(doc.tokens)) for doc, _ in matches.matches]
+    weight = {term: idf.idf(term) for term in set().union(*types)}
     total_tokens = sum(len(doc.tokens) for doc, _ in matches.matches)
+    return [term for row in types for term in row], weight, total_tokens
+
+
+def _relevance(
+    tokens: Sequence[str], terms: list[str], weight: dict, total_tokens: int
+) -> float:
+    """relevance_score from _match_types' output. The addends are summed
+    strictly left to right over the types in match order; a type the
+    tokens lack adds an exact 0.0, which leaves the sum's bits as they
+    are. (sum() may compensate rounding, so it is not used.)"""
     if total_tokens == 0:
         return 0.0
-    acc = 0.0
-    for doc, _ in matches.matches:
-        for term in sorted(set(doc.tokens)):
-            c = counts.get(term)
-            if c:
-                acc += c * idf.idf(term)
+    addend = {
+        term: count * weight[term]
+        for term, count in Counter(tokens).items()
+        if term in weight
+    }
+    acc = reduce(add, map(addend.get, terms, repeat(0.0)), 0.0)
     return acc / total_tokens
 
 
@@ -91,9 +110,10 @@ def select_best(
     ties."""
     if params is None:
         params = RerankParams()
+    types = _match_types(matches, idf)
     best: RerankedOutput | None = None
     for rank, hyp in enumerate(rbest.hyps[: params.k_r], start=1):
-        rel = relevance_score(hyp.tokens, matches, idf)
+        rel = _relevance(hyp.tokens, *types)
         combined = hyp.decoder_score + params.interp_weight * rel
         if best is None or combined > best.combined_score:
             best = RerankedOutput(rbest.sent_id, hyp, combined, rel, rank)

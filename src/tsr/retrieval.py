@@ -173,7 +173,7 @@ class Retriever:
         self.weights = weights
         self._img_row = np.full(len(coll), -1, dtype=np.int64)
         if feats is not None and len(feats):
-            self._img_row = feats.rows_of(doc.image_id for doc in coll.docs)
+            self._img_row = feats.rows_of(coll.image_ids)
 
     def _query_counts(self, hyps: Sequence[Hypothesis]) -> np.ndarray:
         counts = np.zeros(len(self.coll.vocab), dtype=np.float64)
@@ -209,7 +209,7 @@ class Retriever:
         pos = np.flatnonzero(positive)
         order = np.lexsort((self.coll.caption_rank[pos], -scores[pos]))
         top = pos[order[:k_m]]
-        return [(self.coll.docs[i], float(scores[i])) for i in top]
+        return list(zip(self.coll.docs_at(top), scores[top].tolist()))
 
     def retrieve(
         self,
@@ -387,11 +387,13 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
     """
     lists: list[MatchList] = []
     for sent_id, run in _sentence_runs(_match_records(path)):
-        ml = None
-        for where, _, caption_id, score, flag in run:
-            if ml is None:
-                ml = MatchList(sent_id, [], flag)
-            elif flag != ml.used_fallback:
+        flag = None
+        rows: list[int] = []
+        scores: list[float] = []
+        for where, _, caption_id, score, line_flag in run:
+            if flag is None:
+                flag = line_flag
+            elif line_flag != flag:
                 raise ValueError(
                     f"{where}: fallback flag differs within"
                     f" sentence {sent_id}"
@@ -403,13 +405,14 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
                     f"{where}: match score must be finite and positive"
                 )
             try:
-                doc = coll.docs[coll.index_of(caption_id)]
+                rows.append(coll.index_of(caption_id))
             except KeyError:
                 raise ValueError(
                     f"{where}: unknown caption_id {caption_id!r}"
                 ) from None
-            ml.matches.append((doc, score))
-        lists.append(ml)
+            scores.append(score)
+        matches = list(zip(coll.docs_at(rows), scores))
+        lists.append(MatchList(sent_id, matches, flag))
     return lists
 
 

@@ -28,21 +28,33 @@ def read_token_lines(path) -> Iterator[list[str]]:
             yield line.split()
 
 
+def line_prefix(source) -> str:
+    """What read_records puts before a line number of source."""
+    path = isinstance(source, (str, os.PathLike))
+    name = source if path else getattr(source, "name", None)
+    return "line " if name is None else f"{name}:"
+
+
 def read_records(
-    source, sep: str, counts: Container[int], message: str, header=False
+    source,
+    sep: str,
+    counts: Container[int],
+    message: str,
+    header=False,
+    numbered=False,
 ) -> Iterator[tuple[str, list[str]]]:
     """Yield ``(where, fields)`` per line of a file path (read as UTF-8)
     or an iterable of lines, skipping whitespace-only lines. Each line,
     less its newline, is split on sep and needs a field count in counts,
     else ValueError ``<where>: <message>``, ``{n}`` in message being the
     count. where is ``<file>:<line>``, or ``line <line>`` for a source
-    without a name. With header set, the raw first line comes first,
-    unchecked, as ``(where, [line])``."""
+    without a name; with numbered set, the bare line number instead.
+    With header set, the raw first line comes first, unchecked, as
+    ``(where, [line])``."""
+    prefix = line_prefix(source)
     path = isinstance(source, (str, os.PathLike))
     context = open(source, encoding="utf-8") if path else nullcontext(source)
     with context as src:
-        name = getattr(src, "name", None)
-        prefix = "line " if name is None else f"{name}:"
         lines = iter(src)
         if header:
             yield f"{prefix}1", [next(lines, "")]
@@ -50,10 +62,10 @@ def read_records(
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(sep)
-            where = f"{prefix}{lineno}"
             if len(fields) not in counts:
+                where = f"{prefix}{lineno}"
                 raise ValueError(f"{where}: " + message.format(n=len(fields)))
-            yield where, fields
+            yield lineno if numbered else f"{prefix}{lineno}", fields
 
 
 def write_lines(path, lines: Iterable[str]) -> None:

@@ -249,7 +249,7 @@ def test_handworked_scoring_fixtures():
     retriever = Retriever(Collection([cand]), idf, feats)
     params = RetrievalParams(distance_weight=0.01, distance_cutoff=90.0)
     (txt,) = retriever.retrieve(kbest, "q", None, "txt", params).matches
-    assert txt[0] is cand
+    assert txt[0] == cand
     assert abs(txt[1] - 2.05) <= 1e-12
 
     cnn = retriever.retrieve(kbest, "q", None, "cnn", params)

@@ -418,7 +418,10 @@ class TestPipeline:
         [
             (None, "No such file"),
             ("s1 ||| a man\n", "references missing sentences: s2"),
-            (REFS_KEYED + "s1 ||| a man\n", "refs.txt: duplicate sent_ids"),
+            (
+                REFS_KEYED + "s1 ||| a man\n",
+                "refs.txt:3: duplicate sent_id 's1'",
+            ),
         ],
         ids=["missing-file", "missing-sentence", "duplicate-id"],
     )
@@ -589,7 +592,7 @@ class TestTune:
         refs = ws / "refs.txt"
         refs.write_text(REFS_KEYED + "s1 ||| a man\n", encoding="utf-8")
         assert self.tune(ws, SMALL_GRID, "--best-out", ws / "best.json") == 1
-        assert f"{refs}: duplicate sent_ids" in capsys.readouterr().err
+        assert f"{refs}:3: duplicate sent_id 's1'" in capsys.readouterr().err
         assert not (ws / "best.json").exists()
 
     def test_txt_mode_never_reads_features(self, ws):

@@ -106,6 +106,96 @@ def test_index_equals_oracle_on_random_collections():
             assert coll.cat_group.tolist() == want["cat_group"]
 
 
+def test_order_keeps_strings_numpy_would_conflate(tmp_path):
+    """Ids and terms that differ only by trailing NULs, or by code points
+    beyond one byte, order as Python strings do on every route."""
+    rng = np.random.default_rng(5)
+    names = ["a", "a\x00", "\x00", "a\x00\x00", "é", "e\u0301", "𝔞", "b"]
+
+    def draw(lo, hi):  # by index: numpy's own strings would drop the NULs
+        picks = rng.integers(0, len(names), rng.integers(lo, hi))
+        return [names[i] for i in picks]
+
+    for _ in range(20):
+        ids = dict.fromkeys("".join(draw(1, 3)) for _ in range(30))
+        docs = [CaptionDoc(cid, "img", tuple(draw(1, 5))) for cid in ids]
+        want = oracle_index(docs)
+        path = tmp_path / "coll.tsv"
+        path.write_text("".join(record(d) + "\n" for d in docs), "utf-8")
+        for coll in (
+            Collection(docs),
+            ingest_collection([record(d) for d in docs]),
+            load_collection(path),
+        ):
+            assert coll.docs == docs
+            assert coll.vocab == want["vocab"]
+            assert coll.matrix.indices.tolist() == want["indices"]
+            assert coll.matrix.indptr.tolist() == want["indptr"]
+            assert coll.caption_rank.tolist() == want["caption_rank"]
+
+
+def test_repeated_caption_id_names_its_line(tmp_path):
+    """A caption id repeated at a random later line fails naming that
+    line; blank lines and skipped empty captions keep line numbers and
+    doc indices apart."""
+    rng = np.random.default_rng(17)
+    fillers = ["", "  ", "c-empty\timg\t "]
+    for trial in range(30):
+        n = int(rng.integers(2, 40))
+        docs = [
+            CaptionDoc(f"c{i}", "img", ("a", f"t{int(rng.integers(9))}"))
+            for i in range(n)
+        ]
+        cid = docs[int(rng.integers(0, n - 1))].caption_id
+        repeat = int(rng.integers(int(cid[1:]) + 1, n))
+        docs[repeat] = CaptionDoc(cid, "img-repeat", ("b",))
+        lines = [record(d) for d in docs]
+        for _ in range(int(rng.integers(0, 4))):
+            at = int(rng.integers(0, len(lines) + 1))
+            lines.insert(at, fillers[int(rng.integers(0, len(fillers)))])
+        lineno = lines.index(record(docs[repeat])) + 1
+        message = f"duplicate caption_id {cid!r}"
+        with pytest.raises(ValueError) as err:
+            ingest_collection(lines, skip_empty=True)
+        assert str(err.value) == f"line {lineno}: {message}"
+        path = tmp_path / f"dup{trial}.tsv"
+        path.write_text("".join(line + "\n" for line in lines), "utf-8")
+        with pytest.raises(ValueError) as err:
+            load_collection(path, skip_empty=True)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+        with pytest.raises(ValueError) as err:
+            Collection(docs)
+        assert str(err.value) == message
+
+
+def test_index_keys_beyond_int32(tmp_path):
+    """Docs times terms above 2**31: every row still holds exactly its
+    doc's types, ascending, and both routes build the same index."""
+    rng = np.random.default_rng(31)
+    words = [f"w{i}" for i in range(40_000)]
+    draws = rng.integers(0, len(words), size=(60_000, 4)).tolist()
+    docs = [
+        CaptionDoc(f"c{i}", f"img{i // 5}", tuple(words[w] for w in row))
+        for i, row in enumerate(draws)
+    ]
+    coll = Collection(docs)
+    assert len(coll) * len(coll.vocab) > 2**31
+    matrix = coll.matrix
+    for i, row in enumerate(draws):
+        got = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]].tolist()
+        assert got == sorted({coll.vocab[words[w]] for w in row})
+    assert coll.type_counts.tolist() == np.diff(matrix.indptr).tolist()
+    path = tmp_path / "wide.tsv"
+    save_collection(coll, path)
+    loaded = load_collection(path)
+    assert loaded.vocab == coll.vocab
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(loaded.matrix, name), getattr(matrix, name)
+        assert np.array_equal(got, want)
+    assert np.array_equal(loaded.caption_rank, coll.caption_rank)
+    assert np.array_equal(loaded.type_counts, coll.type_counts)
+
+
 def test_duplicate_caption_id_rejected(tmp_path):
     lines = ["c1\timg1\ta dog", "c1\timg2\ta cat"]
     with pytest.raises(ValueError, match="line 2.*c1"):
@@ -183,6 +273,33 @@ def test_round_trip_preserves_collection(tmp_path):
         )
     save_collection(loaded, tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+
+def test_equality_is_equality_of_docs():
+    rng = np.random.default_rng(3)
+    cats = [None, frozenset({"dog"}), frozenset({"cat"})]
+
+    def doc(i):
+        tokens = tuple(f"t{t}" for t in rng.integers(0, 4, rng.integers(1, 4)))
+        return CaptionDoc(f"c{i}", f"i{i % 2}", tokens, cats[i % 3])
+
+    for _ in range(200):
+        a = [doc(i) for i in range(int(rng.integers(0, 5)))]
+        b = list(a)
+        if b and rng.random() < 0.7:
+            at = int(rng.integers(0, len(b)))
+            fields = dict(vars(b[at]))
+            key = ["caption_id", "image_id", "tokens", "categories"][
+                int(rng.integers(0, 4))
+            ]
+            fields[key] = {
+                "caption_id": "x",
+                "image_id": "j",
+                "tokens": doc(at).tokens,
+                "categories": cats[int(rng.integers(0, 3))],
+            }[key]
+            b[at] = CaptionDoc(**fields)
+        assert (Collection(a) == Collection(b)) == (a == b)
 
 
 def test_feature_store_basics():

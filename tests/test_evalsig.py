@@ -254,7 +254,7 @@ class TestSentenceFiles:
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         a.write_text("s1 ||| x\ns2 ||| y\n", encoding="utf-8")
-        b.write_text("s1 ||| q\ns1 ||| r\n", encoding="utf-8")
+        b.write_text("s1 ||| q\ns2 ||| q\n s1  ||| r\n", encoding="utf-8")
         for read in (
             lambda: read_sentence_file(b),
             lambda: align_sentences([a, b]),
@@ -262,7 +262,7 @@ class TestSentenceFiles:
         ):
             with pytest.raises(ValueError) as err:
                 read()
-            assert str(err.value) == f"{b}: duplicate sent_ids"
+            assert str(err.value) == f"{b}:3: duplicate sent_id 's1'"
 
     def test_align_by_key_uses_first_file_order(self, tmp_path):
         a = tmp_path / "a.txt"
