@@ -57,7 +57,8 @@ params = RetrievalParams(k_n=300, k_m=5, distance_weight=0.01,
 def show(label, ml):
     flag = " (fallback)" if ml.used_fallback else ""
     print(f"{label}{flag}:")
-    for doc, score in ml.matches:
+    for row, score in ml.matches:
+        doc = docs[row]  # a match names its caption by collection row
         print(f"  {doc.caption_id}  {score:8.4f}  {' '.join(doc.tokens)}")
 
 

@@ -78,8 +78,9 @@ for mode, rparams, rrparams in (
      RerankParams(k_r=5, interp_weight=70e4)),
 ):
     ml = retriever.retrieve(kbest, "query", None, mode, rparams)
-    out = select_best(kbest, ml, idf, rrparams)
-    print(f"\n{mode}: retrieved {[d.caption_id for d, _ in ml.matches]}")
+    out = select_best(kbest, ml, retriever, rrparams)
+    retrieved = [docs[row].caption_id for row, _ in ml.matches]
+    print(f"\n{mode}: retrieved {retrieved}")
     print(f"{mode}: chose rank {out.decoder_rank_of_chosen}"
           f" (relevance {out.relevance:.4f}):"
           f" {' '.join(out.chosen.tokens)}")

@@ -154,11 +154,11 @@ def _retrieve(retriever: Retriever, queries, mode: str, params, kb):
         ) from exc
 
 
-def _rerank(kb, ml, idf, params):
+def _rerank(kb, ml, retriever: Retriever, params):
     """One sentence's reranked output and its match list's fallback
     flag; a failure names the sentence."""
     try:
-        out = select_best(kb, ml, idf, params)
+        out = select_best(kb, ml, retriever, params)
     except Exception as exc:
         raise RuntimeError(
             f"rerank stage failed on sentence {kb.sent_id}: {exc}"
@@ -193,7 +193,7 @@ def cmd_retrieve(args) -> int:
     kbests = read_kbest(args.kbest)
     work = functools.partial(_retrieve, retriever, queries, args.mode, params)
     matchlists = _run_sentences(work, kbests, args.workers)
-    write_matchlists(matchlists, args.out)
+    write_matchlists(matchlists, coll, args.out)
     fallbacks = sum(ml.used_fallback for ml in matchlists)
     print(f"sentences: {len(matchlists)}")
     print(f"fallbacks: {fallbacks} / {len(matchlists)}")
@@ -202,7 +202,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_rerank(args) -> int:
     coll = load_collection(args.collection)
-    idf = IdfTable.load(args.idf)
+    retriever = Retriever(coll, IdfTable.load(args.idf))
     kbests = read_kbest(args.kbest)
     matchlists = {
         ml.sent_id: ml for ml in read_matchlists(args.matches, coll)
@@ -215,7 +215,7 @@ def cmd_rerank(args) -> int:
             raise ValueError(
                 f"{args.matches}: no match list for sentence {kb.sent_id}"
             )
-        results.append(_rerank(kb, ml, idf, params))
+        results.append(_rerank(kb, ml, retriever, params))
     write_output([out for out, _ in results], args.out)
     if args.diagnostics:
         write_diagnostics(results, args.diagnostics)
@@ -269,7 +269,7 @@ def cmd_pipeline(args) -> int:
 
     def work(kb):
         ml = _retrieve(retriever, queries, mode, retrieval_params, kb)
-        return _rerank(kb, ml, idf, rerank_params)
+        return _rerank(kb, ml, retriever, rerank_params)
 
     results = _run_sentences(work, kbests, cfg["workers"])
 

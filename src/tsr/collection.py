@@ -14,16 +14,18 @@ A Collection is held as columns, not as one object per caption: the
 caption ids and image ids as lists of str, every caption's term ids in
 token order as one int32 array cut by an offsets array, and one
 category group id per doc (-1 for none) into the list of distinct
-category sets, numbered by first appearance. ``CaptionDoc`` objects are
-made from these columns only when asked for.
+category sets, numbered by first appearance. Retrieval and rerank name
+a caption by its row; ``CaptionDoc`` objects are made from the columns
+only for ``Collection.docs``.
 
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
-product. Each row holds its doc's term ids in ascending order. Term ids
-are ordered by (first doc holding the term, term string), the order a
-walk over the docs in file order, each doc's types sorted, assigns
-them; so score accumulation order, and therefore every output byte, is
-reproducible across runs.
+product, and rerank reads a matched caption's types from its row. Each
+row holds its doc's term ids in ascending order. Term ids are ordered
+by (first doc holding the term, term string), the order a walk over
+the docs in file order, each doc's types sorted, assigns them; so score
+accumulation order, and therefore every output byte, is reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -154,16 +156,19 @@ class Collection:
         # Final term ids order terms by (first doc, term string). Each new
         # provisional id is one above all ids before it in the token
         # stream, so first appearances are where the running max grows.
-        self._offsets = np.concatenate(([0], np.cumsum(columns.lengths)))
+        self.offsets = np.concatenate(([0], np.cumsum(columns.lengths)))
         grows = np.diff(np.maximum.accumulate(columns.tokens), prepend=-1) > 0
         first = np.flatnonzero(grows)  # token position, by provisional id
-        doc_of = np.searchsorted(self._offsets, first, "right") - 1
+        doc_of = np.searchsorted(self.offsets, first, "right") - 1
         terms, first_doc = columns.terms, doc_of.tolist()
         order = sorted(
             range(len(terms)), key=lambda p: (first_doc[p], terms[p])
         )
         self.vocab = {terms[p]: i for i, p in enumerate(order)}
         self._term_of = np.array(list(self.vocab), dtype=object)
+        # Rank of each term id's string in string order: rerank sums a
+        # caption's types in that order.
+        self.term_rank = _string_rank(list(self.vocab))
         final = np.empty(len(order), dtype=np.int32)
         final[order] = np.arange(len(order), dtype=np.int32)
         self._tokens = final[columns.tokens]
@@ -172,11 +177,9 @@ class Collection:
         )
         self.type_counts = counts.astype(np.float64)
 
-        # Rank of each doc's caption_id in lexicographic order, used as
-        # the deterministic tie-break key when scores are equal. A numpy
-        # string sort would tie ids that differ only by trailing NULs.
-        self.caption_rank = np.empty(n, dtype=np.int64)
-        self.caption_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        # Rank of each doc's caption_id in string order, used as the
+        # deterministic tie-break key when scores are equal.
+        self.caption_rank = _string_rank(ids)
 
         # Category sets mapped to small group ids; -1 marks docs with
         # no annotations (they can never satisfy a strict-equality gate).
@@ -198,7 +201,7 @@ class Collection:
             and self.image_ids == other.image_ids
             and self.vocab == other.vocab
             and self._categories == other._categories
-            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self.offsets, other.offsets)
             and np.array_equal(self._tokens, other._tokens)
             and np.array_equal(self.cat_group, other.cat_group)
         )
@@ -212,31 +215,16 @@ class Collection:
     @property
     def docs(self) -> list[CaptionDoc]:
         """Every doc, made anew on each access."""
-        return self.docs_at(np.arange(len(self)))
+        ids, images = self.caption_ids, self.image_ids
+        cats = map(self._categories.__getitem__, self.cat_group.tolist())
+        fields = zip(ids, images, self._token_tuples(), cats)
+        return [CaptionDoc(*f) for f in fields]
 
-    def docs_at(self, rows: Sequence[int]) -> list[CaptionDoc]:
-        """The docs at the given indices, made in one batch."""
-        rows = np.asarray(rows, dtype=np.int64)
-        ids, images, cats = self.caption_ids, self.image_ids, self._categories
-        return [
-            CaptionDoc(ids[i], images[i], tokens, cats[g])
-            for i, tokens, g in zip(
-                rows.tolist(),
-                self._token_tuples(rows),
-                self.cat_group[rows].tolist(),
-            )
-        ]
-
-    def _token_tuples(self, rows: np.ndarray) -> Iterator[tuple[str, ...]]:
-        """The tokens of each doc in rows, with one gather of term ids."""
-        starts = self._offsets[rows]
-        ends = np.cumsum(self._offsets[rows + 1] - starts)
-        # Gathered position j of doc d reads token starts[d] + j - base[d].
-        base = np.concatenate(([0], ends[:-1]))
-        at = np.arange(ends[-1] if ends.size else 0)
-        at += np.repeat(starts - base, ends - base)
-        words = tuple(self._term_of[self._tokens[at]].tolist())
-        return (words[a:b] for a, b in zip(base.tolist(), ends.tolist()))
+    def _token_tuples(self) -> Iterator[tuple[str, ...]]:
+        """The tokens of every doc, in doc order."""
+        words = tuple(self._term_of[self._tokens].tolist())
+        bounds = self.offsets.tolist()
+        return (words[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def index_of(self, caption_id: str) -> int:
         """Doc index of a caption_id; KeyError if unknown."""
@@ -245,6 +233,15 @@ class Collection:
     def category_group(self, categories: Iterable[str]) -> int | None:
         """Group id of an exact category set; None if no doc carries it."""
         return self._cat_groups.get(frozenset(categories))
+
+
+def _string_rank(strings: list[str]) -> np.ndarray:
+    """The rank of each string in Python's string order. A numpy string
+    sort would tie strings that differ only by trailing NULs."""
+    n = len(strings)
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=strings.__getitem__)] = np.arange(n)
+    return rank
 
 
 def _type_incidence(
@@ -334,9 +331,7 @@ def save_collection(coll: Collection, path) -> None:
     lines = (
         f"{caption_id}\t{image_id}\t{' '.join(tokens)}{cats[g]}"
         for caption_id, image_id, tokens, g in zip(
-            coll.caption_ids,
-            coll.image_ids,
-            coll._token_tuples(np.arange(len(coll))),
+            coll.caption_ids, coll.image_ids, coll._token_tuples(),
             coll.cat_group.tolist(),
         )
     )

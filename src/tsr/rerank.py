@@ -7,7 +7,8 @@ the total token count of the retrieved captions. The winner maximizes
 
     decoder_score(r) + interp_weight * relevance(r)
 
-with ties going to the hypothesis the decoder ranked higher.
+with ties going to the hypothesis the decoder ranked higher. Captions
+are read from the index of the Retriever that returned the matches.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from itertools import repeat
 from operator import add
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .retrieval import (
     Hypothesis,
     KBestList,
     MatchList,
+    Retriever,
     check_count,
     check_weight,
 )
@@ -58,7 +62,7 @@ class RerankedOutput:
 
 
 def relevance_score(
-    tokens: Sequence[str], matches: MatchList, idf
+    tokens: Sequence[str], matches: MatchList, retriever: Retriever
 ) -> float:
     """Normalized idf overlap between a token sequence and a match list.
 
@@ -68,49 +72,56 @@ def relevance_score(
     empty match list scores 0, so reranking degenerates gracefully to
     the decoder order.
     """
-    return _relevance(tokens, *_match_types(matches, idf))
+    return _relevance(tokens, *_match_types(matches, retriever))
 
 
-def _match_types(matches: MatchList, idf) -> tuple[list[str], dict, int]:
-    """What relevance needs of a match list, for any hypothesis: each
-    matched caption's sorted types, in match order; the idf weight of
-    each type; and the summed token count of the matched captions."""
-    types = [sorted(set(doc.tokens)) for doc, _ in matches.matches]
-    weight = {term: idf.idf(term) for term in set().union(*types)}
-    total_tokens = sum(len(doc.tokens) for doc, _ in matches.matches)
-    return [term for row in types for term in row], weight, total_tokens
+def _match_types(matches: MatchList, retriever: Retriever) -> tuple:
+    """What relevance needs of a match list, for any hypothesis, read
+    from the retriever's index: the vocabulary; each matched caption's
+    type ids in term-string order, in match order; their weights; and
+    the matched captions' summed token count."""
+    coll = retriever.coll
+    rows = np.array([row for row, _ in matches.matches], dtype=np.int64)
+    types = coll.matrix[rows]
+    caption = np.repeat(np.arange(rows.size), np.diff(types.indptr))
+    key = caption * len(coll.vocab) + coll.term_rank[types.indices]
+    ordered = types.indices[np.argsort(key, kind="stable")]
+    terms = ordered.tolist()
+    weight = dict(zip(terms, retriever.weights[ordered].tolist()))
+    total_tokens = (coll.offsets[rows + 1] - coll.offsets[rows]).sum()
+    return coll.vocab, terms, weight, int(total_tokens)
 
 
 def _relevance(
-    tokens: Sequence[str], terms: list[str], weight: dict, total_tokens: int
+    tokens: Sequence[str], vocab: dict, terms: list, weight: dict, total: int
 ) -> float:
     """relevance_score from _match_types' output. The addends are summed
     strictly left to right over the types in match order; a type the
     tokens lack adds an exact 0.0, which leaves the sum's bits as they
     are. (sum() may compensate rounding, so it is not used.)"""
-    if total_tokens == 0:
+    if total == 0:
         return 0.0
     addend = {
         term: count * weight[term]
-        for term, count in Counter(tokens).items()
+        for term, count in Counter(map(vocab.get, tokens)).items()
         if term in weight
     }
     acc = reduce(add, map(addend.get, terms, repeat(0.0)), 0.0)
-    return acc / total_tokens
+    return acc / total
 
 
 def select_best(
     rbest: KBestList,
     matches: MatchList,
-    idf,
+    retriever: Retriever,
     params: RerankParams | None = None,
 ) -> RerankedOutput:
     """Pick the hypothesis maximizing decoder score plus weighted
     relevance over the first k_r hypotheses; earlier decoder rank wins
-    ties."""
+    ties. matches are rows of retriever's collection."""
     if params is None:
         params = RerankParams()
-    types = _match_types(matches, idf)
+    types = _match_types(matches, retriever)
     best: RerankedOutput | None = None
     for rank, hyp in enumerate(rbest.hyps[: params.k_r], start=1):
         rel = _relevance(hyp.tokens, *types)

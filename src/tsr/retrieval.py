@@ -21,7 +21,7 @@ in one of three modes:
 
 Retrieved lists hold the top k_m candidates with strictly positive
 scores, ordered by descending score with ties broken by ascending
-caption_id.
+caption_id, each candidate named by its collection row.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .collection import CaptionDoc, Collection, FeatureStore, parse_categories
+from .collection import Collection, FeatureStore, parse_categories
 from .textcore import read_records, write_lines
 
 MODES = ("txt", "cnn", "hca")
@@ -136,10 +136,11 @@ RETRIEVAL_DEFAULTS = {
 
 @dataclass
 class MatchList:
-    """Retrieved captions for one sentence, best first, scores > 0."""
+    """Retrieved captions for one sentence, best first, scores > 0, as
+    (row, score) pairs; a row indexes the retriever's collection."""
 
     sent_id: str
-    matches: list[tuple[CaptionDoc, float]]
+    matches: list[tuple[int, float]]
     used_fallback: bool = False
 
 
@@ -167,33 +168,23 @@ class Retriever:
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
         self.coll = coll
         self.feats = feats
-        weights = np.zeros(len(coll.vocab), dtype=np.float64)
-        for term, tid in coll.vocab.items():
-            weights[tid] = idf.idf(term)
-        self.weights = weights
-        self._img_row = np.full(len(coll), -1, dtype=np.int64)
-        if feats is not None and len(feats):
-            self._img_row = feats.rows_of(coll.image_ids)
+        # vocab iterates in term id order
+        self.weights = np.array(list(map(idf.idf, coll.vocab)), np.float64)
+        self._img_row = (
+            None if feats is None else feats.rows_of(coll.image_ids)
+        )
 
     def _query_counts(self, hyps: Sequence[Hypothesis]) -> np.ndarray:
-        counts = np.zeros(len(self.coll.vocab), dtype=np.float64)
         vocab = self.coll.vocab
-        for hyp in hyps:
-            for tok in hyp.tokens:
-                tid = vocab.get(tok)
-                if tid is not None:
-                    counts[tid] += 1.0
-        return counts
+        tids = (vocab.get(tok) for hyp in hyps for tok in hyp.tokens)
+        known = np.fromiter((t for t in tids if t is not None), np.int64)
+        return np.bincount(known, minlength=len(vocab)).astype(np.float64)
 
     def _txt_scores(self, counts: np.ndarray) -> np.ndarray:
         raw = self.coll.matrix @ (counts * self.weights)
         return raw / self.coll.type_counts
 
-    def _overlap_mask(self, counts: np.ndarray) -> np.ndarray:
-        hits = self.coll.matrix @ (counts > 0).astype(np.float64)
-        return hits > 0
-
-    def _select(self, scores: np.ndarray, k_m: int) -> list[tuple[CaptionDoc, float]]:
+    def _select(self, scores: np.ndarray, k_m: int) -> list[tuple[int, float]]:
         positive = scores > 0.0
         n_pos = np.count_nonzero(positive)
         if n_pos > k_m:
@@ -209,7 +200,7 @@ class Retriever:
         pos = np.flatnonzero(positive)
         order = np.lexsort((self.coll.caption_rank[pos], -scores[pos]))
         top = pos[order[:k_m]]
-        return list(zip(self.coll.docs_at(top), scores[top].tolist()))
+        return list(zip(top.tolist(), scores[top].tolist()))
 
     def retrieve(
         self,
@@ -256,10 +247,8 @@ class Retriever:
         params: RetrievalParams,
     ) -> np.ndarray | None:
         """Distance-damped scores, or None when the fallback applies."""
-        feats = self.feats
-        qrow = None
-        if feats is not None and query_image is not None:
-            qrow = feats.row_of(query_image)
+        # row_of(None) is None: a query without an image falls back
+        qrow = None if self.feats is None else self.feats.row_of(query_image)
         if qrow is None:
             return None
         if np.all(self.weights[counts > 0] > 0.0):
@@ -267,7 +256,7 @@ class Retriever:
             # term exactly when its txt score is positive.
             overlap = s_txt > 0.0
         else:
-            overlap = self._overlap_mask(counts)
+            overlap = self.coll.matrix @ (counts > 0).astype(np.float64) > 0
         dist = self._row_distances(qrow)[self._img_row]
         keep = np.flatnonzero(overlap & (dist < params.distance_cutoff))
         if keep.size == 0:
@@ -357,27 +346,33 @@ def write_kbest(lists: Iterable[KBestList], path) -> None:
     write_lines(path, lines)
 
 
-def write_matchlists(matchlists: Iterable[MatchList], path) -> None:
-    """Dump match lists, one ``sent_id ||| caption_id ||| score ||| flag``
-    line per match. Sentences with no matches emit one line with the
-    placeholder caption_id ``-`` so fallback flags survive a round trip."""
+def write_matchlists(
+    matchlists: Iterable[MatchList], coll: Collection, path
+) -> None:
+    """Dump match lists over coll, one ``sent_id ||| caption_id ||| score
+    ||| flag`` line per match. Sentences with no matches emit one line
+    with the placeholder caption_id ``-`` so fallback flags survive a
+    round trip. A caption_id that would not read back as the second of
+    four fields fails, and no file is left behind."""
 
     def lines():
         for ml in matchlists:
             flag = int(ml.used_fallback)
             if not ml.matches:
                 yield f"{ml.sent_id} ||| - ||| 0.0 ||| {flag}"
-            for doc, score in ml.matches:
-                yield (
-                    f"{ml.sent_id} ||| {doc.caption_id} ||| {score!r}"
-                    f" ||| {flag}"
-                )
+            for row, score in ml.matches:
+                cid = coll.caption_ids[row]
+                line = f"{ml.sent_id} ||| {cid} ||| {score!r} ||| {flag}"
+                fields = line.split(" ||| ")
+                if len(fields) != 4 or fields[1] != cid:
+                    raise ValueError(f"caption_id {cid!r} breaks a dump line")
+                yield line
 
     write_lines(path, lines())
 
 
 def read_matchlists(path, coll: Collection) -> list[MatchList]:
-    """Read a match dump back, resolving caption ids against coll.
+    """Read a match dump back, resolving caption ids to rows of coll.
 
     Only a ``- ||| 0.0`` line is the empty-list placeholder; ``-`` with
     any other score is a caption id like any other. Raises on caption
@@ -388,8 +383,7 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
     lists: list[MatchList] = []
     for sent_id, run in _sentence_runs(_match_records(path)):
         flag = None
-        rows: list[int] = []
-        scores: list[float] = []
+        matches: list[tuple[int, float]] = []
         for where, _, caption_id, score, line_flag in run:
             if flag is None:
                 flag = line_flag
@@ -405,13 +399,11 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
                     f"{where}: match score must be finite and positive"
                 )
             try:
-                rows.append(coll.index_of(caption_id))
+                matches.append((coll.index_of(caption_id), score))
             except KeyError:
                 raise ValueError(
                     f"{where}: unknown caption_id {caption_id!r}"
                 ) from None
-            scores.append(score)
-        matches = list(zip(coll.docs_at(rows), scores))
         lists.append(MatchList(sent_id, matches, flag))
     return lists
 

@@ -160,7 +160,7 @@ def stepwise_search(
             match_cache[rparams] = matchlists
         total = BleuStats.zero()
         for kb, ml, ref in zip(dev.kbests, matchlists, dev.references):
-            out = select_best(kb, ml, dev.idf, params)
+            out = select_best(kb, ml, retriever, params)
             total = total + bleu_stats(out.chosen.tokens, ref)
         return bleu_score(total)
 

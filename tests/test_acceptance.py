@@ -120,7 +120,8 @@ def test_retrieval_matches_bruteforce_oracle():
                     params.distance_weight, params.distance_cutoff,
                 )
                 assert got.used_fallback == want_fallback, (trial, q, mode)
-                assert [doc.caption_id for doc, _ in got.matches] == [
+                ids = retriever.coll.caption_ids
+                assert [ids[r] for r, _ in got.matches] == [
                     cid for cid, _ in want
                 ], (trial, q, mode)
                 for (_, got_s), (_, want_s) in zip(got.matches, want):
@@ -164,7 +165,8 @@ def test_retrieval_ties_and_zero_idf_match_oracle():
                 params.k_n, k_m, 0.5, d,
             )
             assert got.used_fallback == want_fallback, (mode, k_m)
-            assert [doc.caption_id for doc, _ in got.matches] == [
+            ids = retriever.coll.caption_ids
+            assert [ids[r] for r, _ in got.matches] == [
                 cid for cid, _ in want
             ], (mode, k_m)
             for (_, got_s), (_, want_s) in zip(got.matches, want):
@@ -249,7 +251,7 @@ def test_handworked_scoring_fixtures():
     retriever = Retriever(Collection([cand]), idf, feats)
     params = RetrievalParams(distance_weight=0.01, distance_cutoff=90.0)
     (txt,) = retriever.retrieve(kbest, "q", None, "txt", params).matches
-    assert txt[0] == cand
+    assert retriever.coll.docs[txt[0]] == cand
     assert abs(txt[1] - 2.05) <= 1e-12
 
     cnn = retriever.retrieve(kbest, "q", None, "cnn", params)
@@ -260,14 +262,16 @@ def test_handworked_scoring_fixtures():
     # relevance of a rerank candidate against a two-caption match list:
     # numerator 0.1 + 2.0 + 2.0 (first match) + 2.0 + 2.0 (second),
     # normalizer = 5 total match tokens.
-    matches = MatchList("s1", [
-        (CaptionDoc("c1", "i1", ("a", "dog")), 9.9),
-        (CaptionDoc("c2", "i2", ("the", "big", "dog")), 5.5),
-    ])
-    got = relevance_score(("a", "dog", "dog"), matches, idf)
+    docs = [
+        CaptionDoc("c1", "i1", ("a", "dog")),
+        CaptionDoc("c2", "i2", ("the", "big", "dog")),
+    ]
+    matches = MatchList("s1", [(0, 9.9), (1, 5.5)])
+    retriever = Retriever(Collection(docs), idf)
+    got = relevance_score(("a", "dog", "dog"), matches, retriever)
     assert abs(got - 8.1 / 5) <= 1e-12
     want = oracle_relevance(
-        ("a", "dog", "dog"), [doc for doc, _ in matches.matches], idf
+        ("a", "dog", "dog"), [docs[r] for r, _ in matches.matches], idf
     )
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -281,20 +285,18 @@ def test_zero_interpolation_weight_keeps_decoder_best():
     for trial in range(1000):
         kbest = random_kbest(rng, f"s{trial}", vocab, int(rng.integers(1, 10)))
         n_matches = int(rng.integers(0, 5))
-        matches = MatchList(kbest.sent_id, [
-            (
-                CaptionDoc(
-                    f"c{trial}_{j}", "i1",
-                    tuple(rng.choice(vocab, size=int(rng.integers(1, 8)))),
-                ),
-                float(rng.uniform(0.1, 9.0)),
-            )
-            for j in range(n_matches)
-        ])
+        docs, matches = [], MatchList(kbest.sent_id, [])
+        for j in range(n_matches):
+            docs.append(CaptionDoc(
+                f"c{trial}_{j}", "i1",
+                tuple(rng.choice(vocab, size=int(rng.integers(1, 8)))),
+            ))
+            matches.matches.append((j, float(rng.uniform(0.1, 9.0))))
+        retriever = Retriever(Collection(docs), idf)
         params = RerankParams(
             k_r=int(rng.integers(1, len(kbest.hyps) + 2)), interp_weight=0.0
         )
-        out = select_best(kbest, matches, idf, params)
+        out = select_best(kbest, matches, retriever, params)
         assert out.chosen is kbest.hyps[0]
         assert out.decoder_rank_of_chosen == 1
 
@@ -328,13 +330,14 @@ def test_cnn_equals_txt_when_distances_vanish():
         query_image = images[int(rng.integers(0, len(images)))]
         txt = retriever.retrieve(kbest, query_image, None, "txt", rparams)
         cnn = retriever.retrieve(kbest, query_image, None, "cnn", rparams)
-        assert [d.caption_id for d, _ in cnn.matches] == [
-            d.caption_id for d, _ in txt.matches
+        ids = retriever.coll.caption_ids
+        assert [ids[r] for r, _ in cnn.matches] == [
+            ids[r] for r, _ in txt.matches
         ]
         for (_, cs), (_, ts) in zip(cnn.matches, txt.matches):
             assert cs == ts
-        chosen_txt = select_best(kbest, txt, idf, rrparams)
-        chosen_cnn = select_best(kbest, cnn, idf, rrparams)
+        chosen_txt = select_best(kbest, txt, retriever, rrparams)
+        chosen_cnn = select_best(kbest, cnn, retriever, rrparams)
         assert chosen_cnn.chosen == chosen_txt.chosen
 
 
@@ -373,8 +376,8 @@ def test_fallback_contract():
         cnn = empty.retrieve(kbest, query_image, None, "cnn")
         assert not txt.used_fallback
         fallbacks += cnn.used_fallback
-        assert [(d.caption_id, s) for d, s in cnn.matches] == [
-            (d.caption_id, s) for d, s in txt.matches
+        assert [(coll.caption_ids[r], s) for r, s in cnn.matches] == [
+            (coll.caption_ids[r], s) for r, s in txt.matches
         ]
     assert fallbacks == n
 
@@ -434,13 +437,13 @@ def test_visual_retrieval_flips_ambiguous_caption():
     txt = retriever.retrieve(
         kbest, "q", None, "txt", RetrievalParams(k_n=300, k_m=500)
     )
-    assert [d.caption_id for d, _ in txt.matches] == [
+    assert [docs[r].caption_id for r, _ in txt.matches] == [
         "r1", "r2", "r6", "r7", "r3", "r4", "r8", "r5",
         "s2", "s4", "s1", "s3",
     ]
     assert not txt.used_fallback
     out_txt = select_best(
-        kbest, txt, idf, RerankParams(k_r=5, interp_weight=5e4)
+        kbest, txt, retriever, RerankParams(k_r=5, interp_weight=5e4)
     )
     assert out_txt.decoder_rank_of_chosen == 1
     assert "rock" in out_txt.chosen.tokens
@@ -456,13 +459,15 @@ def test_visual_retrieval_flips_ambiguous_caption():
             k_n=300, k_m=300, distance_weight=0.01, distance_cutoff=90.0
         ),
     )
-    assert [d.caption_id for d, _ in cnn.matches] == ["s2", "s4", "s1", "s3"]
+    assert [docs[r].caption_id for r, _ in cnn.matches] == [
+        "s2", "s4", "s1", "s3"
+    ]
     assert not cnn.used_fallback
-    assert all("skirt" in d.tokens or "suit" in d.tokens
-               for d, _ in cnn.matches)
+    assert all("skirt" in docs[r].tokens or "suit" in docs[r].tokens
+               for r, _ in cnn.matches)
     assert cnn.matches[0][1] == pytest.approx(3.685081605707267, rel=1e-12)
     out_cnn = select_best(
-        kbest, cnn, idf, RerankParams(k_r=5, interp_weight=70e4)
+        kbest, cnn, retriever, RerankParams(k_r=5, interp_weight=70e4)
     )
     assert out_cnn.decoder_rank_of_chosen == 3
     assert "skirt" in out_cnn.chosen.tokens
@@ -475,12 +480,13 @@ def test_visual_retrieval_flips_ambiguous_caption():
         (txt, (5, 5e4), 1),
         (cnn, (5, 70e4), 3),
     ):
+        match_docs = [docs[r] for r, _ in matches.matches]
         rank, combined, rel = oracle_select(
-            kbest.hyps, [d for d, _ in matches.matches], idf, *params
+            kbest.hyps, match_docs, idf, *params
         )
         assert rank == expected_rank
         out = select_best(
-            kbest, matches, idf, RerankParams(*params)
+            kbest, matches, retriever, RerankParams(*params)
         )
         assert out.combined_score == pytest.approx(combined, rel=1e-12)
         assert out.relevance == pytest.approx(rel, rel=1e-12)

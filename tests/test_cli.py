@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from tsr import CaptionDoc
 from tsr.cli import main
 
 
@@ -249,6 +250,29 @@ class TestRetrieveRerank:
         )
         self.assert_two_stage_equals_pipeline(ws, dashed)
         assert "s1 ||| - ||| " in (ws / "matches.txt").read_text()
+
+    def test_stages_make_no_caption_docs(self, ws, monkeypatch):
+        # matches are collection rows from retrieval to the written dump
+        def refuse(doc):
+            raise AssertionError(f"CaptionDoc made for {doc.caption_id!r}")
+
+        monkeypatch.setattr(CaptionDoc, "__post_init__", refuse)
+        self.assert_two_stage_equals_pipeline(ws, ws / "collection.tsv")
+
+    def test_caption_id_a_dump_cannot_hold_fails_retrieve(self, ws, capsys):
+        # the id would split its dump line into five fields, which rerank
+        # could not read back; pipeline writes no dump and is unaffected
+        odd = ws / "odd.tsv"
+        odd.write_text("c ||| 1\ti1\ta man rides a horse\n", encoding="utf-8")
+        inputs = (
+            "--collection", odd,
+            "--idf", ws / "idf.txt",
+            "--kbest", ws / "kbest.txt",
+        )
+        assert run("retrieve", *inputs, "--out", ws / "m.txt") == 1
+        assert "'c ||| 1'" in capsys.readouterr().err
+        assert list(ws.glob("m.txt*")) == []
+        assert run("pipeline", *inputs, "--out-dir", ws / "pipe") == 0
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_checked_before_loading(self, ws, capsys, workers):

@@ -251,7 +251,8 @@ def test_retrieved_docs_are_term_overlap_brute_force():
 
     def retrieved(query):
         kb = KBestList("s", [Hypothesis(tuple(query), -1.0)])
-        return {doc.caption_id for doc, _ in retriever.retrieve(kb).matches}
+        ids = retriever.coll.caption_ids
+        return {ids[r] for r, _ in retriever.retrieve(kb).matches}
 
     query = {"dog", "cat"}
     expected = {d.caption_id for d in docs if set(d.tokens) & query}

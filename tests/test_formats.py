@@ -21,7 +21,9 @@ from tsr import (
     load_collection,
     load_features,
     read_kbest,
+    read_matchlists,
     read_queries,
+    read_sentence_file,
     save_collection,
     write_kbest,
 )
@@ -94,6 +96,21 @@ def test_kbest_round_trip(drawn):
     assert loaded == lists
 
 
+MATCH_COLL = Collection([
+    CaptionDoc("c1", "i1", ("a", "man")),
+    CaptionDoc("c2", "i2", ("a", "dog")),
+])
+
+
+def replace_field(at: int, value: str):
+    """A corruption setting field at of a ``|||``-separated line."""
+    def corrupt(line):
+        fields = line.split(" ||| ")
+        fields[at] = value
+        return " ||| ".join(fields)
+    return corrupt
+
+
 # One valid artifact per reader, and ways to break any one of its lines.
 ARTIFACTS = {
     "idf": (
@@ -133,6 +150,15 @@ ARTIFACTS = {
         {"no tabs": lambda l: l.replace("\t", " "),
          "extra field": lambda l: l + "\tx\ty"},
     ),
+    "matches": (
+        lambda path: read_matchlists(path, MATCH_COLL),
+        ["s1 ||| c1 ||| 2.0 ||| 0", "s1 ||| c2 ||| 1.5 ||| 0",
+         "s2 ||| c2 ||| 0.5 ||| 1"],
+        {"three fields": lambda l: l.rsplit(" ||| ", 1)[0],
+         "bad score": replace_field(2, "x"),
+         "flag 7": replace_field(3, "7"),
+         "unknown caption id": replace_field(1, "nosuch")},
+    ),
 }
 CORRUPTIONS = [
     (name, kind) for name, (_, _, kinds) in ARTIFACTS.items() for kind in kinds
@@ -152,6 +178,30 @@ def test_corrupted_line_fails_with_its_location(tmp_path, name, kind):
         path.write_text("\n".join(broken) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
             read(path)
+
+
+SENTENCES = ["s1 ||| a man", "s2 ||| a dog", "s3 ||| the horse"]
+SENTENCE_CORRUPTIONS = {
+    "extra field": (1, lambda l: l + " ||| x"),
+    "untagged": (2, lambda l: l.split(" ||| ")[1]),
+    "repeated id": (2, replace_field(0, "s1")),
+}
+
+
+@pytest.mark.parametrize("kind", SENTENCE_CORRUPTIONS)
+def test_corrupted_sentence_line_fails_with_its_location(tmp_path, kind):
+    # Not an ARTIFACTS entry: a blank line is a sentence in these files.
+    # An untagged line or a repeated id is only wrong after line 1.
+    first, corrupt = SENTENCE_CORRUPTIONS[kind]
+    path = tmp_path / "sentences.txt"
+    path.write_text("\n".join(SENTENCES) + "\n", encoding="utf-8")
+    read_sentence_file(path)
+    for lineno in range(first, len(SENTENCES) + 1):
+        broken = list(SENTENCES)
+        broken[lineno - 1] = corrupt(broken[lineno - 1])
+        path.write_text("\n".join(broken) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
+            read_sentence_file(path)
 
 
 def test_idf_header_below_one_names_the_file(tmp_path):

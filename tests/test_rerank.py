@@ -3,10 +3,12 @@ import pytest
 
 from tsr import (
     CaptionDoc,
+    Collection,
     Hypothesis,
     KBestList,
     MatchList,
     RerankParams,
+    Retriever,
     relevance_score,
     select_best,
 )
@@ -16,8 +18,13 @@ from oracles import FixedIdf, ScaledIdf, oracle_relevance, random_idf_table
 IDF = FixedIdf({"a": 0.1, "dog": 2.0})
 
 
-def ml(*docs, sent_id="s1"):
-    return MatchList(sent_id, [(doc, 1.0) for doc in docs])
+def ml(idf, *docs):
+    """A match list naming each of docs in turn, and a Retriever over a
+    collection of the distinct docs: what relevance_score and
+    select_best take after the tokens or k-best list."""
+    coll = Collection(dict.fromkeys(docs))
+    rows = [coll.index_of(doc.caption_id) for doc in docs]
+    return MatchList("s1", [(row, 1.0) for row in rows]), Retriever(coll, idf)
 
 
 def hyp(text, score=-1.0):
@@ -27,30 +34,46 @@ def hyp(text, score=-1.0):
 class TestRelevanceScore:
     def test_no_overlap_is_zero(self):
         doc = CaptionDoc("c1", "i1", ("the", "cat"))
-        assert relevance_score(("a", "dog"), ml(doc), IDF) == 0.0
+        assert relevance_score(("a", "dog"), *ml(IDF, doc)) == 0.0
 
     def test_empty_matchlist_is_zero(self):
-        assert relevance_score(("a", "dog"), MatchList("s1", []), IDF) == 0.0
+        assert relevance_score(("a", "dog"), *ml(IDF)) == 0.0
 
     def test_hand_fixture_normalizes_by_token_count(self):
         # match ["a","dog"]: 2 tokens; rerank candidate [a, dog, dog]
         # contributes 0.1 + 2.0 + 2.0, normalized by 2.
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
-        got = relevance_score(("a", "dog", "dog"), ml(doc), IDF)
+        got = relevance_score(("a", "dog", "dog"), *ml(IDF, doc))
         assert abs(got - 2.05) <= 1e-12
 
     def test_duplicated_match_leaves_score_unchanged(self):
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
-        once = relevance_score(("a", "dog", "dog"), ml(doc), IDF)
-        twice = relevance_score(("a", "dog", "dog"), ml(doc, doc), IDF)
+        once = relevance_score(("a", "dog", "dog"), *ml(IDF, doc))
+        twice = relevance_score(("a", "dog", "dog"), *ml(IDF, doc, doc))
         assert twice == once
 
     def test_normalizer_uses_tokens_not_types(self):
         # same type set {a, dog}, but four tokens: the numerator counts
         # types once while the normalizer counts every token.
         doc = CaptionDoc("c1", "i1", ("a", "dog", "dog", "a"))
-        got = relevance_score(("a", "dog", "dog"), ml(doc), IDF)
+        got = relevance_score(("a", "dog", "dog"), *ml(IDF, doc))
         assert abs(got - (0.1 + 2.0 + 2.0) / 4) <= 1e-12
+
+    def test_sums_types_left_to_right_in_string_order(self):
+        # Term ids give zz < aa < mm, string order aa < mm < zz; with a
+        # weight of 1e16 the order of addition changes the double.
+        docs = [
+            CaptionDoc("c1", "i1", ("zz",)),
+            CaptionDoc("c2", "i1", ("zz", "mm", "aa")),
+        ]
+        idf = FixedIdf({"aa": 1.0, "mm": 1.0, "zz": 1e16})
+        retriever = Retriever(Collection(docs), idf)
+        assert list(retriever.coll.vocab) == ["zz", "aa", "mm"]
+        matches = MatchList("s1", [(1, 1.0)])
+        got = relevance_score(("aa", "mm", "zz"), matches, retriever)
+        want = (((0.0 + 1.0) + 1.0) + 1e16) / 3
+        assert want != (((0.0 + 1e16) + 1.0) + 1.0) / 3
+        assert got.hex() == want.hex()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -63,17 +86,17 @@ class TestRelevanceScore:
             for i in range(6)
         ]
         tokens = tuple(rng.choice(vocab, size=10))
-        base = relevance_score(tokens, ml(*docs), IDF)
+        base = relevance_score(tokens, *ml(idf, *docs))
         for _ in range(5):
             perm = list(docs)
             rng.shuffle(perm)
-            assert relevance_score(tokens, ml(*perm), IDF) == pytest.approx(
+            assert relevance_score(tokens, *ml(idf, *perm)) == pytest.approx(
                 base, rel=1e-12
             )
             shuffled_tokens = list(tokens)
             rng.shuffle(shuffled_tokens)
             assert relevance_score(
-                tuple(shuffled_tokens), ml(*docs), IDF
+                tuple(shuffled_tokens), *ml(idf, *docs)
             ) == pytest.approx(base, rel=1e-12)
 
     def test_matches_oracle_on_random_inputs(self):
@@ -90,7 +113,7 @@ class TestRelevanceScore:
                 for i in range(int(rng.integers(1, 8)))
             ]
             tokens = tuple(rng.choice(vocab, size=int(rng.integers(1, 10))))
-            got = relevance_score(tokens, ml(*docs), idf)
+            got = relevance_score(tokens, *ml(idf, *docs))
             want = oracle_relevance(tokens, docs, idf)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -99,7 +122,7 @@ class TestSelectBest:
     def test_zero_weight_returns_decoder_best(self):
         kb = KBestList("s1", [hyp("a dog", -1.0), hyp("a cat", -2.0)])
         doc = CaptionDoc("c1", "i1", ("a", "cat"))
-        out = select_best(kb, ml(doc), IDF, RerankParams(2, 0.0))
+        out = select_best(kb, *ml(IDF, doc), RerankParams(2, 0.0))
         assert out.chosen is kb.hyps[0]
         assert out.decoder_rank_of_chosen == 1
         assert out.combined_score == -1.0
@@ -107,7 +130,7 @@ class TestSelectBest:
     def test_huge_weight_returns_max_relevance(self):
         kb = KBestList("s1", [hyp("a bird", -1.0), hyp("a dog", -2.0)])
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
-        out = select_best(kb, ml(doc), IDF, RerankParams(2, 1e12))
+        out = select_best(kb, *ml(IDF, doc), RerankParams(2, 1e12))
         assert out.chosen is kb.hyps[1]
         assert out.decoder_rank_of_chosen == 2
 
@@ -115,18 +138,18 @@ class TestSelectBest:
         kb = KBestList("s1", [hyp("a dog dog", -3.0)])
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
         params = RerankParams(1, 10.0)
-        out = select_best(kb, ml(doc), IDF, params)
+        out = select_best(kb, *ml(IDF, doc), params)
         assert out.combined_score == out.chosen.decoder_score + 10.0 * out.relevance
 
     def test_tie_breaks_to_earlier_decoder_rank(self):
         kb = KBestList("s1", [hyp("a dog", -1.0), hyp("dog a", -1.0)])
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
-        out = select_best(kb, ml(doc), IDF, RerankParams(2, 5.0))
+        out = select_best(kb, *ml(IDF, doc), RerankParams(2, 5.0))
         assert out.decoder_rank_of_chosen == 1
 
     def test_empty_kbest_errors(self):
         with pytest.raises(ValueError, match="empty"):
-            select_best(KBestList("s1", []), MatchList("s1", []), IDF)
+            select_best(KBestList("s1", []), *ml(IDF))
 
     def test_chosen_within_first_k_r(self):
         rng = np.random.default_rng(23)
@@ -151,7 +174,7 @@ class TestSelectBest:
                 for i in range(3)
             ]
             k_r = int(rng.integers(1, 5))
-            out = select_best(kb, ml(*docs), idf, RerankParams(k_r, 1e3))
+            out = select_best(kb, *ml(idf, *docs), RerankParams(k_r, 1e3))
             assert out.chosen in kb.hyps[:k_r]
 
     def test_chosen_relevance_non_decreasing_in_weight(self):
@@ -172,7 +195,7 @@ class TestSelectBest:
         ]
         prev = None
         for weight in [0.0, 0.1, 1.0, 10.0, 100.0, 1e4]:
-            out = select_best(kb, ml(*docs), idf, RerankParams(3, weight))
+            out = select_best(kb, *ml(idf, *docs), RerankParams(3, weight))
             if prev is not None:
                 assert out.relevance >= prev
             prev = out.relevance
@@ -197,8 +220,8 @@ class TestSelectBest:
                 for i in range(4)
             ]
             c = 8.0
-            base = select_best(kb, ml(*docs), idf, RerankParams(4, 64.0))
+            base = select_best(kb, *ml(idf, *docs), RerankParams(4, 64.0))
             scaled = select_best(
-                kb, ml(*docs), ScaledIdf(idf, c), RerankParams(4, 64.0 / c)
+                kb, *ml(ScaledIdf(idf, c), *docs), RerankParams(4, 64.0 / c)
             )
             assert scaled.chosen == base.chosen

@@ -39,10 +39,11 @@ def scored(docs, hyps, idf=IDF, feats=None, query_image=None,
     """Retrieve over a collection of docs; returns ({caption_id: score},
     used_fallback). A caption that scores zero is absent."""
     kbest = KBestList("s", list(hyps))
-    ml = Retriever(Collection(docs), idf, feats).retrieve(
+    coll = Collection(docs)
+    ml = Retriever(coll, idf, feats).retrieve(
         kbest, query_image, query_categories, mode, params
     )
-    return {doc.caption_id: s for doc, s in ml.matches}, ml.used_fallback
+    return {coll.caption_ids[r]: s for r, s in ml.matches}, ml.used_fallback
 
 
 def txt_score(doc, hyps, idf=IDF):
@@ -254,7 +255,7 @@ class TestRetrieve:
         kb = KBestList("s1", [hyp("a dog")])
         ml = Retriever(coll, idf, feats).retrieve(kb, mode="txt")
         assert all(score > 0 for _, score in ml.matches)
-        ids = [doc.caption_id for doc, _ in ml.matches]
+        ids = [coll.caption_ids[r] for r, _ in ml.matches]
         assert "c05" not in ids or idf.idf("a") > 0
 
     def test_k_m_truncates(self):
@@ -273,7 +274,9 @@ class TestRetrieve:
         retr = Retriever(Collection(docs), FixedIdf({"dog": 1.0}))
         ml = retr.retrieve(KBestList("s", [hyp("dog")]), mode="txt")
         # all three score 1.0; order falls back to caption_id
-        assert [d.caption_id for d, _ in ml.matches] == ["a", "b", "c"]
+        assert [retr.coll.caption_ids[r] for r, _ in ml.matches] == [
+            "a", "b", "c"
+        ]
 
     def test_cnn_fallback_on_missing_query_image(self):
         coll, idf, feats = toy_setup()
@@ -282,8 +285,8 @@ class TestRetrieve:
         ml = retr.retrieve(kb, query_image="missing", mode="cnn")
         txt = retr.retrieve(kb, mode="txt")
         assert ml.used_fallback
-        assert [(d.caption_id, s) for d, s in ml.matches] == [
-            (d.caption_id, s) for d, s in txt.matches
+        assert [(coll.caption_ids[r], s) for r, s in ml.matches] == [
+            (coll.caption_ids[r], s) for r, s in txt.matches
         ]
 
     def test_cnn_fallback_when_no_candidate_within_cutoff(self):
@@ -296,7 +299,7 @@ class TestRetrieve:
         assert ml.used_fallback
         near = retr.retrieve(kb, "i3", None, "cnn", params)
         assert not near.used_fallback
-        assert [d.caption_id for d, _ in near.matches] == ["c05"]
+        assert [coll.caption_ids[r] for r, _ in near.matches] == ["c05"]
 
     def test_cnn_empty_store_matches_txt_for_every_query(self):
         coll, idf, _ = toy_setup()
@@ -310,8 +313,8 @@ class TestRetrieve:
             cnn = empty.retrieve(kb, query_image="i1", mode="cnn")
             txt = plain.retrieve(kb, mode="txt")
             assert cnn.used_fallback
-            assert [(d.caption_id, s) for d, s in cnn.matches] == [
-                (d.caption_id, s) for d, s in txt.matches
+            assert [(coll.caption_ids[r], s) for r, s in cnn.matches] == [
+                (coll.caption_ids[r], s) for r, s in txt.matches
             ]
 
     def test_hca_strict_match_and_fallback(self):
@@ -320,7 +323,7 @@ class TestRetrieve:
         kb = KBestList("s1", [hyp("a dog cat")])
         ml = retr.retrieve(kb, query_categories={"dog"}, mode="hca")
         assert not ml.used_fallback
-        assert {d.caption_id for d, _ in ml.matches} <= {"c01", "c02"}
+        assert {coll.caption_ids[r] for r, _ in ml.matches} <= {"c01", "c02"}
         fb = retr.retrieve(kb, query_categories={"zebra"}, mode="hca")
         assert fb.used_fallback
         none = retr.retrieve(kb, query_categories=None, mode="hca")
@@ -333,8 +336,8 @@ class TestRetrieve:
         scaled = Retriever(coll, ScaledIdf(idf, 3.0), feats).retrieve(
             kb, mode="txt"
         )
-        assert [d.caption_id for d, _ in base.matches] == [
-            d.caption_id for d, _ in scaled.matches
+        assert [coll.caption_ids[r] for r, _ in base.matches] == [
+            coll.caption_ids[r] for r, _ in scaled.matches
         ]
         for (_, s), (_, t) in zip(base.matches, scaled.matches):
             assert t == pytest.approx(3.0 * s, rel=1e-12)
@@ -343,8 +346,9 @@ class TestRetrieve:
         docs = [CaptionDoc("c1", "i1", ("novel", "word"))]
         idf = random_idf_table(np.random.default_rng(1), ["other"])
         kb = KBestList("s1", [hyp("novel word")])
-        ml = Retriever(Collection(docs), idf).retrieve(kb, mode="txt")
-        assert [d.caption_id for d, _ in ml.matches] == ["c1"]
+        coll = Collection(docs)
+        ml = Retriever(coll, idf).retrieve(kb, mode="txt")
+        assert [coll.caption_ids[r] for r, _ in ml.matches] == ["c1"]
         assert ml.matches[0][1] > 0
 
     def test_duplicate_caption_text_scored_per_image(self):
@@ -357,7 +361,7 @@ class TestRetrieve:
         kb = KBestList("s1", [hyp("a dog")])
         params = RetrievalParams(k_n=1, k_m=5, distance_cutoff=50.0)
         ml = retr.retrieve(kb, "q", None, "cnn", params)
-        assert [d.caption_id for d, _ in ml.matches] == ["c1"]
+        assert [retr.coll.caption_ids[r] for r, _ in ml.matches] == ["c1"]
 
 
 class TestKBestIo:
@@ -432,13 +436,13 @@ class TestMatchListIo:
         mls = [retr.retrieve(kb1, mode="txt"), retr.retrieve(kb2, mode="txt")]
         assert mls[1].matches == []
         path = tmp_path / "matches.txt"
-        write_matchlists(mls, path)
+        write_matchlists(mls, coll, path)
         loaded = read_matchlists(path, coll)
         assert [ml.sent_id for ml in loaded] == ["s1", "s2"]
         assert loaded[1].matches == []
         for orig, back in zip(mls, loaded):
-            assert [(d.caption_id, s) for d, s in orig.matches] == [
-                (d.caption_id, s) for d, s in back.matches
+            assert [(coll.caption_ids[r], s) for r, s in orig.matches] == [
+                (coll.caption_ids[r], s) for r, s in back.matches
             ]
             assert back.used_fallback == orig.used_fallback
 
@@ -497,21 +501,21 @@ class TestMatchListIo:
         mls = [
             MatchList(
                 f"s{i}",
-                [(coll.docs[j], score) for j, score in matches],
+                list(matches),
                 fallback,
             )
             for i, (fallback, matches) in enumerate(drawn)
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "matches.txt"
-            write_matchlists(mls, path)
+            write_matchlists(mls, coll, path)
             loaded = read_matchlists(path, coll)
 
         def key(ml):
             return (
                 ml.sent_id,
                 ml.used_fallback,
-                [(d.caption_id, s.hex()) for d, s in ml.matches],
+                [(coll.caption_ids[r], s.hex()) for r, s in ml.matches],
             )
 
         assert [key(ml) for ml in loaded] == [key(ml) for ml in mls]
@@ -587,6 +591,6 @@ def test_retriever_reuse_matches_one_shot():
         a = retr.retrieve(kb, image, cats, mode)
         b = Retriever(coll, idf, feats).retrieve(kb, image, cats, mode)
         assert a.used_fallback == b.used_fallback
-        assert [(d.caption_id, s) for d, s in a.matches] == [
-            (d.caption_id, s) for d, s in b.matches
+        assert [(coll.caption_ids[r], s) for r, s in a.matches] == [
+            (coll.caption_ids[r], s) for r, s in b.matches
         ]
