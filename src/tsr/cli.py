@@ -155,15 +155,13 @@ def _retrieve(retriever: Retriever, queries, mode: str, params, kb):
 
 
 def _rerank(kb, ml, retriever: Retriever, params):
-    """One sentence's reranked output and its match list's fallback
-    flag; a failure names the sentence."""
+    """One sentence's reranked output; a failure names the sentence."""
     try:
-        out = select_best(kb, ml, retriever, params)
+        return select_best(kb, ml, retriever, params)
     except Exception as exc:
         raise RuntimeError(
             f"rerank stage failed on sentence {kb.sent_id}: {exc}"
         ) from exc
-    return out, ml.used_fallback
 
 
 def cmd_extract_idf(args) -> int:
@@ -208,18 +206,18 @@ def cmd_rerank(args) -> int:
         ml.sent_id: ml for ml in read_matchlists(args.matches, coll)
     }
     params = _override(RerankParams(), vars(args))
-    results = []
+    outputs = []
     for kb in kbests:
         ml = matchlists.get(kb.sent_id)
         if ml is None:
             raise ValueError(
                 f"{args.matches}: no match list for sentence {kb.sent_id}"
             )
-        results.append(_rerank(kb, ml, retriever, params))
-    write_output([out for out, _ in results], args.out)
+        outputs.append(_rerank(kb, ml, retriever, params))
+    write_output(outputs, args.out)
     if args.diagnostics:
-        write_diagnostics(results, args.diagnostics)
-    print(f"sentences: {len(results)}")
+        write_diagnostics(outputs, args.diagnostics)
+    print(f"sentences: {len(outputs)}")
     return 0
 
 
@@ -271,13 +269,13 @@ def cmd_pipeline(args) -> int:
         ml = _retrieve(retriever, queries, mode, retrieval_params, kb)
         return _rerank(kb, ml, retriever, rerank_params)
 
-    results = _run_sentences(work, kbests, cfg["workers"])
+    outputs = _run_sentences(work, kbests, cfg["workers"])
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_output([out for out, _ in results], out_dir / "output.txt")
+    write_output(outputs, out_dir / "output.txt")
     if cfg["diagnostics"]:
-        write_diagnostics(results, out_dir / "diagnostics.txt")
+        write_diagnostics(outputs, out_dir / "diagnostics.txt")
 
     resolved = {
         **cfg,
@@ -287,17 +285,14 @@ def cmd_pipeline(args) -> int:
     config = json.dumps(resolved, indent=2, sort_keys=True)
     write_lines(out_dir / "config.json", [config])
 
-    fallbacks = sum(fb for _, fb in results)
+    fallbacks = sum(out.used_fallback for out in outputs)
     report = [
-        f"sentences: {len(results)}",
-        f"fallbacks: {fallbacks} / {len(results)}",
+        f"sentences: {len(outputs)}",
+        f"fallbacks: {fallbacks} / {len(outputs)}",
     ]
     if refs is not None:
         total = sum_stats(
-            [
-                bleu_stats(out.chosen.tokens, ref)
-                for (out, _), ref in zip(results, refs)
-            ]
+            [bleu_stats(o.chosen.tokens, r) for o, r in zip(outputs, refs)]
         )
         score = bleu_score(total)
         report.append(f"BLEU: {100 * score:.2f} ({score:.6f})")

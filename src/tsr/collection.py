@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .textcore import line_prefix, read_records, write_lines
+from .textcore import joined_line, line_prefix, read_records, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -324,18 +324,29 @@ def save_collection(coll: Collection, path) -> None:
     """Persist a collection in the record format read by load_collection.
 
     Loading the result reproduces an equal Collection with the same term
-    ids and index matrix.
+    ids and index matrix. A record that would read back as other data
+    (a tab or line break in a field, whitespace in a token, a comma in
+    a label or an empty one) fails naming its caption, leaving no file.
+    Only docs built in code can hold these, so the check is made per
+    written line, not in check_record, which the file route runs.
     """
-    # The fourth field of each group, then "" that group -1 reads.
-    cats = [f"\t{','.join(sorted(c))}" for c in coll._categories[:-1]] + [""]
-    lines = (
-        f"{caption_id}\t{image_id}\t{' '.join(tokens)}{cats[g]}"
+    groups = coll._categories
+    # The fourth field of each group, none for group -1 (the last).
+    labels = [[",".join(sorted(c))] for c in groups[:-1]] + [[]]
+
+    def lines():
         for caption_id, image_id, tokens, g in zip(
             coll.caption_ids, coll.image_ids, coll._token_tuples(),
             coll.cat_group.tolist(),
-        )
-    )
-    write_lines(path, lines)
+        ):
+            text = " ".join(tokens)
+            same = tuple(text.split()) == tokens and all(
+                parse_categories(field) == groups[g] for field in labels[g]
+            )
+            fields = [caption_id, image_id, text, *labels[g]]
+            yield joined_line(fields, "\t", f"caption {caption_id!r}", same)
+
+    write_lines(path, lines())
 
 
 class FeatureStore:

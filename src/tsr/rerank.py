@@ -9,15 +9,18 @@ the total token count of the retrieved captions. The winner maximizes
 
 with ties going to the hypothesis the decoder ranked higher. Captions
 are read from the index of the Retriever that returned the matches.
+
+Relevance for all k_r candidates is one array pass over the matched
+captions' types, in match order and each caption's types in string
+order: term counts from the Retriever's counting step times the type
+weights, summed strictly left to right by np.add.accumulate. That is
+the order of the loop that defined the scores; np.sum (pairwise) or
+``@`` (BLAS order) would change the last bits diagnostics files print.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
-from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +62,7 @@ class RerankedOutput:
     combined_score: float
     relevance: float
     decoder_rank_of_chosen: int
+    used_fallback: bool  # the match list's flag: retrieval fell back
 
 
 def relevance_score(
@@ -72,42 +76,29 @@ def relevance_score(
     empty match list scores 0, so reranking degenerates gracefully to
     the decoder order.
     """
-    return _relevance(tokens, *_match_types(matches, retriever))
+    return _relevances([tokens], matches, retriever)[0]
 
 
-def _match_types(matches: MatchList, retriever: Retriever) -> tuple:
-    """What relevance needs of a match list, for any hypothesis, read
-    from the retriever's index: the vocabulary; each matched caption's
-    type ids in term-string order, in match order; their weights; and
-    the matched captions' summed token count."""
+def _relevances(
+    token_lists: Sequence[Sequence[str]],
+    matches: MatchList,
+    retriever: Retriever,
+) -> list[float]:
+    """relevance_score of each token list. A type a list lacks adds an
+    exact 0.0, which leaves a non-negative sum's bits as they are."""
     coll = retriever.coll
     rows = np.array([row for row, _ in matches.matches], dtype=np.int64)
+    total = int((coll.offsets[rows + 1] - coll.offsets[rows]).sum())
+    if total == 0:
+        return [0.0] * len(token_lists)
     types = coll.matrix[rows]
     caption = np.repeat(np.arange(rows.size), np.diff(types.indptr))
     key = caption * len(coll.vocab) + coll.term_rank[types.indices]
     ordered = types.indices[np.argsort(key, kind="stable")]
-    terms = ordered.tolist()
-    weight = dict(zip(terms, retriever.weights[ordered].tolist()))
-    total_tokens = (coll.offsets[rows + 1] - coll.offsets[rows]).sum()
-    return coll.vocab, terms, weight, int(total_tokens)
-
-
-def _relevance(
-    tokens: Sequence[str], vocab: dict, terms: list, weight: dict, total: int
-) -> float:
-    """relevance_score from _match_types' output. The addends are summed
-    strictly left to right over the types in match order; a type the
-    tokens lack adds an exact 0.0, which leaves the sum's bits as they
-    are. (sum() may compensate rounding, so it is not used.)"""
-    if total == 0:
-        return 0.0
-    addend = {
-        term: count * weight[term]
-        for term, count in Counter(map(vocab.get, tokens)).items()
-        if term in weight
-    }
-    acc = reduce(add, map(addend.get, terms, repeat(0.0)), 0.0)
-    return acc / total
+    # Gathered one list at a time: no k_r-by-vocabulary matrix.
+    counts = np.array([retriever.term_counts(t)[ordered] for t in token_lists])
+    addends = counts * retriever.weights[ordered]
+    return (np.add.accumulate(addends, axis=1)[:, -1] / total).tolist()
 
 
 def select_best(
@@ -121,13 +112,15 @@ def select_best(
     ties. matches are rows of retriever's collection."""
     if params is None:
         params = RerankParams()
-    types = _match_types(matches, retriever)
+    hyps = rbest.hyps[: params.k_r]
+    rels = _relevances([hyp.tokens for hyp in hyps], matches, retriever)
     best: RerankedOutput | None = None
-    for rank, hyp in enumerate(rbest.hyps[: params.k_r], start=1):
-        rel = _relevance(hyp.tokens, *types)
+    for rank, (hyp, rel) in enumerate(zip(hyps, rels), start=1):
         combined = hyp.decoder_score + params.interp_weight * rel
         if best is None or combined > best.combined_score:
-            best = RerankedOutput(rbest.sent_id, hyp, combined, rel, rank)
+            best = RerankedOutput(
+                rbest.sent_id, hyp, combined, rel, rank, matches.used_fallback
+            )
     return best
 
 
@@ -137,16 +130,14 @@ def write_output(outputs: Iterable[RerankedOutput], path) -> None:
     write_lines(path, lines)
 
 
-def write_diagnostics(
-    outputs: Iterable[tuple[RerankedOutput, bool]], path
-) -> None:
+def write_diagnostics(outputs: Iterable[RerankedOutput], path) -> None:
     """Write per-sentence rerank diagnostics: decoder rank of the chosen
     hypothesis, its combined and relevance scores, and whether retrieval
     fell back to text-only scoring."""
     lines = (
         f"{out.sent_id} ||| {out.decoder_rank_of_chosen}"
         f" ||| {out.combined_score!r} ||| {out.relevance!r}"
-        f" ||| {int(used_fallback)}"
-        for out, used_fallback in outputs
+        f" ||| {int(out.used_fallback)}"
+        for out in outputs
     )
     write_lines(path, lines)

@@ -32,12 +32,12 @@ import numbers
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .collection import Collection, FeatureStore, parse_categories
-from .textcore import read_records, write_lines
+from .textcore import joined_line, read_records, write_lines
 
 MODES = ("txt", "cnn", "hca")
 
@@ -174,11 +174,14 @@ class Retriever:
             None if feats is None else feats.rows_of(coll.image_ids)
         )
 
-    def _query_counts(self, hyps: Sequence[Hypothesis]) -> np.ndarray:
+    def term_counts(self, tokens: Iterable[str]) -> np.ndarray:
+        """How often each term id occurs among tokens, as float64 indexed
+        by term id; tokens the collection never uses are dropped."""
         vocab = self.coll.vocab
-        tids = (vocab.get(tok) for hyp in hyps for tok in hyp.tokens)
-        known = np.fromiter((t for t in tids if t is not None), np.int64)
-        return np.bincount(known, minlength=len(vocab)).astype(np.float64)
+        ids = map(vocab.get, tokens, itertools.repeat(-1))
+        tids = np.fromiter(ids, np.int64)
+        counts = np.bincount(tids[tids >= 0], minlength=len(vocab))
+        return counts.astype(np.float64)
 
     def _txt_scores(self, counts: np.ndarray) -> np.ndarray:
         raw = self.coll.matrix @ (counts * self.weights)
@@ -215,7 +218,8 @@ class Retriever:
         if params is None:
             params = RETRIEVAL_DEFAULTS[mode]
         hyps = kbest.hyps[: params.k_n]
-        counts = self._query_counts(hyps)
+        tokens = itertools.chain.from_iterable(hyp.tokens for hyp in hyps)
+        counts = self.term_counts(tokens)
         s_txt = self._txt_scores(counts)
 
         if mode == "txt":
@@ -337,13 +341,32 @@ def _kbest_records(path) -> Iterator[tuple]:
         yield where, parts[0].strip(), tuple(parts[1].split()), score
 
 
+def _each_sentence_once(items: Iterable) -> Iterator:
+    """items, failing on a sent_id an earlier item had (compared
+    stripped): a reader would merge or reject the two runs of lines."""
+    seen: set[str] = set()
+    for item in items:
+        if item.sent_id.strip() in seen:
+            raise ValueError(f"sentence {item.sent_id!r} written twice")
+        seen.add(item.sent_id.strip())
+        yield item
+
+
 def write_kbest(lists: Iterable[KBestList], path) -> None:
-    lines = (
-        f"{kb.sent_id} ||| {' '.join(hyp.tokens)} ||| {hyp.decoder_score!r}"
-        for kb in lists
-        for hyp in kb.hyps
-    )
-    write_lines(path, lines)
+    """Write k-best lists as read_kbest reads them. A sentence written
+    twice, or whose id or tokens would read back as other data, fails
+    naming it, and no file is left behind."""
+
+    def lines():
+        for kb in _each_sentence_once(lists):
+            what = f"sentence {kb.sent_id!r}"
+            for hyp in kb.hyps:
+                text = " ".join(hyp.tokens)
+                fields = [kb.sent_id, text, repr(hyp.decoder_score)]
+                same = tuple(text.split()) == hyp.tokens
+                yield joined_line(fields, " ||| ", what, same)
+
+    write_lines(path, lines())
 
 
 def write_matchlists(
@@ -352,21 +375,17 @@ def write_matchlists(
     """Dump match lists over coll, one ``sent_id ||| caption_id ||| score
     ||| flag`` line per match. Sentences with no matches emit one line
     with the placeholder caption_id ``-`` so fallback flags survive a
-    round trip. A caption_id that would not read back as the second of
-    four fields fails, and no file is left behind."""
+    round trip. A sentence written twice, or a sent_id or caption_id
+    holding `` ||| `` or a line break, fails and leaves no file."""
 
     def lines():
-        for ml in matchlists:
-            flag = int(ml.used_fallback)
-            if not ml.matches:
-                yield f"{ml.sent_id} ||| - ||| 0.0 ||| {flag}"
-            for row, score in ml.matches:
-                cid = coll.caption_ids[row]
-                line = f"{ml.sent_id} ||| {cid} ||| {score!r} ||| {flag}"
-                fields = line.split(" ||| ")
-                if len(fields) != 4 or fields[1] != cid:
-                    raise ValueError(f"caption_id {cid!r} breaks a dump line")
-                yield line
+        for ml in _each_sentence_once(matchlists):
+            flag = str(int(ml.used_fallback))
+            named = [(coll.caption_ids[r], repr(s)) for r, s in ml.matches]
+            for cid, score in named or [("-", "0.0")]:
+                fields = [ml.sent_id, cid, score, flag]
+                what = f"sentence {ml.sent_id!r}, caption_id {cid!r}"
+                yield joined_line(fields, " ||| ", what)
 
     write_lines(path, lines())
 

@@ -68,6 +68,18 @@ def read_records(
             yield lineno if numbered else f"{prefix}{lineno}", fields
 
 
+def joined_line(
+    fields: list[str], sep: str, what: str, ok: bool = True
+) -> str:
+    """fields joined by sep; ValueError naming what unless ok, the
+    caller's check of a field's own parse, holds and read_records splits
+    the line back into fields: no field holds sep or a line break."""
+    line = sep.join(fields)
+    if not ok or line.split(sep) != fields or "\n" in line or "\r" in line:
+        raise ValueError(f"{what} would not read back from its line")
+    return line
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each of lines plus a newline to path as UTF-8, atomically: to
     a temporary file beside path, renamed over it at the end. A failure

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 
 from .collection import Collection, FeatureStore
-from .evalsig import BleuStats, bleu_score, bleu_stats
+from .evalsig import bleu_score, bleu_stats, sum_stats
 from .rerank import RerankParams, select_best
 from .retrieval import MODES, KBestList, Query, Retriever, RetrievalParams
 
@@ -158,11 +158,12 @@ def stepwise_search(
                     )
                 )
             match_cache[rparams] = matchlists
-        total = BleuStats.zero()
-        for kb, ml, ref in zip(dev.kbests, matchlists, dev.references):
-            out = select_best(kb, ml, retriever, params)
-            total = total + bleu_stats(out.chosen.tokens, ref)
-        return bleu_score(total)
+        chosen = (
+            select_best(kb, ml, retriever, params).chosen.tokens
+            for kb, ml in zip(dev.kbests, matchlists)
+        )
+        stats = [bleu_stats(c, ref) for c, ref in zip(chosen, dev.references)]
+        return bleu_score(sum_stats(stats))
 
     trace: list[tuple[dict[str, float], float]] = []
     best_bleu = None

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsr import (
     CaptionDoc,
@@ -18,6 +18,7 @@ from tsr import (
     Hypothesis,
     IdfTable,
     KBestList,
+    MatchList,
     load_collection,
     load_features,
     read_kbest,
@@ -26,6 +27,7 @@ from tsr import (
     read_sentence_file,
     save_collection,
     write_kbest,
+    write_matchlists,
 )
 from tsr.textcore import write_lines
 
@@ -96,10 +98,136 @@ def test_kbest_round_trip(drawn):
     assert loaded == lists
 
 
+# Ids, tokens and labels: words, or pieces a line format may not hold.
+HOSTILE = WORD | st.lists(
+    st.sampled_from(["a", "b", " ", "\t", ",", "|||", " ||| ", "\n", "\r"]),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+def refused_or_read_back(write, read, value, name):
+    """What read gives for the file write made of value; None when write
+    refused value with ValueError and left no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        try:
+            write(value, path)
+        except ValueError:
+            assert os.listdir(tmp) == []
+            return None
+        return read(path)
+
+
+def by_stripped_id(items, *attrs):
+    return [
+        (item.sent_id.strip(), *(getattr(item, a) for a in attrs))
+        for item in items
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        HOSTILE,
+        st.lists(
+            st.lists(HOSTILE, max_size=3).map(tuple),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    ),
+    max_size=4,
+))
+@example([("a ||| b", [("x", "y")])])
+@example([("s1", [("a", "|||", "b")])])
+def test_kbest_lines_read_back_or_fail(drawn):
+    lists = [
+        KBestList(sent_id, [
+            Hypothesis(tokens, -float(i)) for i, tokens in enumerate(hyps)
+        ])
+        for sent_id, hyps in drawn
+    ]
+    loaded = refused_or_read_back(write_kbest, read_kbest, lists, "kbest.txt")
+    if loaded is not None:
+        assert by_stripped_id(loaded, "hyps") == by_stripped_id(lists, "hyps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(HOSTILE, min_size=3, max_size=3, unique=True),
+    st.lists(
+        st.tuples(
+            HOSTILE, st.booleans(), st.lists(st.integers(0, 2), max_size=3)
+        ),
+        max_size=4,
+    ),
+)
+@example(["a\nb", "c", "d"], [("s1", False, [0])])
+@example(["c", "d", "e"], [("s\r1", True, [])])
+def test_match_lines_read_back_or_fail(caption_ids, drawn):
+    coll = Collection([CaptionDoc(cid, "i", ("a",)) for cid in caption_ids])
+    mls = [
+        MatchList(
+            sent_id, [(row, 1.0 + j) for j, row in enumerate(rows)], flag
+        )
+        for sent_id, flag, rows in drawn
+    ]
+    loaded = refused_or_read_back(
+        lambda value, path: write_matchlists(value, coll, path),
+        lambda path: read_matchlists(path, coll),
+        mls,
+        "matches.txt",
+    )
+    if loaded is not None:
+        attrs = ("used_fallback", "matches")
+        assert by_stripped_id(loaded, *attrs) == by_stripped_id(mls, *attrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        HOSTILE,
+        HOSTILE,
+        st.lists(HOSTILE, min_size=1, max_size=3).map(tuple),
+        st.none()
+        | st.frozensets(HOSTILE | st.just(""), min_size=1, max_size=2),
+    ),
+    max_size=4,
+    unique_by=lambda record: record[0],
+))
+@example([("a\tb", "i", ("x",), None)])
+@example([("c1", "i", ("x y",), None)])
+@example([("c1", "i", ("x",), frozenset({"p,q"}))])
+@example([("c1", "i", ("x",), frozenset({""}))])
+def test_collection_lines_read_back_or_fail(drawn):
+    coll = Collection([CaptionDoc(*record) for record in drawn])
+    loaded = refused_or_read_back(
+        save_collection, load_collection, coll, "coll.tsv"
+    )
+    if loaded is not None:
+        assert loaded == coll
+
+
 MATCH_COLL = Collection([
     CaptionDoc("c1", "i1", ("a", "man")),
     CaptionDoc("c2", "i2", ("a", "dog")),
 ])
+
+
+@pytest.mark.parametrize("write, value, named", [
+    (write_kbest, [KBestList("a ||| b", [Hypothesis(("x",), -1.0)])],
+     "sentence 'a ||| b'"),
+    (lambda value, path: write_matchlists(value, MATCH_COLL, path),
+     [MatchList("s1", [(0, 1.0)]), MatchList(" s1", [])],
+     "sentence ' s1' written twice"),
+    (save_collection, Collection([CaptionDoc("a\tb", "i", ("x",))]),
+     "caption 'a\\tb'"),
+], ids=["kbest", "matches", "collection"])
+def test_refused_record_is_named(tmp_path, write, value, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        write(value, tmp_path / "out.txt")
+    assert os.listdir(tmp_path) == []
 
 
 def replace_field(at: int, value: str):

@@ -66,14 +66,46 @@ class TestRelevanceScore:
             CaptionDoc("c1", "i1", ("zz",)),
             CaptionDoc("c2", "i1", ("zz", "mm", "aa")),
         ]
-        idf = FixedIdf({"aa": 1.0, "mm": 1.0, "zz": 1e16})
-        retriever = Retriever(Collection(docs), idf)
-        assert list(retriever.coll.vocab) == ["zz", "aa", "mm"]
         matches = MatchList("s1", [(1, 1.0)])
-        got = relevance_score(("aa", "mm", "zz"), matches, retriever)
-        want = (((0.0 + 1.0) + 1.0) + 1e16) / 3
-        assert want != (((0.0 + 1e16) + 1.0) + 1.0) / 3
-        assert got.hex() == want.hex()
+        # The rank 2 hypothesis wins; its relevance comes from the same
+        # pass as the decoder's first.
+        kb = KBestList("s1", [hyp("bb", -1.0), hyp("aa mm zz", -2.0)])
+        for aa, mm, zz in [(1.0, 1.0, 1e16), (1e16, 1.0, 1.0)]:
+            idf = FixedIdf({"aa": aa, "mm": mm, "zz": zz})
+            retriever = Retriever(Collection(docs), idf)
+            assert list(retriever.coll.vocab) == ["zz", "aa", "mm"]
+            want = (((0.0 + aa) + mm) + zz) / 3
+            assert want != (((0.0 + zz) + mm) + aa) / 3
+            got = relevance_score(("aa", "mm", "zz"), matches, retriever)
+            assert got.hex() == want.hex()
+            out = select_best(kb, matches, retriever, RerankParams(2, 1.0))
+            assert out.decoder_rank_of_chosen == 2
+            assert out.relevance.hex() == want.hex()
+
+    def test_bits_equal_a_left_to_right_loop_on_random_inputs(self):
+        # Matched captions in match order, each caption's types in string
+        # order, one addition at a time: np.sum or @ would change the last
+        # bits of some of these sums.
+        rng = np.random.default_rng(41)
+        vocab = [f"t{i}" for i in range(40)]
+        idf = random_idf_table(rng, vocab)
+        for _ in range(100):
+            docs = [
+                CaptionDoc(
+                    f"c{i}",
+                    "i1",
+                    tuple(rng.choice(vocab, size=int(rng.integers(1, 12)))),
+                )
+                for i in range(int(rng.integers(1, 12)))
+            ]
+            tokens = tuple(rng.choice(vocab, size=int(rng.integers(1, 20))))
+            acc = 0.0
+            for doc in docs:
+                for term in sorted(set(doc.tokens)):
+                    acc += tokens.count(term) * idf.idf(term)
+            want = acc / sum(len(doc.tokens) for doc in docs)
+            got = relevance_score(tokens, *ml(idf, *docs))
+            assert got.hex() == want.hex()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
