@@ -35,12 +35,14 @@ import logging
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .textcore import joined_line, line_prefix, read_records, write_lines
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger(__name__)
 
@@ -252,7 +254,10 @@ def _type_incidence(
     every row by term id; int64, as docs times terms outgrows int32. A
     function of its own so that its key arrays are freed on return,
     before the constructor's next pass: that bounds the load's peak
-    memory."""
+    memory. scipy is imported here, not with the module, so that the
+    commands that build no index never load it."""
+    from scipy import sparse
+
     n = lengths.size
     width = max(n_terms, 1)
     keys = np.repeat(np.arange(n, dtype=np.int64), lengths)

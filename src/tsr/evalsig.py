@@ -13,7 +13,9 @@ per-sentence statistics of a random subset of sentences, recompute both
 corpus scores, and count how often the shuffled score difference
 reaches the observed one. Each trial draws from its own generator
 seeded by a spawned child of the master seed, so p-values are
-bit-identical across runs.
+bit-identical across runs. The swapped statistics of a block of trials
+are summed in one float64 matrix product: every partial sum is an
+integer below 2**53, so the product is exact in any summation order.
 
 The random source is numpy's default generator (PCG64, numpy >= 1.24)
 with SeedSequence.spawn for per-trial child seeds; changing either
@@ -30,6 +32,9 @@ from typing import Sequence
 import numpy as np
 
 MAX_ORDER = 4
+# Random draws approx_randomization holds at once: a block is as many
+# trials as fit in 2**18 float64 (2 MB; their masks take as much again).
+_MASK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,7 @@ class BleuStats:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> BleuStats:
@@ -75,7 +78,7 @@ def bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> BleuStats:
         hyp_counts = _ngram_counts(hyp, n)
         ref_counts = _ngram_counts(ref, n)
         matches.append(sum((hyp_counts & ref_counts).values()))
-        totals.append(sum(hyp_counts.values()))
+        totals.append(max(len(hyp) - n + 1, 0))
     return BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
 
 
@@ -125,7 +128,9 @@ def approx_randomization(
     Each trial swaps every sentence's A/B statistics independently with
     probability 1/2 and recomputes the absolute corpus score
     difference; the p-value is (exceedances + 1) / (trials + 1), so it
-    is never 0 and is exactly 1 for identical systems.
+    is never 0 and is exactly 1 for identical systems. ValueError when
+    a statistic's absolute A/B differences sum to 2**53 or more, where
+    the float64 shift sums would stop being exact.
     """
     if len(stats_a) != len(stats_b):
         raise ValueError("systems have different sentence counts")
@@ -139,15 +144,25 @@ def approx_randomization(
     sum_b = b.sum(axis=0)
     observed = abs(_bleu(*sum_a.tolist()) - _bleu(*sum_b.tolist()))
     delta = b - a
+    # Python ints: an int64 column sum could wrap below the bound.
+    if max(map(sum, np.abs(delta).T.tolist())) >= 2**53:
+        raise ValueError("statistics differ too much to sum exactly")
+    delta_f = delta.astype(np.float64)
     n = len(stats_a)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    block = max(1, _MASK_ELEMENTS // n)
     exceed = 0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        mask = np.random.default_rng(child).random(n) < 0.5
-        shift = delta[mask].sum(axis=0)
-        shuffled_a = _bleu(*(sum_a + shift).tolist())
-        shuffled_b = _bleu(*(sum_b - shift).tolist())
-        if abs(shuffled_a - shuffled_b) >= observed:
-            exceed += 1
+    for start in range(0, trials, block):
+        chunk = children[start : start + block]
+        draws = np.empty((len(chunk), n))
+        for row, child in zip(draws, chunk):
+            np.random.default_rng(child).random(out=row)
+        masks = (draws < 0.5).astype(np.float64)
+        shifts = (masks @ delta_f).astype(np.int64)
+        shuffled = zip((sum_a + shifts).tolist(), (sum_b - shifts).tolist())
+        for row_a, row_b in shuffled:
+            if abs(_bleu(*row_a) - _bleu(*row_b)) >= observed:
+                exceed += 1
     return (exceed + 1) / (trials + 1)
 
 

@@ -30,10 +30,11 @@ from .retrieval import (
     KBestList,
     MatchList,
     Retriever,
+    _each_sentence_once,
     check_count,
     check_weight,
 )
-from .textcore import write_lines
+from .textcore import joined_line, write_lines
 
 
 @dataclass(frozen=True)
@@ -106,16 +107,25 @@ def select_best(
     matches: MatchList,
     retriever: Retriever,
     params: RerankParams | None = None,
+    relevances: Sequence[float] | None = None,
 ) -> RerankedOutput:
     """Pick the hypothesis maximizing decoder score plus weighted
     relevance over the first k_r hypotheses; earlier decoder rank wins
-    ties. matches are rows of retriever's collection."""
+    ties. matches are rows of retriever's collection. relevances, when
+    given, are those hypotheses' relevance_score against matches,
+    computed by the caller (tune reuses them across grid points)."""
     if params is None:
         params = RerankParams()
     hyps = rbest.hyps[: params.k_r]
-    rels = _relevances([hyp.tokens for hyp in hyps], matches, retriever)
+    if relevances is None:
+        tokens = [hyp.tokens for hyp in hyps]
+        relevances = _relevances(tokens, matches, retriever)
+    elif len(relevances) != len(hyps):
+        raise ValueError(
+            f"{len(relevances)} relevances for {len(hyps)} hypotheses"
+        )
     best: RerankedOutput | None = None
-    for rank, (hyp, rel) in enumerate(zip(hyps, rels), start=1):
+    for rank, (hyp, rel) in enumerate(zip(hyps, relevances), start=1):
         combined = hyp.decoder_score + params.interp_weight * rel
         if best is None or combined > best.combined_score:
             best = RerankedOutput(
@@ -125,19 +135,37 @@ def select_best(
 
 
 def write_output(outputs: Iterable[RerankedOutput], path) -> None:
-    """Write chosen hypotheses, one ``sent_id ||| tokens`` line each."""
-    lines = (f"{o.sent_id} ||| {' '.join(o.chosen.tokens)}" for o in outputs)
-    write_lines(path, lines)
+    """Write chosen hypotheses, one ``sent_id ||| tokens`` line each, as
+    read_sentence_file reads them. A sentence written twice, or whose id
+    or tokens would read back as other data, fails naming it, and no
+    file is left behind."""
+
+    def lines():
+        for out in _each_sentence_once(outputs):
+            text = " ".join(out.chosen.tokens)
+            same = tuple(text.split()) == out.chosen.tokens
+            what = f"sentence {out.sent_id!r}"
+            yield joined_line([out.sent_id, text], " ||| ", what, same)
+
+    write_lines(path, lines())
 
 
 def write_diagnostics(outputs: Iterable[RerankedOutput], path) -> None:
     """Write per-sentence rerank diagnostics: decoder rank of the chosen
     hypothesis, its combined and relevance scores, and whether retrieval
-    fell back to text-only scoring."""
-    lines = (
-        f"{out.sent_id} ||| {out.decoder_rank_of_chosen}"
-        f" ||| {out.combined_score!r} ||| {out.relevance!r}"
-        f" ||| {int(out.used_fallback)}"
-        for out in outputs
-    )
-    write_lines(path, lines)
+    fell back to text-only scoring. A sentence written twice, or a
+    sent_id holding `` ||| `` or a line break, fails and leaves no
+    file."""
+
+    def lines():
+        for out in _each_sentence_once(outputs):
+            fields = [
+                out.sent_id,
+                str(out.decoder_rank_of_chosen),
+                repr(out.combined_score),
+                repr(out.relevance),
+                str(int(out.used_fallback)),
+            ]
+            yield joined_line(fields, " ||| ", f"sentence {out.sent_id!r}")
+
+    write_lines(path, lines())

@@ -11,20 +11,35 @@ always re-evaluates the incumbent configuration and the incumbent BLEU
 never decreases; the final incumbent therefore attains the maximum over
 the whole trace.
 
-Retrieval output depends only on the RetrievalParams of a point
-(k_n, k_m, distance_cutoff and the grid's fixed distance_weight), so
-match lists are cached on them and the k_r and interp_weight sweeps
-cost almost nothing.
+Each piece of work is done once and reused by every point that needs
+it, with the same bits as a point evaluated from scratch:
+
+* Sentences are retrieved once per (k_n, distance_cutoff), at the
+  grid's largest k_m. Selection is a total order (score descending,
+  then caption id) and the fallback does not depend on k_m, so the
+  match list of a smaller k_m is a prefix of that retrieval.
+* Relevance is computed once per match list, for the first max(k_r)
+  hypotheses. Each hypothesis's relevance is computed on its own, so
+  the first k_r of them are what select_best would compute for k_r.
+* A hypothesis's BLEU statistics never change across points; they are
+  computed when a point first chooses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .collection import Collection, FeatureStore
-from .evalsig import bleu_score, bleu_stats, sum_stats
-from .rerank import RerankParams, select_best
-from .retrieval import MODES, KBestList, Query, Retriever, RetrievalParams
+from .evalsig import BleuStats, bleu_score, bleu_stats, sum_stats
+from .rerank import RerankParams, _relevances, select_best
+from .retrieval import (
+    MODES,
+    KBestList,
+    MatchList,
+    Query,
+    Retriever,
+    RetrievalParams,
+)
 
 _PARAMS = (RetrievalParams, RerankParams)
 _DECLARED_BY = {f.name: cls for cls in _PARAMS for f in fields(cls)}
@@ -143,27 +158,48 @@ def stepwise_search(
         )
 
     retriever = Retriever(dev.coll, dev.idf, dev.feats)
-    match_cache: dict[RetrievalParams, list] = {}
+    top_k_m, top_k_r = max(grid.k_m), max(grid.k_r)
+    retrieved: dict[RetrievalParams, list[MatchList]] = {}
+    # Per match list: each sentence's (matches, first max(k_r) relevances)
+    ranked: dict[RetrievalParams, list[tuple[MatchList, list[float]]]] = {}
+    # Per sentence: decoder rank -> BLEU statistics of that hypothesis
+    stats: list[dict[int, BleuStats]] = [{} for _ in dev.kbests]
+
+    def matchlists(rparams: RetrievalParams) -> list[MatchList]:
+        key = replace(rparams, k_m=top_k_m)
+        full = retrieved.get(key)
+        if full is None:
+            full = retrieved[key] = []
+            for kb in dev.kbests:
+                query = dev.queries.get(kb.sent_id, Query(kb.sent_id))
+                full.append(
+                    retriever.retrieve(
+                        kb, query.image_id, query.categories, mode, key
+                    )
+                )
+        return [
+            MatchList(ml.sent_id, ml.matches[: rparams.k_m], ml.used_fallback)
+            for ml in full
+        ]
 
     def evaluate(point: dict[str, float]) -> float:
         rparams, params = params_at(point)
-        matchlists = match_cache.get(rparams)
-        if matchlists is None:
-            matchlists = []
-            for kb in dev.kbests:
-                query = dev.queries.get(kb.sent_id, Query(kb.sent_id))
-                matchlists.append(
-                    retriever.retrieve(
-                        kb, query.image_id, query.categories, mode, rparams
-                    )
-                )
-            match_cache[rparams] = matchlists
-        chosen = (
-            select_best(kb, ml, retriever, params).chosen.tokens
-            for kb, ml in zip(dev.kbests, matchlists)
-        )
-        stats = [bleu_stats(c, ref) for c, ref in zip(chosen, dev.references)]
-        return bleu_score(sum_stats(stats))
+        sentences = ranked.get(rparams)
+        if sentences is None:
+            sentences = ranked[rparams] = []
+            for kb, ml in zip(dev.kbests, matchlists(rparams)):
+                tokens = [hyp.tokens for hyp in kb.hyps[:top_k_r]]
+                sentences.append((ml, _relevances(tokens, ml, retriever)))
+        chosen = []
+        for kb, (ml, rels), ref, known in zip(
+            dev.kbests, sentences, dev.references, stats
+        ):
+            out = select_best(kb, ml, retriever, params, rels[: params.k_r])
+            rank = out.decoder_rank_of_chosen
+            if rank not in known:
+                known[rank] = bleu_stats(out.chosen.tokens, ref)
+            chosen.append(known[rank])
+        return bleu_score(sum_stats(chosen))
 
     trace: list[tuple[dict[str, float], float]] = []
     best_bleu = None

@@ -229,6 +229,23 @@ def oracle_exhaustive_p(pairs_a, pairs_b) -> float:
     return count / 2 ** n
 
 
+def oracle_approx_randomization(pairs_a, pairs_b, trials: int, seed: int):
+    """approx_randomization's p-value one trial at a time: the same
+    spawned generator and mask per trial, each swapped corpus recounted
+    from its rows."""
+    rows_a = [oracle_bleu_row(h, r) for h, r in pairs_a]
+    rows_b = [oracle_bleu_row(h, r) for h, r in pairs_b]
+    observed = abs(oracle_bleu(rows_a) - oracle_bleu(rows_b))
+    exceed = 0
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        mask = np.random.default_rng(child).random(len(rows_a)) < 0.5
+        swapped_a = [b if m else a for a, b, m in zip(rows_a, rows_b, mask)]
+        swapped_b = [a if m else b for a, b, m in zip(rows_a, rows_b, mask)]
+        if abs(oracle_bleu(swapped_a) - oracle_bleu(swapped_b)) >= observed:
+            exceed += 1
+    return (exceed + 1) / (trials + 1)
+
+
 def float32_exact(values) -> list[float]:
     """Round components to float32 so library-side float32 storage is
     lossless and oracle distances see identical operands."""
@@ -271,6 +288,19 @@ def random_collection(
         if rng.random() < feature_coverage
     }
     return docs, feats_map
+
+
+def with_copies(rng: np.random.Generator, docs, n_copies: int) -> list:
+    """docs plus n_copies copies of randomly drawn docs under new caption
+    ids: a copy scores exactly what its original scores in every mode,
+    so tie groups form that selection must order by caption id."""
+    copies = []
+    for j in range(n_copies):
+        doc = docs[int(rng.integers(0, len(docs)))]
+        copies.append(
+            CaptionDoc(f"copy{j:05d}", doc.image_id, doc.tokens, doc.categories)
+        )
+    return list(docs) + copies
 
 
 def random_kbest(

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tsr
 from tsr import CaptionDoc
 from tsr.cli import main
 
@@ -547,6 +552,39 @@ class TestEvaluateCompare:
         first = capsys.readouterr().out
         run("compare", a, b, ref, "--trials", "200", "--seed", "5")
         assert capsys.readouterr().out == first
+
+
+    def test_compare_and_evaluate_run_without_scipy(self, ws):
+        # scipy builds the index; these two commands build none.
+        a, b, ref = ws / "a.txt", ws / "b.txt", ws / "r.txt"
+        a.write_text("a man rides a horse\nthe dog runs fast\n", encoding="utf-8")
+        b.write_text("a man rides the horse\na dog runs quick\n", encoding="utf-8")
+        ref.write_text("a man rides a horse\nthe dog runs quick\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['scipy'] = None\n"
+            "import tsr.cli\n"
+            "if sys.argv[1] == 'open':\n"
+            "    assert 'scipy' not in sys.modules\n"
+            "sys.exit(tsr.cli.main(sys.argv[2:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tsr.__file__).parents[1]))
+
+        def stdout(scipy, *argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, scipy, *map(str, argv)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        for argv in (
+            ("compare", a, b, ref, "--trials", "300", "--seed", "3"),
+            ("evaluate", a, ref),
+        ):
+            assert stdout("blocked", *argv) == stdout("open", *argv)
+        assert "p-value" in stdout("blocked", "compare", a, b, ref)
 
 
 class TestTune:

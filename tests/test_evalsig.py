@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tsr.evalsig
 from tsr import (
     BleuStats,
     align_sentences,
@@ -12,7 +13,12 @@ from tsr import (
     read_sentence_file,
     sum_stats,
 )
-from oracles import oracle_bleu, oracle_bleu_row, oracle_exhaustive_p
+from oracles import (
+    oracle_approx_randomization,
+    oracle_bleu,
+    oracle_bleu_row,
+    oracle_exhaustive_p,
+)
 
 
 def toks(text):
@@ -217,6 +223,53 @@ class TestApproxRandomization:
         stats_a, stats_b = self.close_fixture()
         p = approx_randomization(stats_a, stats_b, trials=20000, seed=3)
         assert p == pytest.approx(exact, abs=0.02)
+
+    @pytest.mark.parametrize("n, trials, cap", [
+        (3, 150, 64),  # 21 trials a block: seven full blocks, one partial
+        (7, 30, 64),  # 9 a block
+        (64, 9, 64),  # one a block
+        (100, 7, 64),  # more sentences than the cap: still one a block
+        (300, 900, None),  # the shipped cap: 873 trials, then 27
+    ])
+    def test_blocked_sums_equal_a_per_trial_loop(
+        self, monkeypatch, n, trials, cap
+    ):
+        if cap is not None:
+            monkeypatch.setattr(tsr.evalsig, "_MASK_ELEMENTS", cap)
+        rng = np.random.default_rng(n)
+        vocab = [f"w{i}" for i in range(6)]
+
+        def noisy(ref):
+            out = list(ref)
+            out[int(rng.integers(0, len(out)))] = str(rng.choice(vocab))
+            return out
+
+        refs = [
+            list(rng.choice(vocab, size=int(rng.integers(4, 12))))
+            for _ in range(n)
+        ]
+        pairs_a = [(noisy(ref), ref) for ref in refs]
+        pairs_b = [(noisy(ref), ref) for ref in refs]
+        stats_a = [bleu_stats(h, r) for h, r in pairs_a]
+        stats_b = [bleu_stats(h, r) for h, r in pairs_b]
+        for seed in (0, 1) if n < 300 else (0,):
+            assert approx_randomization(
+                stats_a, stats_b, trials, seed
+            ) == oracle_approx_randomization(pairs_a, pairs_b, trials, seed)
+
+    def test_rejects_differences_too_large_to_sum_exactly(self):
+        # Below 2**53 every float64 partial sum of the differences is an
+        # exact integer; from there on it need not be.
+        def hyp_len(n):
+            return BleuStats((0, 0, 0, 0), (0, 0, 0, 0), n, 1)
+
+        zero = [hyp_len(0), hyp_len(0)]
+        below = [hyp_len(2**52), hyp_len(2**52 - 1)]
+        at = [hyp_len(2**52), hyp_len(2**52)]
+        assert approx_randomization(zero, below, trials=3, seed=0) == 1.0
+        for stats_a, stats_b in ((zero, at), (at, zero)):
+            with pytest.raises(ValueError, match="exactly"):
+                approx_randomization(stats_a, stats_b, trials=3, seed=0)
 
     def test_rejects_mismatched_lengths(self):
         stats_a, stats_b = self.fixture()

@@ -19,6 +19,7 @@ from tsr import (
     IdfTable,
     KBestList,
     MatchList,
+    RerankedOutput,
     load_collection,
     load_features,
     read_kbest,
@@ -26,10 +27,12 @@ from tsr import (
     read_queries,
     read_sentence_file,
     save_collection,
+    write_diagnostics,
     write_kbest,
     write_matchlists,
+    write_output,
 )
-from tsr.textcore import write_lines
+from tsr.textcore import read_records, write_lines
 
 WORD = st.text(alphabet="abcxyzäß019-'", min_size=1, max_size=5)
 SCORE = st.floats(allow_nan=False, allow_infinity=False)
@@ -209,6 +212,61 @@ def test_collection_lines_read_back_or_fail(drawn):
         assert loaded == coll
 
 
+def reranked(sent_id, tokens, combined=-1.0, relevance=0.0, flag=False):
+    """A rerank result choosing tokens at decoder rank 1."""
+    hyp = Hypothesis(tokens, combined)
+    return RerankedOutput(sent_id, hyp, combined, relevance, 1, flag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(HOSTILE, st.lists(HOSTILE, max_size=3).map(tuple)),
+    max_size=4,
+))
+@example([("s1", ("x y",))])
+@example([("a ||| b", ("x",))])
+@example([("s\n1", ("x",))])
+def test_output_lines_read_back_or_fail(drawn):
+    outputs = [reranked(sent_id, tokens) for sent_id, tokens in drawn]
+    loaded = refused_or_read_back(
+        write_output, read_sentence_file, outputs, "output.txt"
+    )
+    if loaded is not None:
+        ids, sentences = loaded
+        assert list(zip(ids or [], map(tuple, sentences))) == [
+            (out.sent_id.strip(), out.chosen.tokens) for out in outputs
+        ]
+
+
+def read_diagnostics(path):
+    records = read_records(path, " ||| ", (5,), "expected 5 fields")
+    return [
+        (sent_id, int(rank), float(combined), float(rel), bool(int(flag)))
+        for _, (sent_id, rank, combined, rel, flag) in records
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(HOSTILE, SCORE, SCORE, st.booleans()), max_size=4
+))
+@example([("a ||| b", -1.0, 0.5, False)])
+@example([("s\r1", -1.0, 0.5, True)])
+def test_diagnostics_lines_read_back_or_fail(drawn):
+    outputs = [
+        reranked(sent_id, ("x",), combined, rel, flag)
+        for sent_id, combined, rel, flag in drawn
+    ]
+    loaded = refused_or_read_back(
+        write_diagnostics, read_diagnostics, outputs, "diagnostics.txt"
+    )
+    if loaded is not None:
+        assert loaded == [
+            (out.sent_id, 1, out.combined_score, out.relevance, flag)
+            for out, (*_, flag) in zip(outputs, drawn)
+        ]
+
+
 MATCH_COLL = Collection([
     CaptionDoc("c1", "i1", ("a", "man")),
     CaptionDoc("c2", "i2", ("a", "dog")),
@@ -223,7 +281,10 @@ MATCH_COLL = Collection([
      "sentence ' s1' written twice"),
     (save_collection, Collection([CaptionDoc("a\tb", "i", ("x",))]),
      "caption 'a\\tb'"),
-], ids=["kbest", "matches", "collection"])
+    (write_output, [reranked("s1", ("x y",))], "sentence 's1'"),
+    (write_diagnostics, [reranked("s1", ("x",)), reranked("a\nb", ("x",))],
+     "sentence 'a\\nb'"),
+], ids=["kbest", "matches", "collection", "output", "diagnostics"])
 def test_refused_record_is_named(tmp_path, write, value, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         write(value, tmp_path / "out.txt")

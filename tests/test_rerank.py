@@ -179,6 +179,19 @@ class TestSelectBest:
         out = select_best(kb, *ml(IDF, doc), RerankParams(2, 5.0))
         assert out.decoder_rank_of_chosen == 1
 
+    def test_given_relevances_are_used_and_must_cover_k_r(self):
+        kb = KBestList("s1", [hyp("a bird", -1.0), hyp("a dog", -2.0)])
+        doc = CaptionDoc("c1", "i1", ("a", "dog"))
+        matches, retriever = ml(IDF, doc)
+        params = RerankParams(2, 1e12)
+        rels = [relevance_score(h.tokens, matches, retriever) for h in kb.hyps]
+        given = select_best(kb, matches, retriever, params, rels)
+        assert given == select_best(kb, matches, retriever, params)
+        swapped = select_best(kb, matches, retriever, params, rels[::-1])
+        assert swapped.decoder_rank_of_chosen == 1
+        with pytest.raises(ValueError, match="1 relevances for 2"):
+            select_best(kb, matches, retriever, params, rels[:1])
+
     def test_empty_kbest_errors(self):
         with pytest.raises(ValueError, match="empty"):
             select_best(KBestList("s1", []), *ml(IDF))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from tsr import (
     FeatureStore,
     Hypothesis,
     KBestList,
+    MODES,
     MatchList,
     RerankParams,
     RetrievalParams,
@@ -22,7 +24,14 @@ from tsr import (
     write_kbest,
     write_matchlists,
 )
-from oracles import FixedIdf, ScaledIdf, random_idf_table
+from oracles import (
+    FixedIdf,
+    ScaledIdf,
+    random_collection,
+    random_idf_table,
+    random_kbest,
+    with_copies,
+)
 
 
 DOC = CaptionDoc("c1", "img1", ("a", "dog"))
@@ -594,3 +603,48 @@ def test_retriever_reuse_matches_one_shot():
         assert [(coll.caption_ids[r], s) for r, s in a.matches] == [
             (coll.caption_ids[r], s) for r, s in b.matches
         ]
+
+
+def test_top_k_is_a_prefix_of_every_larger_top_k():
+    """Selection is a total order (score descending, then caption id)
+    and the fallback does not depend on k_m, so for a < b retrieving a
+    matches gives the first a of b matches and the same flag, in every
+    mode, also where a tie group straddles the cut. Tune retrieves once
+    at its largest k_m and relies on this."""
+    rng = np.random.default_rng(303)
+    category_pool = [f"cat{i}" for i in range(4)]
+    straddled = 0
+    for trial in range(12):
+        vocab = [f"v{i:02d}" for i in range(int(rng.integers(10, 40)))]
+        docs, feats_map = random_collection(
+            rng, int(rng.integers(30, 120)), vocab, 3, category_pool
+        )
+        docs = with_copies(rng, docs, len(docs) // 2)
+        retriever = Retriever(
+            Collection(docs), random_idf_table(rng, vocab),
+            FeatureStore(feats_map),
+        )
+        images = sorted({doc.image_id for doc in docs})
+        for q in range(3):
+            kbest = random_kbest(rng, f"s{q}", vocab, int(rng.integers(1, 6)))
+            image = images[int(rng.integers(0, len(images)))]
+            cats = docs[int(rng.integers(0, len(docs)))].categories
+            cutoff = float(rng.uniform(0.2, 1.5))
+            for mode in MODES:
+                def top(k_m):
+                    params = RetrievalParams(5, k_m, 0.5, cutoff)
+                    return retriever.retrieve(kbest, image, cats, mode, params)
+
+                scores = [s for _, s in top(len(docs) + 1).matches]
+                cuts = [
+                    a for a in range(1, len(scores))
+                    if scores[a - 1] == scores[a]
+                ]
+                straddled += bool(cuts)
+                drawn = rng.integers(1, len(docs) + 2, size=3).tolist()
+                ks = {1, 2, len(scores), len(docs) + 1, *cuts[:5], *drawn}
+                lists = {k: top(k) for k in ks if k >= 1}
+                for a, b in itertools.combinations(sorted(lists), 2):
+                    assert lists[a].matches == lists[b].matches[:a]
+                    assert lists[a].used_fallback == lists[b].used_fallback
+    assert straddled >= 80

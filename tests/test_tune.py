@@ -3,6 +3,7 @@ import pytest
 
 import tsr.tune
 from tsr import (
+    MODES,
     CaptionDoc,
     Collection,
     DevSet,
@@ -12,8 +13,20 @@ from tsr import (
     IdfTable,
     KBestList,
     Query,
+    RerankParams,
+    RetrievalParams,
     Retriever,
+    bleu_score,
+    bleu_stats,
+    select_best,
     stepwise_search,
+    sum_stats,
+)
+from oracles import (
+    random_collection,
+    random_idf_table,
+    random_kbest,
+    with_copies,
 )
 
 
@@ -158,6 +171,84 @@ class TestSweepStructure:
         # only the two k_n candidates change the retrieval key; the k_m,
         # k_r and interp_weight sweeps hit the match-list cache.
         assert len(calls) == 2 * 2
+
+
+def random_dev(rng, mode):
+    """A random dev set with tie groups, and a grid over it whose
+    candidate lists are unsorted and may repeat a value."""
+    vocab = [f"v{i:02d}" for i in range(int(rng.integers(8, 30)))]
+    docs, feats_map = random_collection(
+        rng, int(rng.integers(20, 80)), vocab, 3, ["cat0", "cat1", "cat2"]
+    )
+    docs = with_copies(rng, docs, len(docs) // 3)
+    kbests = [
+        random_kbest(rng, f"s{i}", vocab, int(rng.integers(1, 9)))
+        for i in range(int(rng.integers(4, 12)))
+    ]
+    # Each reference is one of its sentence's hypotheses, so the choice
+    # a point makes moves its BLEU.
+    refs = [
+        list(kb.hyps[int(rng.integers(0, len(kb.hyps)))].tokens)
+        for kb in kbests
+    ]
+    images = sorted({doc.image_id for doc in docs}) + ["no-features"]
+    queries = {
+        kb.sent_id: Query(
+            kb.sent_id,
+            images[int(rng.integers(0, len(images)))],
+            docs[int(rng.integers(0, len(docs)))].categories,
+        )
+        for kb in kbests
+    }
+    depth = max(len(kb.hyps) for kb in kbests)
+
+    def candidates(low, high, size):
+        return rng.integers(low, high, size=size).tolist()
+
+    grid = GridSpec(
+        k_n=candidates(1, depth + 1, 2),
+        k_m=candidates(1, len(docs) + 3, 3),
+        k_r=candidates(1, 10, 3),
+        interp_weight=rng.choice([0.0, 0.5, 3.0, 20.0, 200.0], 3).tolist(),
+        distance_cutoff=(
+            rng.uniform(0.2, 1.5, 2).tolist() if mode == "cnn" else None
+        ),
+        distance_weight=0.5,
+    )
+    feats = FeatureStore(feats_map) if mode == "cnn" else None
+    idf = random_idf_table(rng, vocab)
+    return grid, DevSet(Collection(docs), idf, kbests, refs, feats, queries)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trace_equals_points_evaluated_from_scratch(mode):
+    """Cached retrievals, match-list prefixes, relevances and BLEU
+    statistics give every trace point the BLEU, to the bit, of that
+    point evaluated on its own with Retriever.retrieve, select_best and
+    bleu_stats."""
+    rng = np.random.default_rng({"txt": 11, "cnn": 12, "hca": 13}[mode])
+    moved = 0
+    for trial in range(12):
+        grid, dev = random_dev(rng, mode)
+        res = stepwise_search(grid, dev, mode)
+        retriever = Retriever(dev.coll, dev.idf, dev.feats)
+        for point, bleu in res.trace:
+            rparams = RetrievalParams(
+                point["k_n"], point["k_m"], grid.distance_weight,
+                point["distance_cutoff"],
+            )
+            params = RerankParams(point["k_r"], point["interp_weight"])
+            stats = []
+            for kb, ref in zip(dev.kbests, dev.references):
+                query = dev.queries[kb.sent_id]
+                ml = retriever.retrieve(
+                    kb, query.image_id, query.categories, mode, rparams
+                )
+                out = select_best(kb, ml, retriever, params)
+                stats.append(bleu_stats(out.chosen.tokens, ref))
+            assert bleu == bleu_score(sum_stats(stats)), (trial, point)
+        moved += len({bleu for _, bleu in res.trace}) > 1
+    assert moved >= 4
 
 
 class TestFrozenTrajectory:
