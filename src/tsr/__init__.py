@@ -12,7 +12,6 @@ from .collection import (
     CaptionDoc,
     Collection,
     FeatureStore,
-    ingest_collection,
     load_collection,
     load_features,
     save_collection,
@@ -80,7 +79,6 @@ __all__ = [
     "bleu_score",
     "bleu_stats",
     "build_idf",
-    "ingest_collection",
     "load_collection",
     "load_features",
     "read_kbest",

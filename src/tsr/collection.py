@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ log = logging.getLogger(__name__)
 
 
 class EmptyCaption(ValueError):
-    """A caption without tokens; ingest_collection may skip these."""
+    """A caption without tokens; load_collection may skip these."""
 
 
 def check_record(
@@ -128,7 +129,7 @@ class Collection:
     """Immutable indexed collection of caption documents.
 
     Safe for concurrent reads; all derived structures are built once in
-    the constructor, from docs or from the columns ingest_collection
+    the constructor, from docs or from the columns load_collection
     parsed. Docs are made on demand: equal to the ones passed in, not
     the same objects.
     """
@@ -143,17 +144,13 @@ class Collection:
             )
         self.caption_ids = ids = columns.caption_ids
         self.image_ids = columns.image_ids
-        n = len(ids)
-        self._id_index = dict(zip(ids, range(n)))
-        if len(self._id_index) < n:
-            seen: set[str] = set()
-            for i, caption_id in enumerate(ids):
-                if caption_id in seen:
-                    where = columns.where(i)
-                    raise ValueError(
-                        f"{where}duplicate caption_id {caption_id!r}"
-                    )
-                seen.add(caption_id)
+        # Rank of each doc's caption_id in string order, used as the
+        # deterministic tie-break key when scores are equal.
+        self.caption_rank = _string_rank(ids)
+        i = _first_repeat(ids, self.caption_rank)
+        if i is not None:
+            where = columns.where(i)
+            raise ValueError(f"{where}duplicate caption_id {ids[i]!r}")
 
         # Final term ids order terms by (first doc, term string). Each new
         # provisional id is one above all ids before it in the token
@@ -178,10 +175,6 @@ class Collection:
             columns.lengths, self._tokens, len(order)
         )
         self.type_counts = counts.astype(np.float64)
-
-        # Rank of each doc's caption_id in string order, used as the
-        # deterministic tie-break key when scores are equal.
-        self.caption_rank = _string_rank(ids)
 
         # Category sets mapped to small group ids; -1 marks docs with
         # no annotations (they can never satisfy a strict-equality gate).
@@ -228,10 +221,6 @@ class Collection:
         bounds = self.offsets.tolist()
         return (words[a:b] for a, b in zip(bounds, bounds[1:]))
 
-    def index_of(self, caption_id: str) -> int:
-        """Doc index of a caption_id; KeyError if unknown."""
-        return self._id_index[caption_id]
-
     def category_group(self, categories: Iterable[str]) -> int | None:
         """Group id of an exact category set; None if no doc carries it."""
         return self._cat_groups.get(frozenset(categories))
@@ -244,6 +233,16 @@ def _string_rank(strings: list[str]) -> np.ndarray:
     rank = np.empty(n, dtype=np.int64)
     rank[sorted(range(n), key=strings.__getitem__)] = np.arange(n)
     return rank
+
+
+def _first_repeat(strings: list[str], rank: np.ndarray) -> int | None:
+    """The first index holding a string an earlier one holds. Equal strings
+    rank next to each other, in list order, in _string_rank(strings)."""
+    order = np.empty_like(rank)
+    order[rank] = np.arange(rank.size)
+    ranked = list(map(strings.__getitem__, order.tolist()))
+    same = np.fromiter(map(operator.eq, ranked[1:], ranked), bool)
+    return min(order[1:][same].tolist(), default=None)
 
 
 def _type_incidence(
@@ -281,28 +280,22 @@ def parse_categories(field: str) -> frozenset[str] | None:
     return frozenset(c for c in field.split(",") if c) or None
 
 
-def ingest_collection(
-    lines: Iterable[str], skip_empty: bool = False
-) -> Collection:
-    """Build a Collection from record lines or from a collection file.
+def load_collection(source, skip_empty: bool = False) -> Collection:
+    """Build a Collection from a file path, an open file or record lines.
 
     Records with empty captions are rejected (the scorers normalize by
     type count, which an empty caption would make undefined) unless
     skip_empty is set, in which case they are dropped with a warning.
     Errors and warnings locate the record as ``<file>:<line>`` when
-    lines is a path or an open file, as ``line <line>`` otherwise.
+    source is a path or an open file, as ``line <line>`` otherwise.
     """
-    prefix = line_prefix(lines)
+    prefix = line_prefix(source)
     kept = array("q")  # line number of each kept record
 
     def records():
-        for lineno, fields in read_records(
-            lines,
-            "\t",
-            (3, 4),
-            "expected 3 or 4 tab-separated fields, got {n}",
-            numbered=True,
-        ):
+        message = "expected 3 or 4 tab-separated fields, got {n}"
+        lines = read_records(source, "\t", (3, 4), message, numbered=True)
+        for lineno, fields in lines:
             tokens = fields[2].split()
             cats = parse_categories(fields[3]) if len(fields) == 4 else None
             try:
@@ -319,10 +312,6 @@ def ingest_collection(
     columns = Columns.of(records())
     columns.where = lambda i: f"{prefix}{kept[i]}: "
     return Collection(columns=columns)
-
-
-def load_collection(path, skip_empty: bool = False) -> Collection:
-    return ingest_collection(path, skip_empty=skip_empty)
 
 
 def save_collection(coll: Collection, path) -> None:

@@ -149,11 +149,12 @@ def approx_randomization(
         raise ValueError("statistics differ too much to sum exactly")
     delta_f = delta.astype(np.float64)
     n = len(stats_a)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     block = max(1, _MASK_ELEMENTS // n)
     exceed = 0
     for start in range(0, trials, block):
-        chunk = children[start : start + block]
+        # Block by block, spawn gives the children spawn(trials) would.
+        chunk = root.spawn(min(block, trials - start))
         draws = np.empty((len(chunk), n))
         for row, child in zip(draws, chunk):
             np.random.default_rng(child).random(out=row)

@@ -32,6 +32,7 @@ from .retrieval import (
     Retriever,
     _each_sentence_once,
     check_count,
+    checked_row,
     check_weight,
 )
 from .textcore import joined_line, write_lines
@@ -88,7 +89,8 @@ def _relevances(
     """relevance_score of each token list. A type a list lacks adds an
     exact 0.0, which leaves a non-negative sum's bits as they are."""
     coll = retriever.coll
-    rows = np.array([row for row, _ in matches.matches], dtype=np.int64)
+    size, pairs = len(coll), matches.matches
+    rows = np.fromiter((checked_row(r, s, size) for r, s in pairs), np.int64)
     total = int((coll.offsets[rows + 1] - coll.offsets[rows]).sum())
     if total == 0:
         return [0.0] * len(token_lists)
@@ -111,9 +113,9 @@ def select_best(
 ) -> RerankedOutput:
     """Pick the hypothesis maximizing decoder score plus weighted
     relevance over the first k_r hypotheses; earlier decoder rank wins
-    ties. matches are rows of retriever's collection. relevances, when
-    given, are those hypotheses' relevance_score against matches,
-    computed by the caller (tune reuses them across grid points)."""
+    ties. matches must pass checked_row on retriever's collection.
+    relevances, when given, are those hypotheses' relevance_score
+    against matches, computed by the caller (tune reuses them)."""
     if params is None:
         params = RerankParams()
     hyps = rbest.hyps[: params.k_r]

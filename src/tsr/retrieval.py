@@ -55,8 +55,8 @@ class Hypothesis:
 class KBestList:
     """Decoder hypotheses for one sentence, best first.
 
-    The list is not empty, token sequences are pairwise distinct and
-    decoder scores are non-increasing; all are checked at construction.
+    The list is not empty, its token sequences are pairwise distinct and
+    its decoder scores finite and non-increasing, as _add checks.
     """
 
     sent_id: str
@@ -64,24 +64,27 @@ class KBestList:
 
     def __post_init__(self):
         if not self.hyps:
-            raise ValueError(f"sentence {self.sent_id}: empty k-best list")
-        seen: set[tuple[str, ...]] = set()
-        prev = None
-        for hyp in self.hyps:
-            if not np.isfinite(hyp.decoder_score):
-                raise ValueError(
-                    f"sentence {self.sent_id}: non-finite decoder score"
-                )
-            if hyp.tokens in seen:
-                raise ValueError(
-                    f"sentence {self.sent_id}: duplicate hypothesis"
-                )
-            seen.add(hyp.tokens)
-            if prev is not None and hyp.decoder_score > prev:
-                raise ValueError(
-                    f"sentence {self.sent_id}: decoder scores increase"
-                )
-            prev = hyp.decoder_score
+            raise self._broken("empty k-best list")
+        hyps, self.hyps, seen = self.hyps, [], set()
+        for hyp in hyps:
+            if not self._add(hyp, seen):
+                raise self._broken("duplicate hypothesis")
+
+    def _add(self, hyp: Hypothesis, seen: set[tuple[str, ...]]) -> bool:
+        """Append hyp: its score must be finite and not above the last
+        one's. False, adding nothing, if its tokens are in seen."""
+        if not math.isfinite(hyp.decoder_score):
+            raise self._broken("non-finite decoder score")
+        if self.hyps and hyp.decoder_score > self.hyps[-1].decoder_score:
+            raise self._broken("decoder scores increase")
+        if hyp.tokens in seen:
+            return False
+        seen.add(hyp.tokens)
+        self.hyps.append(hyp)
+        return True
+
+    def _broken(self, rule: str) -> ValueError:
+        return ValueError(f"sentence {self.sent_id}: {rule}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,15 @@ class MatchList:
     sent_id: str
     matches: list[tuple[int, float]]
     used_fallback: bool = False
+
+
+def checked_row(row: int, score: float, size: int) -> int:
+    """row, if (row, score) is a match of a collection of size docs."""
+    if not 0 <= row < size:
+        raise ValueError(f"match row {row} outside a collection of {size}")
+    if not (math.isfinite(score) and score > 0.0):
+        raise ValueError("match score must be finite and positive")
+    return row
 
 
 @dataclass(frozen=True)
@@ -304,29 +316,27 @@ def read_kbest(path) -> list[KBestList]:
     """Parse a k-best file: ``sent_id ||| token token ... ||| score``.
 
     Lines with extra ``|||`` fields keep the second field as the token
-    sequence and the last as the score. Sentences must be contiguous
-    with non-increasing scores; duplicate token sequences within a
-    sentence keep the first (highest-scored) occurrence.
+    sequence and the last as the score. Sentences must be contiguous and
+    keep KBestList's rules, else the line is named, but a repeated token
+    sequence is skipped, keeping the first occurrence.
     """
     lists: list[KBestList] = []
     for sent_id, run in _sentence_runs(_kbest_records(path)):
-        hyps: list[Hypothesis] = []
-        seen: set[tuple[str, ...]] = set()
-        for where, _, tokens, score in run:
-            if hyps and score > hyps[-1].decoder_score:
-                raise ValueError(
-                    f"{where}: decoder scores increase within"
-                    f" sentence {sent_id}"
-                )
-            if tokens not in seen:
-                seen.add(tokens)
-                hyps.append(Hypothesis(tokens, score))
-        lists.append(KBestList(sent_id, hyps))
+        kb = None
+        for where, _, hyp in run:
+            try:
+                if kb is None:
+                    kb, seen = KBestList(sent_id, [hyp]), {hyp.tokens}
+                else:
+                    kb._add(hyp, seen)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        lists.append(kb)
     return lists
 
 
 def _kbest_records(path) -> Iterator[tuple]:
-    """(where, sent_id, tokens, score) per k-best line."""
+    """(where, sent_id, hypothesis) per k-best line."""
     message = "expected sent_id ||| tokens ||| score"
     records = read_records(path, " ||| ", range(3, sys.maxsize), message)
     for where, parts in records:
@@ -336,9 +346,8 @@ def _kbest_records(path) -> Iterator[tuple]:
             raise ValueError(
                 f"{where}: bad decoder score {parts[-1]!r}"
             ) from None
-        if not np.isfinite(score):
-            raise ValueError(f"{where}: non-finite decoder score")
-        yield where, parts[0].strip(), tuple(parts[1].split()), score
+        tokens = tuple(parts[1].split())
+        yield where, parts[0].strip(), Hypothesis(tokens, score)
 
 
 def _each_sentence_once(items: Iterable) -> Iterator:
@@ -375,13 +384,16 @@ def write_matchlists(
     """Dump match lists over coll, one ``sent_id ||| caption_id ||| score
     ||| flag`` line per match. Sentences with no matches emit one line
     with the placeholder caption_id ``-`` so fallback flags survive a
-    round trip. A sentence written twice, or a sent_id or caption_id
-    holding `` ||| `` or a line break, fails and leaves no file."""
+    round trip. A sentence written twice, a match checked_row refuses,
+    or an id holding `` ||| `` or a line break, fails, leaving no file."""
 
     def lines():
         for ml in _each_sentence_once(matchlists):
             flag = str(int(ml.used_fallback))
-            named = [(coll.caption_ids[r], repr(s)) for r, s in ml.matches]
+            named = [
+                (coll.caption_ids[checked_row(r, s, len(coll))], repr(s))
+                for r, s in ml.matches
+            ]
             for cid, score in named or [("-", "0.0")]:
                 fields = [ml.sent_id, cid, score, flag]
                 what = f"sentence {ml.sent_id!r}, caption_id {cid!r}"
@@ -394,11 +406,11 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
     """Read a match dump back, resolving caption ids to rows of coll.
 
     Only a ``- ||| 0.0`` line is the empty-list placeholder; ``-`` with
-    any other score is a caption id like any other. Raises on caption
-    lines whose score is not finite and positive, on a fallback flag
-    other than 0 or 1, and on a fallback flag that differs between lines
-    of one sentence.
+    any other score is a caption id like any other. Raises, naming the
+    line, on an unknown caption id, a match checked_row refuses, or a
+    fallback flag other than 0 or 1 or differing within a sentence.
     """
+    row_of = dict(zip(coll.caption_ids, range(len(coll))))
     lists: list[MatchList] = []
     for sent_id, run in _sentence_runs(_match_records(path)):
         flag = None
@@ -413,16 +425,13 @@ def read_matchlists(path, coll: Collection) -> list[MatchList]:
                 )
             if caption_id == "-" and score == 0.0:
                 continue
-            if not (np.isfinite(score) and score > 0.0):
-                raise ValueError(
-                    f"{where}: match score must be finite and positive"
-                )
+            if caption_id not in row_of:
+                raise ValueError(f"{where}: unknown caption_id {caption_id!r}")
             try:
-                matches.append((coll.index_of(caption_id), score))
-            except KeyError:
-                raise ValueError(
-                    f"{where}: unknown caption_id {caption_id!r}"
-                ) from None
+                row = checked_row(row_of[caption_id], score, len(coll))
+                matches.append((row, score))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         lists.append(MatchList(sent_id, matches, flag))
     return lists
 

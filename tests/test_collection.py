@@ -8,7 +8,6 @@ from tsr import (
     Hypothesis,
     KBestList,
     Retriever,
-    ingest_collection,
     load_collection,
     load_features,
     save_collection,
@@ -25,7 +24,7 @@ def make_docs():
 
 
 def test_empty_stream_gives_empty_collection():
-    coll = ingest_collection([])
+    coll = load_collection([])
     assert len(coll) == 0
     assert coll.vocab == {}
     assert coll.matrix.shape == (0, 0)
@@ -96,7 +95,7 @@ def test_index_equals_oracle_on_random_collections():
         lines = [record(doc) for doc in docs]
         lines.insert(int(rng.integers(0, n + 1)), "c-empty\timg0\t \tdog")
         want = oracle_index(docs)
-        for coll in (Collection(docs), ingest_collection(lines, True)):
+        for coll in (Collection(docs), load_collection(lines, True)):
             assert coll.docs == docs
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
@@ -124,7 +123,7 @@ def test_order_keeps_strings_numpy_would_conflate(tmp_path):
         path.write_text("".join(record(d) + "\n" for d in docs), "utf-8")
         for coll in (
             Collection(docs),
-            ingest_collection([record(d) for d in docs]),
+            load_collection([record(d) for d in docs]),
             load_collection(path),
         ):
             assert coll.docs == docs
@@ -156,7 +155,7 @@ def test_repeated_caption_id_names_its_line(tmp_path):
         lineno = lines.index(record(docs[repeat])) + 1
         message = f"duplicate caption_id {cid!r}"
         with pytest.raises(ValueError) as err:
-            ingest_collection(lines, skip_empty=True)
+            load_collection(lines, skip_empty=True)
         assert str(err.value) == f"line {lineno}: {message}"
         path = tmp_path / f"dup{trial}.tsv"
         path.write_text("".join(line + "\n" for line in lines), "utf-8")
@@ -166,6 +165,40 @@ def test_repeated_caption_id_names_its_line(tmp_path):
         with pytest.raises(ValueError) as err:
             Collection(docs)
         assert str(err.value) == message
+
+
+def test_first_of_several_repeated_ids_is_named(tmp_path):
+    """With two or three caption ids repeated, the error names the repeat
+    that comes first in the file, not the one whose id sorts first, on
+    every route."""
+    rng = np.random.default_rng(23)
+    told_apart = 0
+    for trial in range(30):
+        n = int(rng.integers(6, 30))
+        ids = [f"c{i}" for i in range(n)]
+        picks = rng.choice(n // 2, rng.integers(2, 4), replace=False)
+        for cid in [ids[i] for i in picks]:
+            ids.insert(int(rng.integers(ids.index(cid) + 1, len(ids) + 1)), cid)
+        repeats = [i for i, cid in enumerate(ids) if cid in ids[:i]]
+        cid = ids[repeats[0]]
+        told_apart += cid != min(ids[i] for i in repeats)
+        docs = [CaptionDoc(c, f"img{i}", ("a",)) for i, c in enumerate(ids)]
+        lines = [record(d) for d in docs]
+        lines.insert(int(rng.integers(0, repeats[0] + 1)), "")
+        where = repeats[0] + 2  # one blank line before the repeat
+        message = f"duplicate caption_id {cid!r}"
+        with pytest.raises(ValueError) as err:
+            Collection(docs)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            load_collection(lines)
+        assert str(err.value) == f"line {where}: {message}"
+        path = tmp_path / f"dup{trial}.tsv"
+        path.write_text("".join(line + "\n" for line in lines), "utf-8")
+        with pytest.raises(ValueError) as err:
+            load_collection(path)
+        assert str(err.value) == f"{path}:{where}: {message}"
+    assert told_apart >= 10
 
 
 def test_index_keys_beyond_int32(tmp_path):
@@ -199,7 +232,7 @@ def test_index_keys_beyond_int32(tmp_path):
 def test_duplicate_caption_id_rejected(tmp_path):
     lines = ["c1\timg1\ta dog", "c1\timg2\ta cat"]
     with pytest.raises(ValueError, match="line 2.*c1"):
-        ingest_collection(lines)
+        load_collection(lines)
     path = tmp_path / "dup.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"dup\.tsv:2: duplicate caption_id"):
@@ -209,7 +242,7 @@ def test_duplicate_caption_id_rejected(tmp_path):
 def test_malformed_record_names_line(tmp_path):
     lines = ["c1\timg1\ta dog", "just one field"]
     with pytest.raises(ValueError, match="line 2"):
-        ingest_collection(lines)
+        load_collection(lines)
     path = tmp_path / "bad.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.tsv:2: expected 3 or 4"):
@@ -218,18 +251,18 @@ def test_malformed_record_names_line(tmp_path):
 
 def test_empty_caption_rejected_by_default():
     with pytest.raises(ValueError, match="empty caption"):
-        ingest_collection(["c1\timg1\t"])
+        load_collection(["c1\timg1\t"])
 
 
 def test_empty_caption_skipped_with_flag():
-    coll = ingest_collection(
+    coll = load_collection(
         ["c1\timg1\t", "c2\timg1\ta dog"], skip_empty=True
     )
     assert [d.caption_id for d in coll.docs] == ["c2"]
 
 
 def test_categories_parsed_and_optional():
-    coll = ingest_collection(
+    coll = load_collection(
         ["c1\timg1\ta dog\tdog,person", "c2\timg1\ta cat"]
     )
     assert coll.docs[0].categories == frozenset({"dog", "person"})

@@ -257,6 +257,24 @@ class TestApproxRandomization:
                 stats_a, stats_b, trials, seed
             ) == oracle_approx_randomization(pairs_a, pairs_b, trials, seed)
 
+    def test_spawns_child_seeds_one_block_at_a_time(self, monkeypatch):
+        # A child seed takes memory per trial: spawned all at once, they
+        # would grow with the trial count past the per-block bound.
+        asked = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                asked.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(tsr.evalsig, "_MASK_ELEMENTS", 64)
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        stats_a, stats_b = self.close_fixture()  # 5 sentences: 12 a block
+        p = approx_randomization(stats_a, stats_b, trials=400, seed=13)
+        assert p == 84 / 401  # as pinned without the recording
+        assert sum(asked) == 400
+        assert max(asked) <= 64 // len(stats_a)
+
     def test_rejects_differences_too_large_to_sum_exactly(self):
         # Below 2**53 every float64 partial sum of the differences is an
         # exact integer; from there on it need not be.

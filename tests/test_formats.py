@@ -156,26 +156,30 @@ def test_kbest_lines_read_back_or_fail(drawn):
         assert by_stripped_id(loaded, "hyps") == by_stripped_id(lists, "hyps")
 
 
+# Matches: rows of a three-caption collection or beside it, and any
+# score, positive or not, finite or not.
+MATCH = st.tuples(st.integers(-1, 3), st.floats())
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(HOSTILE, min_size=3, max_size=3, unique=True),
     st.lists(
-        st.tuples(
-            HOSTILE, st.booleans(), st.lists(st.integers(0, 2), max_size=3)
-        ),
+        st.tuples(HOSTILE, st.lists(MATCH, max_size=3), st.booleans()),
         max_size=4,
     ),
 )
-@example(["a\nb", "c", "d"], [("s1", False, [0])])
-@example(["c", "d", "e"], [("s\r1", True, [])])
+@example(["a\nb", "c", "d"], [("s1", [(0, 1.0)], False)])
+@example(["c", "d", "e"], [("s\r1", [], True)])
+@example(["c", "d", "e"], [("s1", [(2, 1.0), (-1, 1.0)], False)])
+@example(["c", "d", "e"], [("s1", [(3, 1.0)], False)])
+@example(["c", "d", "e"], [("s1", [(0, float("nan"))], False)])
+@example(["c", "d", "e"], [("s1", [(0, 0.0)], False)])
+@example(["-", "d", "e"], [("s1", [(0, -0.0)], False)])
+@example(["c", "d", "e"], [("s1", [(0, -2.5)], False)])
 def test_match_lines_read_back_or_fail(caption_ids, drawn):
     coll = Collection([CaptionDoc(cid, "i", ("a",)) for cid in caption_ids])
-    mls = [
-        MatchList(
-            sent_id, [(row, 1.0 + j) for j, row in enumerate(rows)], flag
-        )
-        for sent_id, flag, rows in drawn
-    ]
+    mls = [MatchList(*match_list) for match_list in drawn]
     loaded = refused_or_read_back(
         lambda value, path: write_matchlists(value, coll, path),
         lambda path: read_matchlists(path, coll),

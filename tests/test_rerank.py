@@ -23,7 +23,7 @@ def ml(idf, *docs):
     collection of the distinct docs: what relevance_score and
     select_best take after the tokens or k-best list."""
     coll = Collection(dict.fromkeys(docs))
-    rows = [coll.index_of(doc.caption_id) for doc in docs]
+    rows = [coll.caption_ids.index(doc.caption_id) for doc in docs]
     return MatchList("s1", [(row, 1.0) for row in rows]), Retriever(coll, idf)
 
 

@@ -422,6 +422,43 @@ class TestKBestIo:
         with pytest.raises(ValueError, match="contiguous"):
             read_kbest(path)
 
+    def test_repeat_scored_above_the_last_line_fails_increase(self, tmp_path):
+        # The score rules come before the repeat rule: a repeat is
+        # skipped only once its score has passed them.
+        path = tmp_path / "kbest.txt"
+        path.write_text(
+            "s1 ||| a dog ||| -1.0\n"
+            "s1 ||| a cat ||| -2.0\n"
+            "s1 ||| a dog ||| -1.5\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_kbest(path)
+        assert str(err.value) == (
+            f"{path}:3: sentence s1: decoder scores increase"
+        )
+
+    @pytest.mark.parametrize("scores, rule", [
+        ([-2.0, -1.0], "decoder scores increase"),
+        ([-1.0, math.nan], "non-finite decoder score"),
+        ([math.inf], "non-finite decoder score"),
+        ([-1.0, -3.0, -2.0], "decoder scores increase"),
+    ])
+    def test_reader_names_the_line_of_the_rule_kbestlist_breaks(
+        self, tmp_path, scores, rule
+    ):
+        hyps = [hyp(f"w{i}", score) for i, score in enumerate(scores)]
+        with pytest.raises(ValueError) as built:
+            KBestList(" s1", hyps)
+        assert str(built.value) == f"sentence  s1: {rule}"
+        path = tmp_path / "kbest.txt"
+        path.write_text("".join(
+            f" s1 ||| {' '.join(h.tokens)} ||| {h.decoder_score}\n"
+            for h in hyps
+        ))
+        with pytest.raises(ValueError) as read:
+            read_kbest(path)
+        assert str(read.value) == f"{path}:{len(hyps)}: sentence s1: {rule}"
+
     def test_duplicate_hypotheses_keep_first(self, tmp_path):
         path = tmp_path / "kbest.txt"
         path.write_text(
