@@ -24,6 +24,8 @@ from .evalsig import (
     approx_randomization,
     bleu_score,
     bleu_stats,
+    bleu_stats_each,
+    join_sentences,
     read_sentence_file,
     sum_stats,
 )
@@ -87,23 +89,12 @@ def _override(defaults, cfg: dict):
     return dataclasses.replace(defaults, **given)
 
 
-def _aligned_references(path, kbests) -> list[list[str]]:
-    """References in k-best order: matched by sentence id when the file
-    carries ids, by position otherwise."""
-    ids, sentences = read_sentence_file(path)
-    if ids is None:
-        if len(sentences) != len(kbests):
-            raise ValueError(
-                f"{len(sentences)} references for {len(kbests)} sentences"
-            )
-        return sentences
-    table = dict(zip(ids, sentences))
-    missing = [kb.sent_id for kb in kbests if kb.sent_id not in table]
-    if missing:
-        raise ValueError(
-            f"references missing sentences: {', '.join(missing)}"
-        )
-    return [table[kb.sent_id] for kb in kbests]
+def _aligned_references(path, kbests, kbest_path) -> list[list[str]]:
+    """References in k-best order, by evalsig's one alignment rule."""
+    ids = [kb.sent_id for kb in kbests]
+    return join_sentences(
+        kbest_path, (ids, kbests), path, read_sentence_file(path)
+    )
 
 
 def _load_json_object(path) -> dict:
@@ -260,7 +251,7 @@ def cmd_pipeline(args) -> int:
     retriever = Retriever(coll, idf, feats)
     kbests = read_kbest(cfg["kbest"])
     refs = (
-        _aligned_references(cfg["references"], kbests)
+        _aligned_references(cfg["references"], kbests, cfg["kbest"])
         if cfg["references"]
         else None
     )
@@ -313,8 +304,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     sys_a, sys_b, refs = align_sentences([args.a, args.b, args.ref])
-    stats_a = [bleu_stats(h, r) for h, r in zip(sys_a, refs)]
-    stats_b = [bleu_stats(h, r) for h, r in zip(sys_b, refs)]
+    stats_a, stats_b = [], []
+    for a, b, ref in zip(sys_a, sys_b, refs):
+        stat_a, stat_b = bleu_stats_each((a, b), ref)
+        stats_a.append(stat_a)
+        stats_b.append(stat_b)
     score_a = bleu_score(sum_stats(stats_a))
     score_b = bleu_score(sum_stats(stats_b))
     p = approx_randomization(stats_a, stats_b, args.trials, args.seed)
@@ -341,7 +335,7 @@ def cmd_tune(args) -> int:
         coll=coll,
         idf=idf,
         kbests=kbests,
-        references=_aligned_references(args.references, kbests),
+        references=_aligned_references(args.references, kbests, args.kbest),
         feats=feats,
         queries=queries,
     )

@@ -72,14 +72,27 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 
 def bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> BleuStats:
     """Clipped n-gram match statistics of hyp against one reference."""
-    matches = []
-    totals = []
-    for n in range(1, MAX_ORDER + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        matches.append(sum((hyp_counts & ref_counts).values()))
-        totals.append(max(len(hyp) - n + 1, 0))
-    return BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
+    return bleu_stats_each((hyp,), ref)[0]
+
+
+def bleu_stats_each(
+    hyps: Sequence[Sequence[str]], ref: Sequence[str]
+) -> list[BleuStats]:
+    """bleu_stats of each of hyps against one reference, whose n-grams
+    are counted once."""
+    ref_counts = [_ngram_counts(ref, n) for n in range(1, MAX_ORDER + 1)]
+    stats = []
+    for hyp in hyps:
+        matches = []
+        totals = []
+        for n, counts in enumerate(ref_counts, start=1):
+            hyp_counts = _ngram_counts(hyp, n)
+            matches.append(sum((hyp_counts & counts).values()))
+            totals.append(max(len(hyp) - n + 1, 0))
+        stats.append(
+            BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
+        )
+    return stats
 
 
 def sum_stats(stats: Sequence[BleuStats]) -> BleuStats:
@@ -209,28 +222,55 @@ def read_sentence_file(path) -> tuple[list[str] | None, list[list[str]]]:
 def align_sentences(
     paths: Sequence,
 ) -> list[list[list[str]]]:
-    """Align several sentence files.
-
-    Files with sent_ids are joined on id in the order of the first
-    file; plain files are joined by position. Returns one aligned
-    token-list per file. Misaligned inputs raise.
-    """
+    """Align several sentence files, which must share one layout, by
+    join_sentences with the first file as the base. Returns one aligned
+    token-list per file."""
     loaded = [read_sentence_file(p) for p in paths]
-    base_ids = loaded[0][0]
-    result: list[list[list[str]]] = []
-    for path, (ids, sentences) in zip(paths, loaded):
-        if (ids is None) != (base_ids is None):
+    for path, (ids, _) in zip(paths, loaded):
+        if (ids is None) != (loaded[0][0] is None):
             raise ValueError(f"{path}: layout differs from {paths[0]}")
-        if ids is None:
-            if len(sentences) != len(loaded[0][1]):
-                raise ValueError(
-                    f"{path}: {len(sentences)} sentences,"
-                    f" expected {len(loaded[0][1])}"
-                )
-            result.append(sentences)
-        else:
-            table = dict(zip(ids, sentences))
-            if table.keys() != set(base_ids):
-                raise ValueError(f"{path}: sent_ids do not match {paths[0]}")
-            result.append([table[sid] for sid in base_ids])
-    return result
+    return [
+        join_sentences(paths[0], loaded[0], path, each)
+        for path, each in zip(paths, loaded)
+    ]
+
+
+def join_sentences(base, base_loaded, path, loaded) -> list[list[str]]:
+    """The sentences of the file at path in the order of base.
+
+    loaded is the file as read_sentence_file returns it, base_loaded the
+    base's sent_ids (None for a plain file) and its sentences (anything
+    sized, such as k-best lists). A file with sent_ids must hold exactly
+    the base's ids and is joined on them; a plain file must hold as many
+    sentences as the base and is joined by position. Raises, naming
+    both, otherwise.
+    """
+    base_ids, base_sentences = base_loaded
+    ids, sentences = loaded
+    if ids is None:
+        if len(sentences) != len(base_sentences):
+            raise ValueError(
+                f"{path}: {len(sentences)} sentences,"
+                f" expected {len(base_sentences)} as in {base}"
+            )
+        return sentences
+    if base_ids is None:
+        raise ValueError(f"{path}: layout differs from {base}")
+    table, known = dict(zip(ids, sentences)), set(base_ids)
+    if table.keys() != known:
+        missing = [sid for sid in base_ids if sid not in table]
+        extra = [sid for sid in ids if sid not in known]
+        found = [
+            f"{what} {_first_few(got)}"
+            for what, got in (("missing", missing), ("extra", extra))
+            if got
+        ]
+        raise ValueError(
+            f"{path}: sent_ids do not match {base}: {'; '.join(found)}"
+        )
+    return [table[sid] for sid in base_ids]
+
+
+def _first_few(ids: list[str]) -> str:
+    more = f" and {len(ids) - 3} more" if len(ids) > 3 else ""
+    return ", ".join(ids[:3]) + more

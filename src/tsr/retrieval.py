@@ -41,8 +41,17 @@ from .textcore import joined_line, read_records, write_lines
 
 MODES = ("txt", "cnn", "hca")
 
-# Feature rows upcast to float64 at once by the cnn distance gate.
-_DISTANCE_BLOCK = 4096
+# Feature rows the cnn distance pass upcasts to float64 at once, into
+# one buffer per call. On 79,461 32-dim rows (a shared 2-vCPU Xeon VM)
+# a query's pass took a median 7.1 ms at 1,024 and 2,048 rows, 7.2-7.4
+# ms at 4,096-8,192, 8.2 at 512 and 9.7 at 256.
+_DISTANCE_BLOCK = 1024
+# A gate admitting more than this share of the collection scores every
+# caption and masks: slicing that many rows out of the index costs more
+# than it saves. On 409,110 captions (4.0M index entries, same VM) the
+# sliced matvec took 4.1 ms for a fifth of the rows, 6.8 for 30%, 10.8
+# for half and 21.8 for all, the whole one 6.8-8.5 ms plus its gather.
+_GATED_SHARE = 0.3
 
 
 @dataclass(frozen=True)
@@ -170,11 +179,14 @@ class Retriever:
     """Reusable scorer over one (collection, idf, features) triple.
 
     Precomputes the per-term idf weight vector and the doc-to-embedding
-    row map; retrieve() is then a sparse matvec plus a top-k selection
-    and is safe to call from many threads at once. Selection partitions
-    around the k_m-th largest score and sorts only k_m docs plus the tie
-    group at the cut, not every doc scoring above zero. The cnn gate
-    measures each feature row's distance once, block by block.
+    row map; retrieve() is safe to call from many threads at once. The
+    gated modes apply their gate first and score only the docs it
+    admits, with a sparse matvec over those rows of the index; past
+    _GATED_SHARE of the collection they score every doc and mask. The
+    cnn gate measures each feature row's distance once per query.
+    Selection partitions around the k_m-th largest score and sorts only
+    k_m docs plus the tie group at the cut, not every doc scoring above
+    zero.
     """
 
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
@@ -195,9 +207,29 @@ class Retriever:
         counts = np.bincount(tids[tids >= 0], minlength=len(vocab))
         return counts.astype(np.float64)
 
-    def _txt_scores(self, counts: np.ndarray) -> np.ndarray:
-        raw = self.coll.matrix @ (counts * self.weights)
-        return raw / self.coll.type_counts
+    def _gated_rows(self, admitted: np.ndarray) -> np.ndarray | None:
+        """The rows a gate's mask admits, or None, for every row, when
+        they are more than _GATED_SHARE of the collection."""
+        if np.count_nonzero(admitted) > _GATED_SHARE * len(self.coll):
+            return None
+        return np.flatnonzero(admitted)
+
+    def _products(
+        self, vec: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """matrix @ vec over the docs at rows, in that order, or over
+        every doc when rows is None. Each index row is summed left to
+        right either way, so a doc's value has the same bits."""
+        matrix = self.coll.matrix
+        return (matrix if rows is None else matrix[rows]) @ vec
+
+    def _txt_scores(
+        self, counts: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """txt scores of the docs at rows, or of every doc (None)."""
+        raw = self._products(counts * self.weights, rows)
+        type_counts = self.coll.type_counts
+        return raw / (type_counts if rows is None else type_counts[rows])
 
     def _select(self, scores: np.ndarray, k_m: int) -> list[tuple[int, float]]:
         positive = scores > 0.0
@@ -232,71 +264,101 @@ class Retriever:
         hyps = kbest.hyps[: params.k_n]
         tokens = itertools.chain.from_iterable(hyp.tokens for hyp in hyps)
         counts = self.term_counts(tokens)
-        s_txt = self._txt_scores(counts)
 
-        if mode == "txt":
-            scores = s_txt
-        elif mode == "cnn":
-            scores = self._cnn_scores(counts, s_txt, query_image, params)
-        else:
-            # hca: gate by exact category-group equality; a gate that
-            # leaves nothing above zero means fallback.
-            scores = None
-            if query_categories is not None:
-                group = self.coll.category_group(query_categories)
-                if group is not None:
-                    scores = np.where(self.coll.cat_group == group, s_txt, 0.0)
-                    if not np.any(scores > 0.0):
-                        scores = None
-        fallback = scores is None
-        if fallback:
-            scores = s_txt
+        scores = None
+        if mode == "cnn":
+            scores = self._cnn_scores(counts, query_image, params)
+        elif mode == "hca":
+            scores = self._hca_scores(counts, query_categories)
+        fallback = mode != "txt" and scores is None
+        if scores is None:
+            scores = self._txt_scores(counts, None)
         return MatchList(
             kbest.sent_id, self._select(scores, params.k_m), fallback
         )
 
+    def _hca_scores(
+        self, counts: np.ndarray, query_categories: Iterable[str] | None
+    ) -> np.ndarray | None:
+        """txt scores of the docs whose category set equals the query's,
+        zero elsewhere, or None when the fallback applies: no annotation,
+        an unknown set, or nothing above zero. Only the docs in the
+        query's set are scored."""
+        if query_categories is None:
+            return None
+        group = self.coll.category_group(query_categories)
+        if group is None:
+            return None
+        members = self.coll.cat_group == group
+        rows = self._gated_rows(members)
+        s_txt = self._txt_scores(counts, rows)
+        if rows is None:
+            scores = np.where(members, s_txt, 0.0)
+        else:
+            scores = np.zeros(len(self.coll), dtype=np.float64)
+            scores[rows] = s_txt
+        return scores if np.any(scores > 0.0) else None
+
     def _cnn_scores(
         self,
         counts: np.ndarray,
-        s_txt: np.ndarray,
         query_image: str | None,
         params: RetrievalParams,
     ) -> np.ndarray | None:
-        """Distance-damped scores, or None when the fallback applies."""
+        """Distance-damped scores of the docs strictly inside the cutoff
+        that share a query term, zero elsewhere, or None when the
+        fallback applies. Only the docs inside the cutoff are scored."""
         # row_of(None) is None: a query without an image falls back
         qrow = None if self.feats is None else self.feats.row_of(query_image)
         if qrow is None:
             return None
+        dist = self._row_distances(qrow)
+        admitted = (dist < params.distance_cutoff)[self._img_row]
+        rows = self._gated_rows(admitted)
+        s_txt = self._txt_scores(counts, rows)
         if np.all(self.weights[counts > 0] > 0.0):
             # Every query term adds a positive weight, so a doc shares a
             # term exactly when its txt score is positive.
             overlap = s_txt > 0.0
         else:
-            overlap = self.coll.matrix @ (counts > 0).astype(np.float64) > 0
-        dist = self._row_distances(qrow)[self._img_row]
-        keep = np.flatnonzero(overlap & (dist < params.distance_cutoff))
+            overlap = self._products((counts > 0).astype(np.float64), rows) > 0
+        if rows is None:
+            overlap &= admitted
+            keep = np.flatnonzero(overlap)
+        else:
+            keep = rows[overlap]
         if keep.size == 0:
             return None
         scores = np.zeros(len(self.coll), dtype=np.float64)
-        scores[keep] = s_txt[keep] * np.exp(
-            -params.distance_weight * dist[keep]
+        scores[keep] = s_txt[overlap] * np.exp(
+            -params.distance_weight * dist[self._img_row[keep]]
         )
         return scores
 
     def _row_distances(self, qrow: int) -> np.ndarray:
         """Euclidean distance from feature row qrow to every feature row,
-        upcast to float64 one block of rows at a time. One more entry,
-        +inf, follows the last row: docs without an embedding have row
-        -1 and so land on it, beyond every cutoff."""
+        upcast to float64 one block of rows at a time into one buffer.
+        One more entry, +inf, follows the last row: docs without an
+        embedding have row -1 and so land on it, beyond every cutoff.
+
+        Each distance is the float64 pairwise sum of one row's squared
+        differences, which does not depend on the block size or on the
+        other rows in the block. The buffer is local: threads share the
+        Retriever."""
         matrix = self.feats.matrix
         qvec = matrix[qrow].astype(np.float64)
         n = len(matrix)
         dist = np.empty(n + 1, dtype=np.float64)
         dist[n] = np.inf
+        buf = np.empty((min(_DISTANCE_BLOCK, n), matrix.shape[1]), np.float64)
         for start in range(0, n, _DISTANCE_BLOCK):
             stop = min(start + _DISTANCE_BLOCK, n)
-            diffs = matrix[start:stop].astype(np.float64) - qvec
-            dist[start:stop] = np.sqrt(np.sum(diffs * diffs, axis=1))
+            diffs = buf[: stop - start]
+            np.copyto(diffs, matrix[start:stop])
+            diffs -= qvec
+            diffs *= diffs
+            np.sum(diffs, axis=1, out=dist[start:stop])
+        np.sqrt(dist[:n], out=dist[:n])
         return dist
 
 

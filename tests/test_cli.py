@@ -446,13 +446,16 @@ class TestPipeline:
         "refs, message",
         [
             (None, "No such file"),
-            ("s1 ||| a man\n", "references missing sentences: s2"),
+            ("s1 ||| a man\n", "kbest.txt: missing s2"),
+            ("a man\n", "refs.txt: 1 sentences, expected 2 as in"),
             (
                 REFS_KEYED + "s1 ||| a man\n",
                 "refs.txt:3: duplicate sent_id 's1'",
             ),
         ],
-        ids=["missing-file", "missing-sentence", "duplicate-id"],
+        ids=[
+            "missing-file", "missing-sentence", "plain-count", "duplicate-id"
+        ],
     )
     def test_bad_references_rejected_before_scoring(
         self, ws, capsys, refs, message
@@ -463,6 +466,33 @@ class TestPipeline:
             path.write_text(refs, encoding="utf-8")
         assert self.pipeline(ws, "pipe", "--references", path) == 1
         assert message in capsys.readouterr().err
+        assert not (ws / "pipe").exists()
+
+    def test_references_with_an_extra_sentence_fail_as_in_evaluate(
+        self, ws, capsys
+    ):
+        """pipeline, tune and evaluate align references by one rule, so
+        a references file holding a sent_id the k-best lacks fails all
+        three, naming the file."""
+        kbest = ws / "one.txt"
+        kbest.write_text(KBEST.splitlines(True)[0], encoding="utf-8")
+        output = ws / "output.txt"
+        output.write_text("s1 ||| a man rides a horse\n", encoding="utf-8")
+        refs = ws / "refs.txt"  # s1 and s2
+        grid = ws / "grid.json"
+        grid.write_text(json.dumps(SMALL_GRID), encoding="utf-8")
+        inputs = ("--collection", ws / "collection.tsv",
+                  "--idf", ws / "idf.txt", "--kbest", kbest)
+        for argv, base in [
+            (("pipeline", *inputs, "--out-dir", ws / "pipe",
+              "--references", refs), kbest),
+            (("tune", *inputs, "--grid", grid, "--references", refs), kbest),
+            (("evaluate", output, refs), output),
+        ]:
+            assert run(*argv) == 1, argv[0]
+            assert capsys.readouterr().err == (
+                f"error: {refs}: sent_ids do not match {base}: extra s2\n"
+            )
         assert not (ws / "pipe").exists()
 
     @pytest.mark.parametrize(

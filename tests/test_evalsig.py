@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tsr.evalsig
+from tsr.evalsig import bleu_stats_each
 from tsr import (
     BleuStats,
     align_sentences,
@@ -77,6 +78,23 @@ class TestBleuStats:
             s = bleu_stats(hyp, ref)
             row = oracle_bleu_row(list(hyp), list(ref))
             assert list(s.matches) + list(s.totals) + [s.hyp_len, s.ref_len] == row
+
+    def test_many_hypotheses_against_one_reference_match_oracle_rows(self):
+        """bleu_stats_each counts the reference's n-grams once; each
+        hypothesis still gets the oracle's statistics."""
+        rng = np.random.default_rng(44)
+        vocab = [f"w{i}" for i in range(6)]
+        for _ in range(40):
+            ref = tuple(rng.choice(vocab, size=int(rng.integers(0, 12))))
+            hyps = [
+                tuple(rng.choice(vocab, size=int(rng.integers(0, 12))))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            rows = [
+                [*s.matches, *s.totals, s.hyp_len, s.ref_len]
+                for s in bleu_stats_each(hyps, ref)
+            ]
+            assert rows == [oracle_bleu_row(list(h), list(ref)) for h in hyps]
 
 
 class TestBleuScore:

@@ -1,12 +1,15 @@
 import itertools
 import math
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tsr import retrieval
 from tsr import (
     CaptionDoc,
     Collection,
@@ -685,3 +688,181 @@ def test_top_k_is_a_prefix_of_every_larger_top_k():
                     assert lists[a].matches == lists[b].matches[:a]
                     assert lists[a].used_fallback == lists[b].used_fallback
     assert straddled >= 80
+
+
+def score_everything(retriever, kbest, image, categories, mode, params):
+    """Retrieval as it was before the gates ran first: txt scores for
+    every doc, every feature row's distance in one float64 pass, then
+    the gate's mask and the decay. Returns (matches, used_fallback)."""
+    hyps = kbest.hyps[: params.k_n]
+    counts = retriever.term_counts(
+        itertools.chain.from_iterable(h.tokens for h in hyps)
+    )
+    s_txt = retriever._txt_scores(counts, None)
+    scores = None
+    if mode == "cnn" and retriever.feats.row_of(image) is not None:
+        rows64 = retriever.feats.matrix.astype(np.float64)
+        q = rows64[retriever.feats.row_of(image)]
+        per_row = np.sqrt(np.sum((rows64 - q) ** 2, axis=1))
+        dist = np.append(per_row, np.inf)[retriever._img_row]
+        overlap = retriever.coll.matrix @ (counts > 0).astype(float) > 0
+        keep = np.flatnonzero(overlap & (dist < params.distance_cutoff))
+        if keep.size:
+            scores = np.zeros(len(retriever.coll))
+            scores[keep] = s_txt[keep] * np.exp(
+                -params.distance_weight * dist[keep]
+            )
+    elif mode == "hca" and categories is not None:
+        group = retriever.coll.category_group(categories)
+        if group is not None:
+            scores = np.where(retriever.coll.cat_group == group, s_txt, 0.0)
+            if not np.any(scores > 0.0):
+                scores = None
+    fallback = mode != "txt" and scores is None
+    if scores is None:
+        scores = s_txt
+    return retriever._select(scores, params.k_m), fallback
+
+
+class TestGatedScorerBits:
+    """The gated modes score only the docs their gate admits, yet every
+    match keeps its row, its score's bits and the fallback flag of
+    scoring every doc first, on both sides of _GATED_SHARE and for any
+    distance block."""
+
+    @staticmethod
+    def instance(seed, pool):
+        """A random collection with 19-dim features (some images lack
+        one, and one image no caption uses sits far away), idf weights
+        of which some are zero, and queries, one of zero-weight terms
+        only. 19 dims make numpy's pairwise sum differ from a plain
+        running sum."""
+        rng = np.random.default_rng(seed)
+        vocab = [f"v{i:02d}" for i in range(int(rng.integers(8, 30)))]
+        docs, feats_map = random_collection(
+            rng, int(rng.integers(40, 160)), vocab, 19, pool
+        )
+        feats_map["far"] = [9.0] * 19
+        weights = {t: float(rng.uniform(0.1, 3.0)) for t in vocab}
+        zero = [str(t) for t in rng.choice(vocab, size=3, replace=False)]
+        weights.update(dict.fromkeys(zero, 0.0))
+        retriever = Retriever(
+            Collection(docs), FixedIdf(weights), FeatureStore(feats_map)
+        )
+        kbests = [
+            random_kbest(rng, f"s{q}", vocab, int(rng.integers(1, 5)))
+            for q in range(6)
+        ]
+        kbests.append(KBestList("zero", [Hypothesis(tuple(zero), -1.0)]))
+        return rng, docs, retriever, kbests
+
+    @staticmethod
+    def assert_same_bits(retriever, kbest, image, cats, mode, params):
+        got = retriever.retrieve(kbest, image, cats, mode, params)
+        want, fallback = score_everything(
+            retriever, kbest, image, cats, mode, params
+        )
+        assert got.used_fallback == fallback
+        assert [(r, s.hex()) for r, s in got.matches] == [
+            (r, s.hex()) for r, s in want
+        ]
+        return got
+
+    @pytest.fixture
+    def sides(self, monkeypatch):
+        """Which side of the share rule each gate took: True when it
+        scored every doc and masked."""
+        taken = []
+        gated_rows = Retriever._gated_rows
+
+        def spy(self, admitted):
+            rows = gated_rows(self, admitted)
+            taken.append(rows is None)
+            return rows
+
+        monkeypatch.setattr(Retriever, "_gated_rows", spy)
+        return taken
+
+    @pytest.mark.parametrize("block", [1, 3, 10_000])
+    def test_cnn_cutoffs_admitting_none_few_most_and_all(
+        self, monkeypatch, sides, block
+    ):
+        monkeypatch.setattr(retrieval, "_DISTANCE_BLOCK", block)
+        fallbacks = 0
+        for seed in range(4):
+            rng, docs, retriever, kbests = self.instance(seed, [])
+            assert np.any(retriever._img_row < 0)  # docs without one
+            images = sorted({d.image_id for d in docs}) + ["far", None]
+            for kbest in kbests:
+                image = images[int(rng.integers(0, len(images)))]
+                # no doc lies near "far"; the others admit few to all
+                cases = [("far", 0.5)] + [
+                    (image, cutoff) for cutoff in (1.3, 1.75, 2.3, math.inf)
+                ]
+                for query_image, cutoff in cases:
+                    params = RetrievalParams(4, len(docs) + 1, 0.7, cutoff)
+                    got = self.assert_same_bits(
+                        retriever, kbest, query_image, None, "cnn", params
+                    )
+                    fallbacks += got.used_fallback
+        assert fallbacks and True in sides and False in sides
+
+    def test_hca_groups_below_and_above_the_share(self, sides):
+        for seed, pool in [(5, ["a"]), (6, ["a", "b"]), (7, list("abcde"))]:
+            rng, docs, retriever, kbests = self.instance(seed, pool)
+            sets = [d.categories for d in docs] + [frozenset({"zz"}), None]
+            for kbest in kbests:
+                for cats in sets[:: max(1, len(sets) // 12)] + sets[-2:]:
+                    params = RetrievalParams(3, len(docs) + 1)
+                    self.assert_same_bits(
+                        retriever, kbest, None, cats, "hca", params
+                    )
+        assert True in sides and False in sides
+
+    @pytest.mark.parametrize("mode", ["cnn", "hca"])
+    def test_wide_gate_whose_docs_share_no_term_falls_back(
+        self, sides, mode
+    ):
+        """Six of ten docs pass the gate, so every doc is scored; only
+        the four the gate refuses share the query's term."""
+        docs = [
+            CaptionDoc(f"c{i}", "near", ("x",), frozenset({"a"}))
+            if i < 6 else CaptionDoc(f"c{i}", "far", ("y",))
+            for i in range(10)
+        ]
+        feats = FeatureStore({"near": [0.0], "far": [5.0]})
+        retriever = Retriever(
+            Collection(docs), FixedIdf({"x": 1.0, "y": 1.0}), feats
+        )
+        kbest = KBestList("s", [hyp("y")])
+        params = RetrievalParams(1, 11, 0.5, 1.0)
+        got = self.assert_same_bits(
+            retriever, kbest, "near", {"a"}, mode, params
+        )
+        assert got.used_fallback and sides == [True]
+
+    def test_threads_get_the_sequential_results(self):
+        _, docs, retriever, _ = self.instance(8, [])
+        rng = np.random.default_rng(9)
+        vocab = sorted(retriever.coll.vocab)
+        images = sorted({d.image_id for d in docs})
+        queries = [
+            (random_kbest(rng, f"s{q}", vocab, 3),
+             images[int(rng.integers(0, len(images)))])
+            for q in range(64)
+        ]
+        params = RetrievalParams(3, 20, 0.7, 1.75)
+
+        def run(query):
+            ml = retriever.retrieve(query[0], query[1], None, "cnn", params)
+            return ml.used_fallback, [(r, s.hex()) for r, s in ml.matches]
+
+        sequential = list(map(run, queries))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(run, queries, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
