@@ -53,16 +53,14 @@ from .tune import DevSet, GridSpec, stepwise_search
 
 _PARAMS = (RetrievalParams, RerankParams)
 
+_PATH_KEYS = (
+    "collection", "idf", "kbest", "out_dir", "features", "queries",
+    "references",
+)
 # Parameter keys default to None: the mode's defaults fill them in.
 _PIPELINE_KEYS = {
-    "collection": None,
-    "idf": None,
-    "kbest": None,
-    "out_dir": None,
+    **dict.fromkeys(_PATH_KEYS),
     "mode": "txt",
-    "features": None,
-    "queries": None,
-    "references": None,
     **{f.name: None for cls in _PARAMS for f in dataclasses.fields(cls)},
     "workers": 1,
     "diagnostics": False,
@@ -193,18 +191,18 @@ def cmd_rerank(args) -> int:
     coll = load_collection(args.collection)
     retriever = Retriever(coll, IdfTable.load(args.idf))
     kbests = read_kbest(args.kbest)
-    matchlists = {
-        ml.sent_id: ml for ml in read_matchlists(args.matches, coll)
-    }
+    dump = read_matchlists(args.matches, coll)
+    matchlists = join_sentences(
+        args.kbest,
+        ([kb.sent_id for kb in kbests], kbests),
+        args.matches,
+        ([ml.sent_id for ml in dump], dump),
+    )
     params = _override(RerankParams(), vars(args))
-    outputs = []
-    for kb in kbests:
-        ml = matchlists.get(kb.sent_id)
-        if ml is None:
-            raise ValueError(
-                f"{args.matches}: no match list for sentence {kb.sent_id}"
-            )
-        outputs.append(_rerank(kb, ml, retriever, params))
+    outputs = [
+        _rerank(kb, ml, retriever, params)
+        for kb, ml in zip(kbests, matchlists)
+    ]
     write_output(outputs, args.out)
     if args.diagnostics:
         write_diagnostics(outputs, args.diagnostics)
@@ -226,6 +224,11 @@ def _merge_pipeline_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    for key in _PATH_KEYS:
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ValueError(
+                f"{key} must be a path string or null, got {cfg[key]!r}"
+            )
     for key in ("collection", "idf", "kbest", "out_dir"):
         if not cfg[key]:
             raise ValueError(f"pipeline config is missing {key!r}")

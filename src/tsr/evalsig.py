@@ -235,12 +235,13 @@ def align_sentences(
     ]
 
 
-def join_sentences(base, base_loaded, path, loaded) -> list[list[str]]:
+def join_sentences(base, base_loaded, path, loaded) -> list:
     """The sentences of the file at path in the order of base.
 
-    loaded is the file as read_sentence_file returns it, base_loaded the
-    base's sent_ids (None for a plain file) and its sentences (anything
-    sized, such as k-best lists). A file with sent_ids must hold exactly
+    loaded is the file's sent_ids (None for a plain file) and its
+    sentences, as read_sentence_file returns them, or any per-sentence
+    records such as match lists; base_loaded is the same for the base
+    (k-best lists, say). A file with sent_ids must hold exactly
     the base's ids and is joined on them; a plain file must hold as many
     sentences as the base and is joined by position. Raises, naming
     both, otherwise.

@@ -46,11 +46,12 @@ MODES = ("txt", "cnn", "hca")
 # a query's pass took a median 7.1 ms at 1,024 and 2,048 rows, 7.2-7.4
 # ms at 4,096-8,192, 8.2 at 512 and 9.7 at 256.
 _DISTANCE_BLOCK = 1024
-# A gate admitting more than this share of the collection scores every
-# caption and masks: slicing that many rows out of the index costs more
-# than it saves. On 409,110 captions (4.0M index entries, same VM) the
-# sliced matvec took 4.1 ms for a fifth of the rows, 6.8 for 30%, 10.8
-# for half and 21.8 for all, the whole one 6.8-8.5 ms plus its gather.
+# Past this share of the collection, a gate's rows are scored by the
+# whole matvec and a gather: slicing that many rows out of the index
+# costs more than it saves. On 409,110 captions (4.0M index entries,
+# same VM) the sliced matvec took 4.1 ms for a fifth of the rows, 6.8
+# for 30%, 10.8 for half and 21.8 for all, the whole one 6.8-8.5 ms
+# plus its gather.
 _GATED_SHARE = 0.3
 
 
@@ -181,12 +182,10 @@ class Retriever:
     Precomputes the per-term idf weight vector and the doc-to-embedding
     row map; retrieve() is safe to call from many threads at once. The
     gated modes apply their gate first and score only the docs it
-    admits, with a sparse matvec over those rows of the index; past
-    _GATED_SHARE of the collection they score every doc and mask. The
-    cnn gate measures each feature row's distance once per query.
-    Selection partitions around the k_m-th largest score and sorts only
-    k_m docs plus the tie group at the cut, not every doc scoring above
-    zero.
+    admits; selection then ranks only those docs. The cnn gate measures
+    each feature row's distance once per query. Selection partitions
+    around the k_m-th largest score and sorts only k_m docs plus the tie
+    group at the cut, not every doc scoring above zero.
     """
 
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
@@ -207,21 +206,20 @@ class Retriever:
         counts = np.bincount(tids[tids >= 0], minlength=len(vocab))
         return counts.astype(np.float64)
 
-    def _gated_rows(self, admitted: np.ndarray) -> np.ndarray | None:
-        """The rows a gate's mask admits, or None, for every row, when
-        they are more than _GATED_SHARE of the collection."""
-        if np.count_nonzero(admitted) > _GATED_SHARE * len(self.coll):
-            return None
-        return np.flatnonzero(admitted)
-
     def _products(
         self, vec: np.ndarray, rows: np.ndarray | None
     ) -> np.ndarray:
         """matrix @ vec over the docs at rows, in that order, or over
-        every doc when rows is None. Each index row is summed left to
+        every doc when rows is None. Up to _GATED_SHARE of the collection
+        only those rows of the index are multiplied; past it the whole
+        product is gathered at rows. Each index row is summed left to
         right either way, so a doc's value has the same bits."""
         matrix = self.coll.matrix
-        return (matrix if rows is None else matrix[rows]) @ vec
+        if rows is None:
+            return matrix @ vec
+        if rows.size > _GATED_SHARE * len(self.coll):
+            return (matrix @ vec)[rows]
+        return matrix[rows] @ vec
 
     def _txt_scores(
         self, counts: np.ndarray, rows: np.ndarray | None
@@ -231,7 +229,12 @@ class Retriever:
         type_counts = self.coll.type_counts
         return raw / (type_counts if rows is None else type_counts[rows])
 
-    def _select(self, scores: np.ndarray, k_m: int) -> list[tuple[int, float]]:
+    def _select(
+        self, scores: np.ndarray, rows: np.ndarray | None, k_m: int
+    ) -> list[tuple[int, float]]:
+        """The top k_m (row, score) pairs scoring above zero, where
+        scores[i] is the score of the doc at rows[i], or of doc i when
+        rows is None."""
         positive = scores > 0.0
         n_pos = np.count_nonzero(positive)
         if n_pos > k_m:
@@ -239,15 +242,13 @@ class Retriever:
             # the whole tie group at the cut survives, so the caption-id
             # tie-break below sees every doc it has to order. Zeros stay
             # out of the partition, which is slow on many equal values.
-            vals = scores
-            if n_pos < scores.size:
-                vals = scores[np.flatnonzero(positive)]
+            vals = scores if n_pos == scores.size else scores[positive]
             cut = vals.size - k_m
             positive = scores >= np.partition(vals, cut)[cut]
         pos = np.flatnonzero(positive)
-        order = np.lexsort((self.coll.caption_rank[pos], -scores[pos]))
-        top = pos[order[:k_m]]
-        return list(zip(top.tolist(), scores[top].tolist()))
+        docs = pos if rows is None else rows[pos]
+        top = np.lexsort((self.coll.caption_rank[docs], -scores[pos]))[:k_m]
+        return list(zip(docs[top].tolist(), scores[pos[top]].tolist()))
 
     def retrieve(
         self,
@@ -265,56 +266,49 @@ class Retriever:
         tokens = itertools.chain.from_iterable(hyp.tokens for hyp in hyps)
         counts = self.term_counts(tokens)
 
-        scores = None
+        gated = None
         if mode == "cnn":
-            scores = self._cnn_scores(counts, query_image, params)
+            gated = self._cnn_scores(counts, query_image, params)
         elif mode == "hca":
-            scores = self._hca_scores(counts, query_categories)
-        fallback = mode != "txt" and scores is None
-        if scores is None:
-            scores = self._txt_scores(counts, None)
+            gated = self._hca_scores(counts, query_categories)
+        fallback = mode != "txt" and gated is None
+        if gated is None:
+            gated = self._txt_scores(counts, None), None
+        scores, rows = gated
         return MatchList(
-            kbest.sent_id, self._select(scores, params.k_m), fallback
+            kbest.sent_id, self._select(scores, rows, params.k_m), fallback
         )
 
     def _hca_scores(
         self, counts: np.ndarray, query_categories: Iterable[str] | None
-    ) -> np.ndarray | None:
-        """txt scores of the docs whose category set equals the query's,
-        zero elsewhere, or None when the fallback applies: no annotation,
-        an unknown set, or nothing above zero. Only the docs in the
-        query's set are scored."""
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(txt scores, rows) of the docs whose category set equals the
+        query's, or None when the fallback applies: no annotation, an
+        unknown set, or nothing above zero."""
         if query_categories is None:
             return None
         group = self.coll.category_group(query_categories)
         if group is None:
             return None
-        members = self.coll.cat_group == group
-        rows = self._gated_rows(members)
-        s_txt = self._txt_scores(counts, rows)
-        if rows is None:
-            scores = np.where(members, s_txt, 0.0)
-        else:
-            scores = np.zeros(len(self.coll), dtype=np.float64)
-            scores[rows] = s_txt
-        return scores if np.any(scores > 0.0) else None
+        rows = np.flatnonzero(self.coll.cat_group == group)
+        scores = self._txt_scores(counts, rows)
+        return (scores, rows) if np.any(scores > 0.0) else None
 
     def _cnn_scores(
         self,
         counts: np.ndarray,
         query_image: str | None,
         params: RetrievalParams,
-    ) -> np.ndarray | None:
-        """Distance-damped scores of the docs strictly inside the cutoff
-        that share a query term, zero elsewhere, or None when the
-        fallback applies. Only the docs inside the cutoff are scored."""
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(distance-damped scores, rows) of the docs strictly inside the
+        cutoff that share a query term, or None when the fallback
+        applies."""
         # row_of(None) is None: a query without an image falls back
         qrow = None if self.feats is None else self.feats.row_of(query_image)
         if qrow is None:
             return None
         dist = self._row_distances(qrow)
-        admitted = (dist < params.distance_cutoff)[self._img_row]
-        rows = self._gated_rows(admitted)
+        rows = np.flatnonzero((dist < params.distance_cutoff)[self._img_row])
         s_txt = self._txt_scores(counts, rows)
         if np.all(self.weights[counts > 0] > 0.0):
             # Every query term adds a positive weight, so a doc shares a
@@ -322,18 +316,11 @@ class Retriever:
             overlap = s_txt > 0.0
         else:
             overlap = self._products((counts > 0).astype(np.float64), rows) > 0
-        if rows is None:
-            overlap &= admitted
-            keep = np.flatnonzero(overlap)
-        else:
-            keep = rows[overlap]
+        keep = rows[overlap]
         if keep.size == 0:
             return None
-        scores = np.zeros(len(self.coll), dtype=np.float64)
-        scores[keep] = s_txt[overlap] * np.exp(
-            -params.distance_weight * dist[self._img_row[keep]]
-        )
-        return scores
+        damping = np.exp(-params.distance_weight * dist[self._img_row[keep]])
+        return s_txt[overlap] * damping, keep
 
     def _row_distances(self, qrow: int) -> np.ndarray:
         """Euclidean distance from feature row qrow to every feature row,

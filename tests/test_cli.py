@@ -164,14 +164,7 @@ class TestRetrieveRerank:
         diag_lines = (ws / "diag.txt").read_text().splitlines()
         assert len(diag_lines) == 2
 
-    def test_rerank_rejects_sentence_missing_from_dump(self, ws, capsys):
-        self.retrieve(ws)
-        dump = ws / "matches.txt"
-        lines = dump.read_text().splitlines(keepends=True)
-        dump.write_text(
-            "".join(line for line in lines if not line.startswith("s2 ")),
-            encoding="utf-8",
-        )
+    def assert_rerank_rejects_dump(self, ws, capsys, dump, found):
         assert (
             run(
                 "rerank",
@@ -183,9 +176,30 @@ class TestRetrieveRerank:
             )
             == 1
         )
-        err = capsys.readouterr().err
-        assert "sentence s2" in err and str(dump) in err
+        kbest = ws / "kbest.txt"
+        assert capsys.readouterr().err == (
+            f"error: {dump}: sent_ids do not match {kbest}: {found}\n"
+        )
         assert not (ws / "output.txt").exists()
+
+    def test_rerank_rejects_sentence_missing_from_dump(self, ws, capsys):
+        self.retrieve(ws)
+        dump = ws / "matches.txt"
+        lines = dump.read_text().splitlines(keepends=True)
+        dump.write_text(
+            "".join(line for line in lines if not line.startswith("s2 ")),
+            encoding="utf-8",
+        )
+        self.assert_rerank_rejects_dump(ws, capsys, dump, "missing s2")
+
+    def test_rerank_rejects_sentence_the_kbest_lacks(self, ws, capsys):
+        # the dump is joined by the rule references are: exactly the
+        # k-best's sent_ids, none left over
+        self.retrieve(ws)
+        dump = ws / "matches.txt"
+        with dump.open("a", encoding="utf-8") as handle:
+            handle.write("s3 ||| c1 ||| 1.0 ||| 0\n")
+        self.assert_rerank_rejects_dump(ws, capsys, dump, "extra s3")
 
     def test_padded_sent_id_in_dump_still_matches(self, ws):
         # sent_ids are compared without surrounding whitespace
@@ -783,6 +797,32 @@ def test_pipeline_config_types_checked_before_loading(ws, capsys, key, value):
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert f"error: {key} must be" in err and "missing.tsv" not in err
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, False, 1, ["idf.txt"]])
+@pytest.mark.parametrize(
+    "key",
+    ["collection", "idf", "kbest", "out_dir", "features", "queries",
+     "references"],
+)
+def test_pipeline_config_paths_must_be_strings(ws, capsys, key, value):
+    cfg = ws / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    flags = {
+        "collection": ws / "collection.tsv",
+        "idf": ws / "idf.txt",
+        "kbest": ws / "kbest.txt",
+        "out-dir": ws / "out",
+    }
+    argv = ["pipeline", "--config", cfg]
+    for flag, path in flags.items():
+        if flag.replace("-", "_") != key:
+            argv += ["--" + flag, path]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {key} must be a path string or null, got {value!r}\n"
+    )
     assert not (ws / "out").exists()
 
 

@@ -690,10 +690,11 @@ def test_top_k_is_a_prefix_of_every_larger_top_k():
     assert straddled >= 80
 
 
-def score_everything(retriever, kbest, image, categories, mode, params):
-    """Retrieval as it was before the gates ran first: txt scores for
-    every doc, every feature row's distance in one float64 pass, then
-    the gate's mask and the decay. Returns (matches, used_fallback)."""
+def reference_scores(retriever, kbest, image, categories, mode, params):
+    """Every doc's score as retrieval computed it before the gates ran
+    first: txt scores for every doc, every feature row's distance in one
+    float64 pass, then the gate's mask and the decay. Returns (scores,
+    used_fallback)."""
     hyps = kbest.hyps[: params.k_n]
     counts = retriever.term_counts(
         itertools.chain.from_iterable(h.tokens for h in hyps)
@@ -719,9 +720,22 @@ def score_everything(retriever, kbest, image, categories, mode, params):
             if not np.any(scores > 0.0):
                 scores = None
     fallback = mode != "txt" and scores is None
-    if scores is None:
-        scores = s_txt
-    return retriever._select(scores, params.k_m), fallback
+    return (s_txt if scores is None else scores), fallback
+
+
+def score_everything(retriever, kbest, image, categories, mode, params):
+    """The top k_m of reference_scores by score descending, then caption
+    id. Returns (matches, used_fallback)."""
+    scores, fallback = reference_scores(
+        retriever, kbest, image, categories, mode, params
+    )
+    ids = retriever.coll.caption_ids
+    ranked = sorted(
+        np.flatnonzero(scores > 0.0).tolist(),
+        key=lambda row: (-scores[row], ids[row]),
+    )
+    top = ranked[: params.k_m]
+    return [(row, float(scores[row])) for row in top], fallback
 
 
 class TestGatedScorerBits:
@@ -770,17 +784,18 @@ class TestGatedScorerBits:
 
     @pytest.fixture
     def sides(self, monkeypatch):
-        """Which side of the share rule each gate took: True when it
-        scored every doc and masked."""
+        """Which side of the share rule each gated product took: True
+        when it ran the whole product and gathered the gate's rows."""
         taken = []
-        gated_rows = Retriever._gated_rows
+        products = Retriever._products
 
-        def spy(self, admitted):
-            rows = gated_rows(self, admitted)
-            taken.append(rows is None)
-            return rows
+        def spy(self, vec, rows):
+            if rows is not None:
+                share = retrieval._GATED_SHARE * len(self.coll)
+                taken.append(rows.size > share)
+            return products(self, vec, rows)
 
-        monkeypatch.setattr(Retriever, "_gated_rows", spy)
+        monkeypatch.setattr(Retriever, "_products", spy)
         return taken
 
     @pytest.mark.parametrize("block", [1, 3, 10_000])
@@ -840,6 +855,39 @@ class TestGatedScorerBits:
             retriever, kbest, "near", {"a"}, mode, params
         )
         assert got.used_fallback and sides == [True]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_select_sees_as_many_positive_scores_as_scoring_everything(
+        self, monkeypatch, sides, mode
+    ):
+        """The benchmark's retrieval.examined_per_returned counts the
+        positive values in _select's first positional argument. Over
+        the docs a gate admits that count equals the one over every
+        doc, since each doc outside them scores 0."""
+        seen = []
+        select = Retriever._select
+
+        def spy(self, scores, *rest):
+            seen.append(int(np.count_nonzero(scores > 0.0)))
+            return select(self, scores, *rest)
+
+        monkeypatch.setattr(Retriever, "_select", spy)
+        for seed, pool in [(0, []), (5, ["a"]), (7, list("abcde"))]:
+            rng, docs, retriever, kbests = self.instance(seed, pool)
+            images = sorted({d.image_id for d in docs}) + ["far", None]
+            sets = [d.categories for d in docs] + [None]
+            for kbest in kbests:
+                for cutoff in (0.5, 1.3, 2.3, math.inf):
+                    image = images[int(rng.integers(0, len(images)))]
+                    cats = sets[int(rng.integers(0, len(sets)))]
+                    params = RetrievalParams(4, 5, 0.7, cutoff)
+                    seen.clear()
+                    retriever.retrieve(kbest, image, cats, mode, params)
+                    want, _ = reference_scores(
+                        retriever, kbest, image, cats, mode, params
+                    )
+                    assert seen == [np.count_nonzero(want > 0.0)]
+        assert mode == "txt" or (True in sides and False in sides)
 
     def test_threads_get_the_sequential_results(self):
         _, docs, retriever, _ = self.instance(8, [])
