@@ -13,49 +13,31 @@ from .collection import (
     Collection,
     FeatureStore,
     load_collection,
-    load_features,
     save_collection,
 )
-from .evalsig import (
-    BleuStats,
-    align_sentences,
-    approx_randomization,
-    bleu_score,
-    bleu_stats,
-    read_sentence_file,
-    sum_stats,
-)
+from .evalsig import approx_randomization, bleu_score, bleu_stats, sum_stats
 from .rerank import (
-    RERANK_DEFAULTS,
-    RerankedOutput,
     RerankParams,
-    relevance_score,
+    relevance_scores,
     select_best,
     write_diagnostics,
     write_output,
 )
 from .retrieval import (
-    MODES,
-    RETRIEVAL_DEFAULTS,
     Hypothesis,
     KBestList,
-    MatchList,
-    Query,
     RetrievalParams,
     Retriever,
     read_kbest,
     read_matchlists,
-    read_queries,
-    write_kbest,
     write_matchlists,
 )
 from .textcore import IdfTable, build_idf, read_token_lines
-from .tune import DevSet, GridSpec, TuneResult, stepwise_search
+from .tune import DevSet, GridSpec, stepwise_search
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BleuStats",
     "CaptionDoc",
     "Collection",
     "DevSet",
@@ -64,35 +46,23 @@ __all__ = [
     "Hypothesis",
     "IdfTable",
     "KBestList",
-    "MODES",
-    "MatchList",
-    "Query",
-    "RERANK_DEFAULTS",
-    "RETRIEVAL_DEFAULTS",
     "RerankParams",
-    "RerankedOutput",
     "RetrievalParams",
     "Retriever",
-    "TuneResult",
-    "align_sentences",
     "approx_randomization",
     "bleu_score",
     "bleu_stats",
     "build_idf",
     "load_collection",
-    "load_features",
     "read_kbest",
     "read_matchlists",
-    "read_queries",
-    "read_sentence_file",
     "read_token_lines",
-    "relevance_score",
+    "relevance_scores",
     "save_collection",
     "select_best",
     "stepwise_search",
     "sum_stats",
     "write_diagnostics",
-    "write_kbest",
     "write_matchlists",
     "write_output",
 ]

@@ -26,6 +26,7 @@ from .evalsig import (
     bleu_stats,
     bleu_stats_each,
     join_sentences,
+    mismatched_ids,
     read_sentence_file,
     sum_stats,
 )
@@ -108,9 +109,10 @@ def _load_inputs(
     mode: str, collection, idf, features, queries, skip_empty=False
 ):
     """Check the mode and cnn's features path before reading anything,
-    then load idf, collection, features (cnn only) and queries. hca
-    gates on category sets, so an unannotated collection is rejected:
-    every sentence would fall back to txt."""
+    then load idf, collection, features (cnn only) and queries. A gate
+    that can admit no caption would make every sentence fall back to
+    txt, so hca rejects an unannotated collection, and cnn features
+    that name no collection image."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "cnn" and not features:
@@ -120,7 +122,22 @@ def _load_inputs(
     if mode == "hca" and not (coll.cat_group >= 0).any():
         raise ValueError("hca mode requires category annotations")
     feats = load_features(features) if mode == "cnn" else None
+    if feats is not None and not any(map(feats.__contains__, coll.image_ids)):
+        raise ValueError(
+            f"{features}: no feature vector for any collection image"
+        )
     return idf_table, coll, feats, read_queries(queries) if queries else {}
+
+
+def _read_kbest(path, queries: dict, queries_path) -> list:
+    """The k-best lists at path. queries may leave a sentence out, since
+    a sentence may have no image, but not name one the k-best lacks."""
+    kbests = read_kbest(path)
+    known = {kb.sent_id for kb in kbests}
+    extra = [sent_id for sent_id in queries if sent_id not in known]
+    if extra:
+        raise mismatched_ids(queries_path, path, [], extra)
+    return kbests
 
 
 def _run_sentences(work, kbests, workers: int) -> list:
@@ -177,7 +194,7 @@ def cmd_retrieve(args) -> int:
     )
     params, _ = _resolve_params(args.mode, vars(args))
     retriever = Retriever(coll, idf, feats)
-    kbests = read_kbest(args.kbest)
+    kbests = _read_kbest(args.kbest, queries, args.queries)
     work = functools.partial(_retrieve, retriever, queries, args.mode, params)
     matchlists = _run_sentences(work, kbests, args.workers)
     write_matchlists(matchlists, coll, args.out)
@@ -252,7 +269,7 @@ def cmd_pipeline(args) -> int:
     )
     retrieval_params, rerank_params = _resolve_params(mode, cfg)
     retriever = Retriever(coll, idf, feats)
-    kbests = read_kbest(cfg["kbest"])
+    kbests = _read_kbest(cfg["kbest"], queries, cfg["queries"])
     refs = (
         _aligned_references(cfg["references"], kbests, cfg["kbest"])
         if cfg["references"]
@@ -333,7 +350,7 @@ def cmd_tune(args) -> int:
     idf, coll, feats, queries = _load_inputs(
         mode, args.collection, args.idf, args.features, args.queries
     )
-    kbests = read_kbest(args.kbest)
+    kbests = _read_kbest(args.kbest, queries, args.queries)
     dev = DevSet(
         coll=coll,
         idf=idf,

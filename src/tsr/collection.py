@@ -15,8 +15,7 @@ caption ids and image ids as lists of str, every caption's term ids in
 token order as one int32 array cut by an offsets array, and one
 category group id per doc (-1 for none) into the list of distinct
 category sets, numbered by first appearance. Retrieval and rerank name
-a caption by its row; ``CaptionDoc`` objects are made from the columns
-only for ``Collection.docs``.
+a caption by its row; no ``CaptionDoc`` is made back from the columns.
 
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
@@ -130,8 +129,7 @@ class Collection:
 
     Safe for concurrent reads; all derived structures are built once in
     the constructor, from docs or from the columns load_collection
-    parsed. Docs are made on demand: equal to the ones passed in, not
-    the same objects.
+    parsed. The docs themselves are not kept.
     """
 
     def __init__(
@@ -206,14 +204,6 @@ class Collection:
             f"Collection(docs={len(self)}, images={len(set(self.image_ids))},"
             f" terms={len(self.vocab)})"
         )
-
-    @property
-    def docs(self) -> list[CaptionDoc]:
-        """Every doc, made anew on each access."""
-        ids, images = self.caption_ids, self.image_ids
-        cats = map(self._categories.__getitem__, self.cat_group.tolist())
-        fields = zip(ids, images, self._token_tuples(), cats)
-        return [CaptionDoc(*f) for f in fields]
 
     def _token_tuples(self) -> Iterator[tuple[str, ...]]:
         """The tokens of every doc, in doc order."""
@@ -388,6 +378,9 @@ class FeatureStore:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __contains__(self, image_id) -> bool:
+        return image_id in self._row
 
     def row_of(self, image_id: str) -> int | None:
         return self._row.get(image_id)

@@ -31,6 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .textcore import read_records
+
 MAX_ORDER = 4
 # Random draws approx_randomization holds at once: a block is as many
 # trials as fit in 2**18 float64 (2 MB; their masks take as much again).
@@ -183,39 +185,32 @@ def approx_randomization(
 def read_sentence_file(path) -> tuple[list[str] | None, list[list[str]]]:
     """Read system output or references.
 
-    Two layouts are accepted: plain one-sentence-per-line token text
-    (returns ids None), or ``sent_id ||| tokens`` lines (returns the id
-    list). Mixing layouts within one file, and repeating a sent_id
-    (compared stripped), fail naming the line.
+    Two layouts are accepted: plain one-sentence-per-line token text,
+    where a blank line is an empty sentence (returns ids None), or
+    ``sent_id ||| tokens`` lines (returns the id list). Mixing layouts
+    within one file, and repeating a sent_id (compared stripped), fail
+    naming the line.
     """
     ids: list[str] = []
     sentences: list[list[str]] = []
     seen: set[str] = set()
     tagged: bool | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            parts = line.split(" ||| ")
-            is_tagged = len(parts) == 2
-            if len(parts) > 2:
-                raise ValueError(f"{path}:{lineno}: too many ||| fields")
-            if tagged is None:
-                tagged = is_tagged
-            elif tagged != is_tagged:
-                raise ValueError(
-                    f"{path}:{lineno}: mixed plain and sent_id ||| layouts"
-                )
-            if is_tagged:
-                sent_id = parts[0].strip()
-                if sent_id in seen:
-                    raise ValueError(
-                        f"{path}:{lineno}: duplicate sent_id {sent_id!r}"
-                    )
-                seen.add(sent_id)
-                ids.append(sent_id)
-                sentences.append(parts[1].split())
-            else:
-                sentences.append(line.split())
+    records = read_records(
+        path, " ||| ", (1, 2), "too many ||| fields", keep_blank=True
+    )
+    for where, parts in records:
+        is_tagged = len(parts) == 2
+        if tagged is None:
+            tagged = is_tagged
+        elif tagged != is_tagged:
+            raise ValueError(f"{where}: mixed plain and sent_id ||| layouts")
+        if is_tagged:
+            sent_id = parts[0].strip()
+            if sent_id in seen:
+                raise ValueError(f"{where}: duplicate sent_id {sent_id!r}")
+            seen.add(sent_id)
+            ids.append(sent_id)
+        sentences.append(parts[-1].split())
     return (ids if tagged else None), sentences
 
 
@@ -261,15 +256,21 @@ def join_sentences(base, base_loaded, path, loaded) -> list:
     if table.keys() != known:
         missing = [sid for sid in base_ids if sid not in table]
         extra = [sid for sid in ids if sid not in known]
-        found = [
-            f"{what} {_first_few(got)}"
-            for what, got in (("missing", missing), ("extra", extra))
-            if got
-        ]
-        raise ValueError(
-            f"{path}: sent_ids do not match {base}: {'; '.join(found)}"
-        )
+        raise mismatched_ids(path, base, missing, extra)
     return [table[sid] for sid in base_ids]
+
+
+def mismatched_ids(path, base, missing, extra) -> ValueError:
+    """The error for a file at path that lacks the sent_ids missing of
+    base and holds the sent_ids extra that base lacks."""
+    found = [
+        f"{what} {_first_few(got)}"
+        for what, got in (("missing", missing), ("extra", extra))
+        if got
+    ]
+    return ValueError(
+        f"{path}: sent_ids do not match {base}: {'; '.join(found)}"
+    )
 
 
 def _first_few(ids: list[str]) -> str:

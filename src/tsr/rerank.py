@@ -67,27 +67,20 @@ class RerankedOutput:
     used_fallback: bool  # the match list's flag: retrieval fell back
 
 
-def relevance_score(
-    tokens: Sequence[str], matches: MatchList, retriever: Retriever
-) -> float:
-    """Normalized idf overlap between a token sequence and a match list.
+def relevance_scores(
+    token_lists: Sequence[Sequence[str]],
+    matches: MatchList,
+    retriever: Retriever,
+) -> list[float]:
+    """Normalized idf overlap of each token sequence with a match list.
 
     Every (retrieved caption, caption type, query token) triple where
     the type equals the token contributes idf(type); the total is
     divided by the summed token count of the retrieved captions. An
     empty match list scores 0, so reranking degenerates gracefully to
-    the decoder order.
+    the decoder order. A type a sequence lacks adds an exact 0.0, which
+    leaves a non-negative sum's bits as they are.
     """
-    return _relevances([tokens], matches, retriever)[0]
-
-
-def _relevances(
-    token_lists: Sequence[Sequence[str]],
-    matches: MatchList,
-    retriever: Retriever,
-) -> list[float]:
-    """relevance_score of each token list. A type a list lacks adds an
-    exact 0.0, which leaves a non-negative sum's bits as they are."""
     coll = retriever.coll
     size, pairs = len(coll), matches.matches
     rows = np.fromiter((checked_row(r, s, size) for r, s in pairs), np.int64)
@@ -114,14 +107,14 @@ def select_best(
     """Pick the hypothesis maximizing decoder score plus weighted
     relevance over the first k_r hypotheses; earlier decoder rank wins
     ties. matches must pass checked_row on retriever's collection.
-    relevances, when given, are those hypotheses' relevance_score
+    relevances, when given, are those hypotheses' relevance_scores
     against matches, computed by the caller (tune reuses them)."""
     if params is None:
         params = RerankParams()
     hyps = rbest.hyps[: params.k_r]
     if relevances is None:
         tokens = [hyp.tokens for hyp in hyps]
-        relevances = _relevances(tokens, matches, retriever)
+        relevances = relevance_scores(tokens, matches, retriever)
     elif len(relevances) != len(hyps):
         raise ValueError(
             f"{len(relevances)} relevances for {len(hyps)} hypotheses"

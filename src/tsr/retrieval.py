@@ -410,23 +410,6 @@ def _each_sentence_once(items: Iterable) -> Iterator:
         yield item
 
 
-def write_kbest(lists: Iterable[KBestList], path) -> None:
-    """Write k-best lists as read_kbest reads them. A sentence written
-    twice, or whose id or tokens would read back as other data, fails
-    naming it, and no file is left behind."""
-
-    def lines():
-        for kb in _each_sentence_once(lists):
-            what = f"sentence {kb.sent_id!r}"
-            for hyp in kb.hyps:
-                text = " ".join(hyp.tokens)
-                fields = [kb.sent_id, text, repr(hyp.decoder_score)]
-                same = tuple(text.split()) == hyp.tokens
-                yield joined_line(fields, " ||| ", what, same)
-
-    write_lines(path, lines())
-
-
 def write_matchlists(
     matchlists: Iterable[MatchList], coll: Collection, path
 ) -> None:

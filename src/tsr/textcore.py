@@ -42,14 +42,16 @@ def read_records(
     message: str,
     header=False,
     numbered=False,
+    keep_blank=False,
 ) -> Iterator[tuple[str, list[str]]]:
     """Yield ``(where, fields)`` per line of a file path (read as UTF-8)
-    or an iterable of lines, skipping whitespace-only lines. Each line,
-    less its newline, is split on sep and needs a field count in counts,
-    else ValueError ``<where>: <message>``, ``{n}`` in message being the
-    count. where is ``<file>:<line>``, or ``line <line>`` for a source
-    without a name; with numbered set, the bare line number instead.
-    With header set, the raw first line comes first, unchecked, as
+    or an iterable of lines, skipping whitespace-only lines unless
+    keep_blank is set. Each line, less its newline, is split on sep and
+    needs a field count in counts, else ValueError
+    ``<where>: <message>``, ``{n}`` in message being the count. where
+    is ``<file>:<line>``, or ``line <line>`` for a source without a
+    name; with numbered set, the bare line number instead. With header
+    set, the raw first line comes first, unchecked, as
     ``(where, [line])``."""
     prefix = line_prefix(source)
     path = isinstance(source, (str, os.PathLike))
@@ -59,7 +61,7 @@ def read_records(
         if header:
             yield f"{prefix}1", [next(lines, "")]
         for lineno, line in enumerate(lines, start=2 if header else 1):
-            if not line.strip():
+            if not (keep_blank or line.strip()):
                 continue
             fields = line.rstrip("\n").split(sep)
             if len(fields) not in counts:

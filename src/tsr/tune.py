@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .collection import Collection, FeatureStore
 from .evalsig import BleuStats, bleu_score, bleu_stats, sum_stats
-from .rerank import RerankParams, _relevances, select_best
+from .rerank import RerankParams, relevance_scores, select_best
 from .retrieval import (
     MODES,
     KBestList,
@@ -189,7 +189,7 @@ def stepwise_search(
             sentences = ranked[rparams] = []
             for kb, ml in zip(dev.kbests, matchlists(rparams)):
                 tokens = [hyp.tokens for hyp in kb.hyps[:top_k_r]]
-                sentences.append((ml, _relevances(tokens, ml, retriever)))
+                sentences.append((ml, relevance_scores(tokens, ml, retriever)))
         chosen = []
         for kb, (ml, rels), ref, known in zip(
             dev.kbests, sentences, dev.references, stats

@@ -24,18 +24,17 @@ from tsr import (
     Hypothesis,
     IdfTable,
     KBestList,
-    MatchList,
-    MODES,
     RerankParams,
     RetrievalParams,
     Retriever,
     bleu_score,
     bleu_stats,
-    relevance_score,
+    relevance_scores,
     select_best,
     stepwise_search,
     sum_stats,
 )
+from tsr.retrieval import MODES, MatchList
 from oracles import (
     FixedIdf,
     float32_exact,
@@ -251,7 +250,7 @@ def test_handworked_scoring_fixtures():
     retriever = Retriever(Collection([cand]), idf, feats)
     params = RetrievalParams(distance_weight=0.01, distance_cutoff=90.0)
     (txt,) = retriever.retrieve(kbest, "q", None, "txt", params).matches
-    assert retriever.coll.docs[txt[0]] == cand
+    assert retriever.coll.caption_ids[txt[0]] == cand.caption_id
     assert abs(txt[1] - 2.05) <= 1e-12
 
     cnn = retriever.retrieve(kbest, "q", None, "cnn", params)
@@ -268,7 +267,7 @@ def test_handworked_scoring_fixtures():
     ]
     matches = MatchList("s1", [(0, 9.9), (1, 5.5)])
     retriever = Retriever(Collection(docs), idf)
-    got = relevance_score(("a", "dog", "dog"), matches, retriever)
+    got = relevance_scores([("a", "dog", "dog")], matches, retriever)[0]
     assert abs(got - 8.1 / 5) <= 1e-12
     want = oracle_relevance(
         ("a", "dog", "dog"), [docs[r] for r, _ in matches.matches], idf
@@ -688,7 +687,7 @@ def test_capacity_full_scale_collection():
     del token_ids
     coll = Collection(docs)
     assert len(coll) == 409110
-    assert len({doc.image_id for doc in coll.docs}) == 81822
+    assert len(set(coll.image_ids)) == 81822
 
     idf = random_idf_table(rng, vocab)
     retriever = Retriever(coll, idf)

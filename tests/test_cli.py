@@ -847,3 +847,55 @@ def test_json_file_must_hold_an_object(ws, capsys, route, text):
     assert run(*argv) == 1
     assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
     assert not (ws / "out").exists()
+
+
+def cnn_argv(ws, route, *inputs):
+    """A cnn run of route over the workspace, writing only to ws/out."""
+    inputs = (
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+        *inputs,
+    )
+    if route == "retrieve":
+        return ("retrieve", "--mode", "cnn", *inputs, "--out", ws / "out")
+    if route == "pipeline":
+        return ("pipeline", "--mode", "cnn", *inputs, "--out-dir", ws / "out")
+    grid = ws / "grid.json"
+    grid.write_text(
+        json.dumps({**SMALL_GRID, "mode": "cnn"}), encoding="utf-8"
+    )
+    return (
+        "tune", "--grid", grid, *inputs,
+        "--references", ws / "refs.txt",
+        "--trace-out", ws / "out",
+    )
+
+
+@pytest.mark.parametrize("route", ["retrieve", "pipeline", "tune"])
+@pytest.mark.parametrize("text", ["", "i9\t0.0 0.0\n"], ids=["empty", "other"])
+def test_features_must_cover_a_collection_image(ws, capsys, route, text):
+    # every sentence would fall back to txt, as on an unannotated hca run
+    feats = ws / "feats.tsv"
+    feats.write_text(text, encoding="utf-8")
+    assert run(*cnn_argv(ws, route, "--features", feats)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {feats}: no feature vector for any collection image\n"
+    )
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("route", ["retrieve", "pipeline", "tune"])
+def test_queries_may_not_name_a_sentence_the_kbest_lacks(ws, capsys, route):
+    queries = ws / "queries.tsv"
+    queries.write_text("s1x\ti1\ns2x\ti2\n", encoding="utf-8")
+    inputs = ("--features", ws / "features.tsv", "--queries", queries)
+    assert run(*cnn_argv(ws, route, *inputs)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {queries}: sent_ids do not match {ws / 'kbest.txt'}:"
+        " extra s1x, s2x\n"
+    )
+    assert not (ws / "out").exists()
+    # a sentence may have no image, so the file may leave one out
+    queries.write_text("s1\ti1\n", encoding="utf-8")
+    assert run(*cnn_argv(ws, route, *inputs)) == 0

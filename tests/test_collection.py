@@ -9,9 +9,9 @@ from tsr import (
     KBestList,
     Retriever,
     load_collection,
-    load_features,
     save_collection,
 )
+from tsr.collection import load_features
 from oracles import FixedIdf, oracle_index
 
 
@@ -74,7 +74,17 @@ def record(doc):
     return "\t".join(fields)
 
 
-def test_index_equals_oracle_on_random_collections():
+def assert_holds(coll, docs, path):
+    """coll holds docs in order: their ids in its columns, and their
+    tokens and categories in the text save_collection writes."""
+    assert coll.caption_ids == [doc.caption_id for doc in docs]
+    assert coll.image_ids == [doc.image_id for doc in docs]
+    save_collection(coll, path)
+    want = "".join(record(doc) + "\n" for doc in docs)
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_index_equals_oracle_on_random_collections(tmp_path):
     rng = np.random.default_rng(23)
     vocab = [f"t{i}" for i in range(30)]
     cat_sets = [None, frozenset({"dog"}), frozenset({"dog", "person"}),
@@ -96,7 +106,7 @@ def test_index_equals_oracle_on_random_collections():
         lines.insert(int(rng.integers(0, n + 1)), "c-empty\timg0\t \tdog")
         want = oracle_index(docs)
         for coll in (Collection(docs), load_collection(lines, True)):
-            assert coll.docs == docs
+            assert_holds(coll, docs, tmp_path / "saved.tsv")
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
             assert coll.matrix.indptr.tolist() == want["indptr"]
@@ -126,7 +136,7 @@ def test_order_keeps_strings_numpy_would_conflate(tmp_path):
             load_collection([record(d) for d in docs]),
             load_collection(path),
         ):
-            assert coll.docs == docs
+            assert_holds(coll, docs, tmp_path / "saved.tsv")
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
             assert coll.matrix.indptr.tolist() == want["indptr"]
@@ -258,16 +268,15 @@ def test_empty_caption_skipped_with_flag():
     coll = load_collection(
         ["c1\timg1\t", "c2\timg1\ta dog"], skip_empty=True
     )
-    assert [d.caption_id for d in coll.docs] == ["c2"]
+    assert coll.caption_ids == ["c2"]
 
 
 def test_categories_parsed_and_optional():
     coll = load_collection(
         ["c1\timg1\ta dog\tdog,person", "c2\timg1\ta cat"]
     )
-    assert coll.docs[0].categories == frozenset({"dog", "person"})
-    assert coll.docs[1].categories is None
-    assert coll.category_group({"person", "dog"}) is not None
+    assert coll.cat_group[0] == coll.category_group({"person", "dog"})
+    assert coll.cat_group[1] == -1
     assert coll.category_group({"dog"}) is None
 
 

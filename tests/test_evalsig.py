@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 import tsr.evalsig
-from tsr.evalsig import bleu_stats_each
-from tsr import (
+from tsr import approx_randomization, bleu_score, bleu_stats, sum_stats
+from tsr.evalsig import (
     BleuStats,
     align_sentences,
-    approx_randomization,
-    bleu_score,
-    bleu_stats,
+    bleu_stats_each,
     read_sentence_file,
-    sum_stats,
 )
 from oracles import (
     oracle_approx_randomization,

@@ -1,9 +1,12 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and the README
+names every name the package exports."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import tsr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +27,11 @@ def test_library_quickstart_runs(tmp_path, monkeypatch):
     chosen, matches = out.getvalue().splitlines()
     assert chosen == "('a', 'man', 'rides', 'a', 'horse') 1"
     assert matches.startswith("[('c1', ")
+
+
+def test_every_export_is_documented():
+    text = README.read_text(encoding="utf-8")
+    undocumented = [
+        name for name in tsr.__all__ if not re.search(rf"\b{name}\b", text)
+    ]
+    assert undocumented == []

@@ -6,12 +6,12 @@ from tsr import (
     Collection,
     Hypothesis,
     KBestList,
-    MatchList,
     RerankParams,
     Retriever,
-    relevance_score,
+    relevance_scores,
     select_best,
 )
+from tsr.retrieval import MatchList
 from oracles import FixedIdf, ScaledIdf, oracle_relevance, random_idf_table
 
 
@@ -20,7 +20,7 @@ IDF = FixedIdf({"a": 0.1, "dog": 2.0})
 
 def ml(idf, *docs):
     """A match list naming each of docs in turn, and a Retriever over a
-    collection of the distinct docs: what relevance_score and
+    collection of the distinct docs: what relevance_scores and
     select_best take after the tokens or k-best list."""
     coll = Collection(dict.fromkeys(docs))
     rows = [coll.caption_ids.index(doc.caption_id) for doc in docs]
@@ -34,29 +34,29 @@ def hyp(text, score=-1.0):
 class TestRelevanceScore:
     def test_no_overlap_is_zero(self):
         doc = CaptionDoc("c1", "i1", ("the", "cat"))
-        assert relevance_score(("a", "dog"), *ml(IDF, doc)) == 0.0
+        assert relevance_scores([("a", "dog")], *ml(IDF, doc))[0] == 0.0
 
     def test_empty_matchlist_is_zero(self):
-        assert relevance_score(("a", "dog"), *ml(IDF)) == 0.0
+        assert relevance_scores([("a", "dog")], *ml(IDF))[0] == 0.0
 
     def test_hand_fixture_normalizes_by_token_count(self):
         # match ["a","dog"]: 2 tokens; rerank candidate [a, dog, dog]
         # contributes 0.1 + 2.0 + 2.0, normalized by 2.
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
-        got = relevance_score(("a", "dog", "dog"), *ml(IDF, doc))
+        got = relevance_scores([("a", "dog", "dog")], *ml(IDF, doc))[0]
         assert abs(got - 2.05) <= 1e-12
 
     def test_duplicated_match_leaves_score_unchanged(self):
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
-        once = relevance_score(("a", "dog", "dog"), *ml(IDF, doc))
-        twice = relevance_score(("a", "dog", "dog"), *ml(IDF, doc, doc))
+        once = relevance_scores([("a", "dog", "dog")], *ml(IDF, doc))[0]
+        twice = relevance_scores([("a", "dog", "dog")], *ml(IDF, doc, doc))[0]
         assert twice == once
 
     def test_normalizer_uses_tokens_not_types(self):
         # same type set {a, dog}, but four tokens: the numerator counts
         # types once while the normalizer counts every token.
         doc = CaptionDoc("c1", "i1", ("a", "dog", "dog", "a"))
-        got = relevance_score(("a", "dog", "dog"), *ml(IDF, doc))
+        got = relevance_scores([("a", "dog", "dog")], *ml(IDF, doc))[0]
         assert abs(got - (0.1 + 2.0 + 2.0) / 4) <= 1e-12
 
     def test_sums_types_left_to_right_in_string_order(self):
@@ -76,7 +76,7 @@ class TestRelevanceScore:
             assert list(retriever.coll.vocab) == ["zz", "aa", "mm"]
             want = (((0.0 + aa) + mm) + zz) / 3
             assert want != (((0.0 + zz) + mm) + aa) / 3
-            got = relevance_score(("aa", "mm", "zz"), matches, retriever)
+            got = relevance_scores([("aa", "mm", "zz")], matches, retriever)[0]
             assert got.hex() == want.hex()
             out = select_best(kb, matches, retriever, RerankParams(2, 1.0))
             assert out.decoder_rank_of_chosen == 2
@@ -104,7 +104,7 @@ class TestRelevanceScore:
                 for term in sorted(set(doc.tokens)):
                     acc += tokens.count(term) * idf.idf(term)
             want = acc / sum(len(doc.tokens) for doc in docs)
-            got = relevance_score(tokens, *ml(idf, *docs))
+            got = relevance_scores([tokens], *ml(idf, *docs))[0]
             assert got.hex() == want.hex()
 
     def test_permutation_invariance(self):
@@ -118,18 +118,17 @@ class TestRelevanceScore:
             for i in range(6)
         ]
         tokens = tuple(rng.choice(vocab, size=10))
-        base = relevance_score(tokens, *ml(idf, *docs))
+        base = relevance_scores([tokens], *ml(idf, *docs))[0]
         for _ in range(5):
             perm = list(docs)
             rng.shuffle(perm)
-            assert relevance_score(tokens, *ml(idf, *perm)) == pytest.approx(
-                base, rel=1e-12
-            )
+            got = relevance_scores([tokens], *ml(idf, *perm))[0]
+            assert got == pytest.approx(base, rel=1e-12)
             shuffled_tokens = list(tokens)
             rng.shuffle(shuffled_tokens)
-            assert relevance_score(
-                tuple(shuffled_tokens), *ml(idf, *docs)
-            ) == pytest.approx(base, rel=1e-12)
+            assert relevance_scores(
+                [tuple(shuffled_tokens)], *ml(idf, *docs)
+            )[0] == pytest.approx(base, rel=1e-12)
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(17)
@@ -145,7 +144,7 @@ class TestRelevanceScore:
                 for i in range(int(rng.integers(1, 8)))
             ]
             tokens = tuple(rng.choice(vocab, size=int(rng.integers(1, 10))))
-            got = relevance_score(tokens, *ml(idf, *docs))
+            got = relevance_scores([tokens], *ml(idf, *docs))[0]
             want = oracle_relevance(tokens, docs, idf)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -184,7 +183,10 @@ class TestSelectBest:
         doc = CaptionDoc("c1", "i1", ("a", "dog"))
         matches, retriever = ml(IDF, doc)
         params = RerankParams(2, 1e12)
-        rels = [relevance_score(h.tokens, matches, retriever) for h in kb.hyps]
+        rels = [
+            relevance_scores([h.tokens], matches, retriever)[0]
+            for h in kb.hyps
+        ]
         given = select_best(kb, matches, retriever, params, rels)
         assert given == select_best(kb, matches, retriever, params)
         swapped = select_best(kb, matches, retriever, params, rels[::-1])

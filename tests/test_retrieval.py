@@ -16,17 +16,14 @@ from tsr import (
     FeatureStore,
     Hypothesis,
     KBestList,
-    MODES,
-    MatchList,
     RerankParams,
     RetrievalParams,
     Retriever,
     read_kbest,
     read_matchlists,
-    read_queries,
-    write_kbest,
     write_matchlists,
 )
+from tsr.retrieval import MODES, MatchList, read_queries
 from oracles import (
     FixedIdf,
     ScaledIdf,
@@ -234,15 +231,17 @@ class TestScoreHca:
         assert self.hca([bare, tagged], [hyp("a dog")], None)[1]
 
 
+TOY_DOCS = [
+    CaptionDoc("c01", "i1", ("a", "dog", "runs"), frozenset({"dog"})),
+    CaptionDoc("c02", "i1", ("the", "dog", "sleeps"), frozenset({"dog"})),
+    CaptionDoc("c03", "i2", ("a", "cat", "sits"), frozenset({"cat"})),
+    CaptionDoc("c04", "i2", ("the", "cat", "naps"), frozenset({"cat"})),
+    CaptionDoc("c05", "i3", ("a", "bird", "flies")),
+]
+
+
 def toy_setup():
-    docs = [
-        CaptionDoc("c01", "i1", ("a", "dog", "runs"), frozenset({"dog"})),
-        CaptionDoc("c02", "i1", ("the", "dog", "sleeps"), frozenset({"dog"})),
-        CaptionDoc("c03", "i2", ("a", "cat", "sits"), frozenset({"cat"})),
-        CaptionDoc("c04", "i2", ("the", "cat", "naps"), frozenset({"cat"})),
-        CaptionDoc("c05", "i3", ("a", "bird", "flies")),
-    ]
-    coll = Collection(docs)
+    coll = Collection(TOY_DOCS)
     idf = random_idf_table(np.random.default_rng(0), coll.vocab)
     feats = FeatureStore(
         {"i1": [0.0, 0.0], "i2": [1.0, 0.0], "i3": [50.0, 0.0]}
@@ -386,7 +385,11 @@ class TestKBestIo:
             KBestList("s2", [hyp("a cat", -3.0)]),
         ]
         path = tmp_path / "kbest.txt"
-        write_kbest(lists, path)
+        path.write_text("".join(
+            f"{kb.sent_id} ||| {' '.join(h.tokens)} ||| {h.decoder_score!r}\n"
+            for kb in lists
+            for h in kb.hyps
+        ))
         loaded = read_kbest(path)
         assert loaded == lists
 
@@ -545,8 +548,7 @@ class TestMatchListIo:
     )
     def test_round_trip_preserves_ids_score_bits_and_flags(self, drawn):
         # "-" is also the empty-list placeholder's caption id
-        docs = toy_setup()[0].docs
-        coll = Collection([*docs, CaptionDoc("-", "i4", ("a", "fish"))])
+        coll = Collection([*TOY_DOCS, CaptionDoc("-", "i4", ("a", "fish"))])
         mls = [
             MatchList(
                 f"s{i}",

@@ -3,7 +3,6 @@ import pytest
 
 import tsr.tune
 from tsr import (
-    MODES,
     CaptionDoc,
     Collection,
     DevSet,
@@ -12,7 +11,6 @@ from tsr import (
     Hypothesis,
     IdfTable,
     KBestList,
-    Query,
     RerankParams,
     RetrievalParams,
     Retriever,
@@ -22,6 +20,7 @@ from tsr import (
     stepwise_search,
     sum_stats,
 )
+from tsr.retrieval import MODES, Query
 from oracles import (
     random_collection,
     random_idf_table,
