@@ -65,7 +65,6 @@ _PIPELINE_KEYS = {
     **{f.name: None for cls in _PARAMS for f in dataclasses.fields(cls)},
     "workers": 1,
     "diagnostics": False,
-    "skip_empty": False,
 }
 
 
@@ -105,20 +104,24 @@ def _load_json_object(path) -> dict:
     return loaded
 
 
-def _load_inputs(
-    mode: str, collection, idf, features, queries, skip_empty=False
-):
-    """Check the mode and cnn's features path before reading anything,
-    then load idf, collection, features (cnn only) and queries. A gate
-    that can admit no caption would make every sentence fall back to
-    txt, so hca rejects an unannotated collection, and cnn features
-    that name no collection image."""
+def _check_mode(mode: str, features, queries) -> None:
+    """The mode, and the paths its gate needs: features for cnn, queries
+    for cnn and hca. Checked before any input is read."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "cnn" and not features:
         raise ValueError("cnn mode requires a features path")
+    if mode != "txt" and not queries:
+        raise ValueError(f"{mode} mode requires a queries path")
+
+
+def _load_inputs(mode: str, collection, idf, features, queries):
+    """Load idf, collection, features (cnn only) and queries for a mode
+    _check_mode passed. A gate that can admit no caption would make
+    every sentence fall back to txt, so hca rejects an unannotated
+    collection, and cnn features that name no collection image."""
     idf_table = IdfTable.load(idf)
-    coll = load_collection(collection, skip_empty=skip_empty)
+    coll = load_collection(collection)
     if mode == "hca" and not (coll.cat_group >= 0).any():
         raise ValueError("hca mode requires category annotations")
     feats = load_features(features) if mode == "cnn" else None
@@ -189,10 +192,11 @@ def cmd_build_index(args) -> int:
 
 def cmd_retrieve(args) -> int:
     check_count("workers", args.workers)
+    _check_mode(args.mode, args.features, args.queries)
+    params, _ = _resolve_params(args.mode, vars(args))
     idf, coll, feats, queries = _load_inputs(
         args.mode, args.collection, args.idf, args.features, args.queries
     )
-    params, _ = _resolve_params(args.mode, vars(args))
     retriever = Retriever(coll, idf, feats)
     kbests = _read_kbest(args.kbest, queries, args.queries)
     work = functools.partial(_retrieve, retriever, queries, args.mode, params)
@@ -205,6 +209,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    params = _override(RerankParams(), vars(args))
     coll = load_collection(args.collection)
     retriever = Retriever(coll, IdfTable.load(args.idf))
     kbests = read_kbest(args.kbest)
@@ -215,7 +220,6 @@ def cmd_rerank(args) -> int:
         args.matches,
         ([ml.sent_id for ml in dump], dump),
     )
-    params = _override(RerankParams(), vars(args))
     outputs = [
         _rerank(kb, ml, retriever, params)
         for kb, ml in zip(kbests, matchlists)
@@ -250,24 +254,20 @@ def _merge_pipeline_config(args) -> dict:
         if not cfg[key]:
             raise ValueError(f"pipeline config is missing {key!r}")
     check_count("workers", cfg["workers"])
-    for key in ("diagnostics", "skip_empty"):
-        if not isinstance(cfg[key], bool):
-            raise ValueError(f"{key} must be true or false, got {cfg[key]!r}")
+    if not isinstance(cfg["diagnostics"], bool):
+        got = cfg["diagnostics"]
+        raise ValueError(f"diagnostics must be true or false, got {got!r}")
     return cfg
 
 
 def cmd_pipeline(args) -> int:
     cfg = _merge_pipeline_config(args)
     mode = cfg["mode"]
-    idf, coll, feats, queries = _load_inputs(
-        mode,
-        cfg["collection"],
-        cfg["idf"],
-        cfg["features"],
-        cfg["queries"],
-        skip_empty=cfg["skip_empty"],
-    )
+    _check_mode(mode, cfg["features"], cfg["queries"])
     retrieval_params, rerank_params = _resolve_params(mode, cfg)
+    idf, coll, feats, queries = _load_inputs(
+        mode, cfg["collection"], cfg["idf"], cfg["features"], cfg["queries"]
+    )
     retriever = Retriever(coll, idf, feats)
     kbests = _read_kbest(cfg["kbest"], queries, cfg["queries"])
     refs = (
@@ -345,7 +345,9 @@ def cmd_compare(args) -> int:
 def cmd_tune(args) -> int:
     spec = _load_json_object(args.grid)
     mode = spec.pop("mode", "txt")
+    _check_mode(mode, args.features, args.queries)
     grid = GridSpec.from_dict(spec)
+    grid.check_mode(mode)
 
     idf, coll, feats, queries = _load_inputs(
         mode, args.collection, args.idf, args.features, args.queries
@@ -469,13 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int)
     sp.add_argument(
         "--diagnostics", action="store_const", const=True, default=None
-    )
-    sp.add_argument(
-        "--skip-empty",
-        dest="skip_empty",
-        action="store_const",
-        const=True,
-        default=None,
     )
     sp.set_defaults(func=cmd_pipeline)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import logging
 import operator
+import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .textcore import joined_line, line_prefix, read_records, write_lines
+from .textcore import joined_line, read_records, write_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -270,28 +271,28 @@ def parse_categories(field: str) -> frozenset[str] | None:
     return frozenset(c for c in field.split(",") if c) or None
 
 
-def load_collection(source, skip_empty: bool = False) -> Collection:
-    """Build a Collection from a file path, an open file or record lines.
+def load_collection(path, skip_empty: bool = False) -> Collection:
+    """Build a Collection from the collection file at path; a collection
+    built in code comes from ``Collection(docs)`` instead.
 
     Records with empty captions are rejected (the scorers normalize by
     type count, which an empty caption would make undefined) unless
     skip_empty is set, in which case they are dropped with a warning.
-    Errors and warnings locate the record as ``<file>:<line>`` when
-    source is a path or an open file, as ``line <line>`` otherwise.
+    Errors and warnings locate the record as ``<path>:<line>``.
     """
-    prefix = line_prefix(source)
+    name = os.fspath(path)
     kept = array("q")  # line number of each kept record
 
     def records():
         message = "expected 3 or 4 tab-separated fields, got {n}"
-        lines = read_records(source, "\t", (3, 4), message, numbered=True)
+        lines = read_records(path, "\t", (3, 4), message, numbered=True)
         for lineno, fields in lines:
             tokens = fields[2].split()
             cats = parse_categories(fields[3]) if len(fields) == 4 else None
             try:
                 check_record(fields[0], fields[1], tokens, cats)
             except ValueError as exc:
-                where = f"{prefix}{lineno}"
+                where = f"{name}:{lineno}"
                 if not (skip_empty and isinstance(exc, EmptyCaption)):
                     raise ValueError(f"{where}: {exc}") from None
                 log.warning("%s: skipping %s", where, exc)
@@ -300,7 +301,7 @@ def load_collection(source, skip_empty: bool = False) -> Collection:
             yield fields[0], fields[1], tokens, cats
 
     columns = Columns.of(records())
-    columns.where = lambda i: f"{prefix}{kept[i]}: "
+    columns.where = lambda i: f"{name}:{kept[i]}: "
     return Collection(columns=columns)
 
 
@@ -374,7 +375,6 @@ class FeatureStore:
             rows.append(row)
         self.ids = list(self._row)
         self.matrix = np.vstack(rows) if rows else np.empty((0, 0), np.float32)
-        self.dim: int | None = self.matrix.shape[1] if rows else None
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import uuid
-from contextlib import nullcontext
 from typing import Container, Iterable, Iterator
 
 
@@ -28,15 +27,8 @@ def read_token_lines(path) -> Iterator[list[str]]:
             yield line.split()
 
 
-def line_prefix(source) -> str:
-    """What read_records puts before a line number of source."""
-    path = isinstance(source, (str, os.PathLike))
-    name = source if path else getattr(source, "name", None)
-    return "line " if name is None else f"{name}:"
-
-
 def read_records(
-    source,
+    path,
     sep: str,
     counts: Container[int],
     message: str,
@@ -44,30 +36,26 @@ def read_records(
     numbered=False,
     keep_blank=False,
 ) -> Iterator[tuple[str, list[str]]]:
-    """Yield ``(where, fields)`` per line of a file path (read as UTF-8)
-    or an iterable of lines, skipping whitespace-only lines unless
-    keep_blank is set. Each line, less its newline, is split on sep and
-    needs a field count in counts, else ValueError
-    ``<where>: <message>``, ``{n}`` in message being the count. where
-    is ``<file>:<line>``, or ``line <line>`` for a source without a
-    name; with numbered set, the bare line number instead. With header
-    set, the raw first line comes first, unchecked, as
-    ``(where, [line])``."""
-    prefix = line_prefix(source)
-    path = isinstance(source, (str, os.PathLike))
-    context = open(source, encoding="utf-8") if path else nullcontext(source)
-    with context as src:
-        lines = iter(src)
+    """Yield ``(where, fields)`` per line of the UTF-8 file at path,
+    skipping whitespace-only lines unless keep_blank is set. Each line,
+    less its newline, is split on sep and needs a field count in counts,
+    else ValueError ``<path>:<line>: <message>``, ``{n}`` in message
+    being the count. where is ``<path>:<line>``; with numbered set, the
+    bare line number, so that a reader of many lines need not hold a
+    string per line. With header set, the raw first line comes first,
+    unchecked, as ``(where, [line])``."""
+    name = os.fspath(path)
+    with open(path, encoding="utf-8") as lines:
         if header:
-            yield f"{prefix}1", [next(lines, "")]
+            yield f"{name}:1", [next(lines, "")]
         for lineno, line in enumerate(lines, start=2 if header else 1):
             if not (keep_blank or line.strip()):
                 continue
             fields = line.rstrip("\n").split(sep)
             if len(fields) not in counts:
-                where = f"{prefix}{lineno}"
+                where = f"{name}:{lineno}"
                 raise ValueError(f"{where}: " + message.format(n=len(fields)))
-            yield lineno if numbered else f"{prefix}{lineno}", fields
+            yield lineno if numbered else f"{name}:{lineno}", fields
 
 
 def joined_line(

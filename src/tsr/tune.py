@@ -89,6 +89,14 @@ class GridSpec:
             )
         return cls(**spec)
 
+    def check_mode(self, mode: str) -> None:
+        """Fail unless mode is known and, outside cnn mode, the grid
+        sweeps no distance_cutoff."""
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if self.distance_cutoff is not None and mode != "cnn":
+            raise ValueError("distance_cutoff can only be swept in cnn mode")
+
     def sweep(self) -> list[tuple[str, list]]:
         """(name, candidates) in sweep order; an omitted distance_cutoff
         is not swept."""
@@ -136,10 +144,7 @@ def stepwise_search(
 ) -> TuneResult:
     """Run the step-wise sweep and return incumbents, their BLEU, and
     the full (parameters, BLEU) trace in evaluation order."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if grid.distance_cutoff is not None and mode != "cnn":
-        raise ValueError("distance_cutoff can only be swept in cnn mode")
+    grid.check_mode(mode)
     depth = max(len(kb.hyps) for kb in dev.kbests)
     if depth < max(grid.k_n):
         raise ValueError(

@@ -421,6 +421,7 @@ class TestPipeline:
             "--collection", bare,
             "--idf", ws / "idf.txt",
             "--kbest", ws / "kbest.txt",
+            "--queries", ws / "queries.tsv",
         )
         for argv in (
             ("pipeline", *inputs, "--out-dir", ws / "pipe", "--mode", "hca"),
@@ -779,12 +780,23 @@ def test_bad_parameter_named_on_every_route(
     assert not (ws / "out").exists()
 
 
+CONFIG_TYPE_CASES = [
+    ("workers", "2", f"workers {COUNT} '2'"),
+    ("workers", 0, f"workers {COUNT} 0"),
+    ("diagnostics", "yes", "diagnostics must be true or false, got 'yes'"),
+    # build-index --skip-empty is the one way to drop empty captions
+    ("skip_empty", 1, "unknown config keys: skip_empty"),
+]
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("workers", "2"), ("workers", 0), ("diagnostics", "yes"),
-     ("skip_empty", 1)],
+    "key, value, message",
+    CONFIG_TYPE_CASES,
+    ids=[f"{key}-{value}" for key, value, _ in CONFIG_TYPE_CASES],
 )
-def test_pipeline_config_types_checked_before_loading(ws, capsys, key, value):
+def test_pipeline_config_types_checked_before_loading(
+    ws, capsys, key, value, message
+):
     cfg = ws / "cfg.json"
     cfg.write_text(json.dumps({key: value}), encoding="utf-8")
     argv = (
@@ -795,8 +807,7 @@ def test_pipeline_config_types_checked_before_loading(ws, capsys, key, value):
         "--out-dir", ws / "out",
     )
     assert run(*argv) == 1
-    err = capsys.readouterr().err
-    assert f"error: {key} must be" in err and "missing.tsv" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (ws / "out").exists()
 
 
@@ -878,7 +889,8 @@ def test_features_must_cover_a_collection_image(ws, capsys, route, text):
     # every sentence would fall back to txt, as on an unannotated hca run
     feats = ws / "feats.tsv"
     feats.write_text(text, encoding="utf-8")
-    assert run(*cnn_argv(ws, route, "--features", feats)) == 1
+    inputs = ("--features", feats, "--queries", ws / "queries.tsv")
+    assert run(*cnn_argv(ws, route, *inputs)) == 1
     assert capsys.readouterr().err == (
         f"error: {feats}: no feature vector for any collection image\n"
     )
@@ -899,3 +911,69 @@ def test_queries_may_not_name_a_sentence_the_kbest_lacks(ws, capsys, route):
     # a sentence may have no image, so the file may leave one out
     queries.write_text("s1\ti1\n", encoding="utf-8")
     assert run(*cnn_argv(ws, route, *inputs)) == 0
+
+
+@pytest.mark.parametrize("route", ["retrieve", "pipeline", "tune"])
+@pytest.mark.parametrize("mode", ["cnn", "hca"])
+def test_gated_mode_requires_queries(ws, capsys, route, mode):
+    # without queries no sentence has an image or categories, so every
+    # sentence would fall back to txt; fail before reading any input
+    inputs = (
+        "--collection", ws / "missing.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+        "--features", ws / "features.tsv",
+    )
+    if route == "retrieve":
+        argv = ("retrieve", "--mode", mode, *inputs, "--out", ws / "out")
+    elif route == "pipeline":
+        argv = ("pipeline", "--mode", mode, *inputs, "--out-dir", ws / "out")
+    else:
+        grid = ws / "grid.json"
+        grid.write_text(
+            json.dumps({**SMALL_GRID, "mode": mode}), encoding="utf-8"
+        )
+        argv = (
+            "tune", "--grid", grid, *inputs,
+            "--references", ws / "refs.txt",
+            "--trace-out", ws / "out",
+        )
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {mode} mode requires a queries path\n"
+    )
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "pipeline", "rerank", "tune"])
+def test_parameters_checked_before_loading(ws, capsys, command):
+    grid = ws / "grid.json"
+    grid.write_text(
+        json.dumps({**SMALL_GRID, "mode": "hca", "distance_cutoff": [1.0]}),
+        encoding="utf-8",
+    )
+    extra, message = {
+        "retrieve": (("--out", ws / "out", "--k-m", "0"), f"k_m {COUNT} 0"),
+        "pipeline": (
+            ("--out-dir", ws / "out", "--k-r", "0"), f"k_r {COUNT} 0"
+        ),
+        "rerank": (
+            ("--out", ws / "out", "--matches", ws / "m.txt", "--k-r", "0"),
+            f"k_r {COUNT} 0",
+        ),
+        "tune": (
+            ("--trace-out", ws / "out", "--grid", grid,
+             "--queries", ws / "queries.tsv", "--references", ws / "refs.txt"),
+            "distance_cutoff can only be swept in cnn mode",
+        ),
+    }[command]
+    argv = (
+        command,
+        "--collection", ws / "missing.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+        *extra,
+    )
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "out").exists()

@@ -23,8 +23,14 @@ def make_docs():
     ]
 
 
-def test_empty_stream_gives_empty_collection():
-    coll = load_collection([])
+def write_tsv(path, lines):
+    """path holding lines, each ended by a newline."""
+    path.write_text("".join(line + "\n" for line in lines), "utf-8")
+    return path
+
+
+def test_empty_stream_gives_empty_collection(tmp_path):
+    coll = load_collection(write_tsv(tmp_path / "empty.tsv", []))
     assert len(coll) == 0
     assert coll.vocab == {}
     assert coll.matrix.shape == (0, 0)
@@ -104,8 +110,9 @@ def test_index_equals_oracle_on_random_collections(tmp_path):
         ]
         lines = [record(doc) for doc in docs]
         lines.insert(int(rng.integers(0, n + 1)), "c-empty\timg0\t \tdog")
+        path = write_tsv(tmp_path / "coll.tsv", lines)
         want = oracle_index(docs)
-        for coll in (Collection(docs), load_collection(lines, True)):
+        for coll in (Collection(docs), load_collection(path, True)):
             assert_holds(coll, docs, tmp_path / "saved.tsv")
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
@@ -129,13 +136,8 @@ def test_order_keeps_strings_numpy_would_conflate(tmp_path):
         ids = dict.fromkeys("".join(draw(1, 3)) for _ in range(30))
         docs = [CaptionDoc(cid, "img", tuple(draw(1, 5))) for cid in ids]
         want = oracle_index(docs)
-        path = tmp_path / "coll.tsv"
-        path.write_text("".join(record(d) + "\n" for d in docs), "utf-8")
-        for coll in (
-            Collection(docs),
-            load_collection([record(d) for d in docs]),
-            load_collection(path),
-        ):
+        path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
+        for coll in (Collection(docs), load_collection(path)):
             assert_holds(coll, docs, tmp_path / "saved.tsv")
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
@@ -164,11 +166,7 @@ def test_repeated_caption_id_names_its_line(tmp_path):
             lines.insert(at, fillers[int(rng.integers(0, len(fillers)))])
         lineno = lines.index(record(docs[repeat])) + 1
         message = f"duplicate caption_id {cid!r}"
-        with pytest.raises(ValueError) as err:
-            load_collection(lines, skip_empty=True)
-        assert str(err.value) == f"line {lineno}: {message}"
-        path = tmp_path / f"dup{trial}.tsv"
-        path.write_text("".join(line + "\n" for line in lines), "utf-8")
+        path = write_tsv(tmp_path / f"dup{trial}.tsv", lines)
         with pytest.raises(ValueError) as err:
             load_collection(path, skip_empty=True)
         assert str(err.value) == f"{path}:{lineno}: {message}"
@@ -200,11 +198,7 @@ def test_first_of_several_repeated_ids_is_named(tmp_path):
         with pytest.raises(ValueError) as err:
             Collection(docs)
         assert str(err.value) == message
-        with pytest.raises(ValueError) as err:
-            load_collection(lines)
-        assert str(err.value) == f"line {where}: {message}"
-        path = tmp_path / f"dup{trial}.tsv"
-        path.write_text("".join(line + "\n" for line in lines), "utf-8")
+        path = write_tsv(tmp_path / f"dup{trial}.tsv", lines)
         with pytest.raises(ValueError) as err:
             load_collection(path)
         assert str(err.value) == f"{path}:{where}: {message}"
@@ -241,40 +235,34 @@ def test_index_keys_beyond_int32(tmp_path):
 
 def test_duplicate_caption_id_rejected(tmp_path):
     lines = ["c1\timg1\ta dog", "c1\timg2\ta cat"]
-    with pytest.raises(ValueError, match="line 2.*c1"):
-        load_collection(lines)
-    path = tmp_path / "dup.tsv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"dup\.tsv:2: duplicate caption_id"):
+    path = write_tsv(tmp_path / "dup.tsv", lines)
+    message = r"dup\.tsv:2: duplicate caption_id 'c1'"
+    with pytest.raises(ValueError, match=message):
         load_collection(path)
 
 
 def test_malformed_record_names_line(tmp_path):
     lines = ["c1\timg1\ta dog", "just one field"]
-    with pytest.raises(ValueError, match="line 2"):
-        load_collection(lines)
-    path = tmp_path / "bad.tsv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = write_tsv(tmp_path / "bad.tsv", lines)
     with pytest.raises(ValueError, match=r"bad\.tsv:2: expected 3 or 4"):
         load_collection(path)
 
 
-def test_empty_caption_rejected_by_default():
-    with pytest.raises(ValueError, match="empty caption"):
-        load_collection(["c1\timg1\t"])
+def test_empty_caption_rejected_by_default(tmp_path):
+    path = write_tsv(tmp_path / "coll.tsv", ["c1\timg1\t"])
+    with pytest.raises(ValueError, match=r"coll\.tsv:1: empty caption"):
+        load_collection(path)
 
 
-def test_empty_caption_skipped_with_flag():
-    coll = load_collection(
-        ["c1\timg1\t", "c2\timg1\ta dog"], skip_empty=True
-    )
+def test_empty_caption_skipped_with_flag(tmp_path):
+    lines = ["c1\timg1\t", "c2\timg1\ta dog"]
+    coll = load_collection(write_tsv(tmp_path / "coll.tsv", lines), True)
     assert coll.caption_ids == ["c2"]
 
 
-def test_categories_parsed_and_optional():
-    coll = load_collection(
-        ["c1\timg1\ta dog\tdog,person", "c2\timg1\ta cat"]
-    )
+def test_categories_parsed_and_optional(tmp_path):
+    lines = ["c1\timg1\ta dog\tdog,person", "c2\timg1\ta cat"]
+    coll = load_collection(write_tsv(tmp_path / "coll.tsv", lines))
     assert coll.cat_group[0] == coll.category_group({"person", "dog"})
     assert coll.cat_group[1] == -1
     assert coll.category_group({"dog"}) is None
@@ -347,7 +335,7 @@ def test_equality_is_equality_of_docs():
 
 def test_feature_store_basics():
     feats = FeatureStore({"i1": [0.0, 1.0], "i2": [3.0, 4.0]})
-    assert feats.dim == 2
+    assert feats.matrix.shape == (2, 2)
     assert len(feats) == 2
     assert feats.row_of("i1") == 0 and feats.row_of("i3") is None
     assert feats.matrix[feats.row_of("i2")].tolist() == [3.0, 4.0]
@@ -355,7 +343,7 @@ def test_feature_store_basics():
 
 def test_feature_store_empty():
     feats = FeatureStore({})
-    assert feats.dim is None
+    assert feats.matrix.shape == (0, 0)
     assert len(feats) == 0
 
 
@@ -363,7 +351,7 @@ def test_load_features(tmp_path):
     path = tmp_path / "feats.tsv"
     path.write_text("i1\t0.5 1.5 -2.0\ni2\t1.0 0.0 3.25\n")
     feats = load_features(path)
-    assert feats.dim == 3
+    assert feats.matrix.shape == (2, 3)
     assert feats.matrix[feats.row_of("i1")].tolist() == [0.5, 1.5, -2.0]
 
 
