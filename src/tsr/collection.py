@@ -337,8 +337,10 @@ def save_collection(coll: Collection, path) -> None:
 class FeatureStore:
     """Dense image embeddings keyed by image id.
 
-    Vectors are stored as float32; distance computations upcast to
-    float64 so accumulation error does not depend on summation order.
+    Vectors are stored as float32. The cnn gate's distances upcast them
+    to float64 and sum each row in a fixed order, so their bits do not
+    depend on the BLAS; its float32 bound, which does, only picks which
+    rows to measure.
     """
 
     def __init__(self, vectors: dict[str, Sequence[float]] | None = None):

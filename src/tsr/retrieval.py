@@ -43,8 +43,9 @@ MODES = ("txt", "cnn", "hca")
 
 # Feature rows the cnn distance pass upcasts to float64 at once, into
 # one buffer per call. On 79,461 32-dim rows (a shared 2-vCPU Xeon VM)
-# a query's pass took a median 7.1 ms at 1,024 and 2,048 rows, 7.2-7.4
-# ms at 4,096-8,192, 8.2 at 512 and 9.7 at 256.
+# a pass over every row took a median 7.2-7.8 ms at 1,024-4,096 rows,
+# 8.3 at 8,192, 8.8 at 512 and 11.3 at 256; a pass over a gathered 2%
+# of the rows took 0.28-0.31 ms at 512-4,096 and 0.39 at 256.
 _DISTANCE_BLOCK = 1024
 # Past this share of the collection, a gate's rows are scored by the
 # whole matvec and a gather: slicing that many rows out of the index
@@ -53,6 +54,14 @@ _DISTANCE_BLOCK = 1024
 # for 30%, 10.8 for half and 21.8 for all, the whole one 6.8-8.5 ms
 # plus its gather.
 _GATED_SHARE = 0.3
+# Past this share of the feature rows, the cnn gate measures every row
+# in order rather than gather the rows its float32 bound kept. On the
+# 79,461 rows above, gathering took 4.0 ms for 40% of them, 4.9 for
+# half, 6.7 for 70% and 7.6 for 80%, the whole pass 7.4 ms.
+_GATHER_SHARE = 0.7
+# Machine epsilons, twice the unit roundoffs, for _bound_rows' error terms.
+_EPS32 = float(np.finfo(np.float32).eps)
+_EPS64 = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -182,8 +191,10 @@ class Retriever:
     Precomputes the per-term idf weight vector and the doc-to-embedding
     row map; retrieve() is safe to call from many threads at once. The
     gated modes apply their gate first and score only the docs it
-    admits; selection then ranks only those docs. The cnn gate measures
-    each feature row's distance once per query. Selection partitions
+    admits; selection then ranks only those docs. The cnn gate keeps
+    each feature row's squared norm, bounds every row's distance with
+    one float32 product per query and measures in float64 only the rows
+    the bound cannot place beyond the cutoff. Selection partitions
     around the k_m-th largest score and sorts only k_m docs plus the tie
     group at the cut, not every doc scoring above zero.
     """
@@ -193,9 +204,17 @@ class Retriever:
         self.feats = feats
         # vocab iterates in term id order
         self.weights = np.array(list(map(idf.idf, coll.vocab)), np.float64)
-        self._img_row = (
-            None if feats is None else feats.rows_of(coll.image_ids)
-        )
+        self._img_row = None
+        if feats is not None:
+            self._img_row = feats.rows_of(coll.image_ids)
+            # each feature row's squared norm times 1 - k, k as in
+            # _bound_rows, summed a block at a time like a distance
+            matrix = feats.matrix
+            dim = matrix.shape[1]
+            norms = np.empty(len(matrix))
+            _squared_distances(matrix, None, np.zeros(dim), norms)
+            norms *= 1.0 - 2.0 * (dim + 2) * _EPS32
+            self._shrunk_norms = norms
 
     def term_counts(self, tokens: Iterable[str]) -> np.ndarray:
         """How often each term id occurs among tokens, as float64 indexed
@@ -307,7 +326,7 @@ class Retriever:
         qrow = None if self.feats is None else self.feats.row_of(query_image)
         if qrow is None:
             return None
-        dist = self._row_distances(qrow)
+        dist = self._row_distances(qrow, params.distance_cutoff)
         rows = np.flatnonzero((dist < params.distance_cutoff)[self._img_row])
         s_txt = self._txt_scores(counts, rows)
         if np.all(self.weights[counts > 0] > 0.0):
@@ -322,31 +341,94 @@ class Retriever:
         damping = np.exp(-params.distance_weight * dist[self._img_row[keep]])
         return s_txt[overlap] * damping, keep
 
-    def _row_distances(self, qrow: int) -> np.ndarray:
-        """Euclidean distance from feature row qrow to every feature row,
-        upcast to float64 one block of rows at a time into one buffer.
-        One more entry, +inf, follows the last row: docs without an
-        embedding have row -1 and so land on it, beyond every cutoff.
+    def _row_distances(self, qrow: int, cutoff: float) -> np.ndarray:
+        """Euclidean distance from feature row qrow to each feature row
+        that may lie within cutoff, +inf for the rows _bound_rows proves
+        lie at or beyond it. One more entry, +inf, follows the last row:
+        docs without an embedding have row -1 and so land on it, beyond
+        every cutoff.
 
-        Each distance is the float64 pairwise sum of one row's squared
-        differences, which does not depend on the block size or on the
-        other rows in the block. The buffer is local: threads share the
-        Retriever."""
+        A measured distance is the float64 pairwise sum of one row's
+        squared differences (_squared_distances), so it has the bits of
+        measuring every row, and dist < cutoff admits the same rows."""
         matrix = self.feats.matrix
         qvec = matrix[qrow].astype(np.float64)
         n = len(matrix)
-        dist = np.empty(n + 1, dtype=np.float64)
+        rows = self._bound_rows(qrow, cutoff)
+        if rows is None:
+            dist = np.empty(n + 1)
+            _squared_distances(matrix, None, qvec, dist[:n])
+            np.sqrt(dist[:n], out=dist[:n])
+        else:
+            dist = np.full(n + 1, np.inf)
+            sq = _squared_distances(matrix, rows, qvec, np.empty(rows.size))
+            dist[rows] = np.sqrt(sq)
         dist[n] = np.inf
-        buf = np.empty((min(_DISTANCE_BLOCK, n), matrix.shape[1]), np.float64)
-        for start in range(0, n, _DISTANCE_BLOCK):
-            stop = min(start + _DISTANCE_BLOCK, n)
-            diffs = buf[: stop - start]
-            np.copyto(diffs, matrix[start:stop])
-            diffs -= qvec
-            diffs *= diffs
-            np.sum(diffs, axis=1, out=dist[start:stop])
-        np.sqrt(dist[:n], out=dist[:n])
         return dist
+
+    def _bound_rows(self, qrow: int, cutoff: float) -> np.ndarray | None:
+        """The feature rows whose float64 distance to row qrow may come
+        out below cutoff, by a float32 bound that leaves out only rows
+        provably at or beyond it; None when every row is to be measured:
+        an infinite cutoff, or more than _GATHER_SHARE of the rows kept.
+        """
+        # Let s, t be the exact squared norms of a row a and the query
+        # row q, p = a·q and D² = s + t - 2p, all over the float32
+        # values, in d dimensions. The sgemv's p̂, if finite, holds
+        # |p̂ - p| <= γ·Σ|a_i·q_i| + d·2^-150, γ = d·u/(1 - d·u) and
+        # u = 2^-24 = eps32/2, whatever order BLAS sums in; the second
+        # term is what products below float32's normal range lose. By
+        # Cauchy-Schwarz and 2|a||q| <= s + t, 2|p̂ - p| <= (d/2 + 1)·
+        # eps32·(s + t) + d·2^-149. The stored norms are float64 sums of
+        # d squares times 1 - k, and the float64 steps below each round
+        # by 2^-53 of operands under 4(s + t): some 2^-29 of that term.
+        # So with k = 2·(d + 2)·eps32, about four times what is needed,
+        #
+        #     lower = (1 - k)·(s + t) - 2p̂ - d·2^-148 <= D².
+        #
+        # The exact pass rounds a subtraction and a square per component,
+        # d - 1 additions and a square root, so fl(D) >= D·(1 - (d + 3)·
+        # 2^-53), and fl(D) < c needs D² < c²·(1 + m), m = 2·(d + 4)·
+        # eps64 leaving room for rounding c²·(1 + m). A row whose lower
+        # reaches that is left out. c is the cutoff raised to at least
+        # 2^-500 so that c² is a normal float64 (a larger c only keeps
+        # more rows), and a c² past float64's range keeps every row. A
+        # non-finite p̂ means the float32 sum overflowed: its row is kept.
+        if cutoff == math.inf:
+            return None
+        matrix = self.feats.matrix
+        dim = matrix.shape[1]
+        c = max(float(cutoff), 2.0**-500)
+        limit = c * c * (1.0 + 2.0 * (dim + 4) * _EPS64) + dim * 2.0**-148
+        limit -= self._shrunk_norms[qrow]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = matrix @ matrix[qrow]
+        lower = dots.astype(np.float64)
+        lower *= -2.0
+        lower += self._shrunk_norms
+        keep = ~(lower >= limit)  # not <: a NaN keeps its row
+        keep |= ~np.isfinite(dots)
+        rows = np.flatnonzero(keep)
+        return None if rows.size > _GATHER_SHARE * len(matrix) else rows
+
+
+def _squared_distances(matrix, rows, centre, out):
+    """out[i] = the float64 pairwise sum of (matrix[rows[i]] - centre)**2,
+    or of matrix[i]'s when rows is None, upcast one _DISTANCE_BLOCK of
+    rows at a time into one buffer; returns out. A row's sum does not
+    depend on the block size or on the other rows in its block. The
+    buffer is local: threads share the Retriever."""
+    n = len(out)
+    buf = np.empty((min(_DISTANCE_BLOCK, n), matrix.shape[1]), np.float64)
+    for start in range(0, n, _DISTANCE_BLOCK):
+        stop = min(start + _DISTANCE_BLOCK, n)
+        diffs = buf[: stop - start]
+        picked = slice(start, stop) if rows is None else rows[start:stop]
+        np.copyto(diffs, matrix[picked])
+        diffs -= centre
+        diffs *= diffs
+        np.sum(diffs, axis=1, out=out[start:stop])
+    return out
 
 
 def _sentence_runs(records: Iterable[tuple]) -> Iterator[tuple[str, Iterator]]:

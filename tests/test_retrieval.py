@@ -692,6 +692,13 @@ def test_top_k_is_a_prefix_of_every_larger_top_k():
     assert straddled >= 80
 
 
+def full_pass_distances(feats, image):
+    """Every feature row's float64 distance to image's, in one pass."""
+    rows64 = feats.matrix.astype(np.float64)
+    q = rows64[feats.row_of(image)]
+    return np.sqrt(np.sum((rows64 - q) ** 2, axis=1))
+
+
 def reference_scores(retriever, kbest, image, categories, mode, params):
     """Every doc's score as retrieval computed it before the gates ran
     first: txt scores for every doc, every feature row's distance in one
@@ -704,9 +711,7 @@ def reference_scores(retriever, kbest, image, categories, mode, params):
     s_txt = retriever._txt_scores(counts, None)
     scores = None
     if mode == "cnn" and retriever.feats.row_of(image) is not None:
-        rows64 = retriever.feats.matrix.astype(np.float64)
-        q = rows64[retriever.feats.row_of(image)]
-        per_row = np.sqrt(np.sum((rows64 - q) ** 2, axis=1))
+        per_row = full_pass_distances(retriever.feats, image)
         dist = np.append(per_row, np.inf)[retriever._img_row]
         overlap = retriever.coll.matrix @ (counts > 0).astype(float) > 0
         keep = np.flatnonzero(overlap & (dist < params.distance_cutoff))
@@ -916,3 +921,178 @@ class TestGatedScorerBits:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == sequential
+
+
+def one_caption_per_image(feats_map):
+    """A Retriever over one caption, of the term x, per image of
+    feats_map."""
+    docs = [
+        CaptionDoc(f"c{i}", image, ("x",)) for i, image in enumerate(feats_map)
+    ]
+    return Retriever(
+        Collection(docs), FixedIdf({"x": 1.0}), FeatureStore(feats_map)
+    )
+
+
+class TestCnnGateBound:
+    """The cnn gate measures only the feature rows a float32 bound keeps,
+    yet admits the rows a full float64 pass admits, each distance with
+    the same bits, whatever order BLAS sums the bound's dot products in
+    (CI reruns this class with four BLAS threads and under other
+    OpenBLAS kernels)."""
+
+    @staticmethod
+    def assert_gate(retriever, image, cutoff):
+        """_row_distances admits the rows of the full pass, with their
+        bits; returns how many rows the bound kept, None for all."""
+        feats = retriever.feats
+        qrow = feats.row_of(image)
+        full = full_pass_distances(feats, image)
+        got = retriever._row_distances(qrow, cutoff)
+        assert got[-1] == np.inf and got.size == full.size + 1
+        admitted = full < cutoff
+        assert np.array_equal(got[:-1] < cutoff, admitted)
+        assert got[:-1][admitted].tobytes() == full[admitted].tobytes()
+        kept = retriever._bound_rows(qrow, cutoff)
+        return None if kept is None else kept.size
+
+    def assert_retrieval(self, feats_map, image, cutoffs, weight=0.7):
+        """Gate and retrieval over one caption per image agree, bit for
+        bit, with reference_scores at each cutoff; returns the matched
+        caption ids per cutoff and the rows the bound kept."""
+        retriever = one_caption_per_image(feats_map)
+        kbest = KBestList("s", [hyp("x")])
+        matched, kept = [], []
+        for cutoff in cutoffs:
+            kept.append(self.assert_gate(retriever, image, cutoff))
+            params = RetrievalParams(1, len(feats_map) + 1, weight, cutoff)
+            got = TestGatedScorerBits.assert_same_bits(
+                retriever, kbest, image, None, "cnn", params
+            )
+            ids = retriever.coll.caption_ids
+            matched.append(sorted(ids[r] for r, _ in got.matches))
+        return matched, kept
+
+    def test_float32_dot_overflow_keeps_the_row(self):
+        """a·b is -3.2e41, past float32's range: the sgemv gives -inf,
+        and a bound that trusted it would drop c2."""
+        feats = {"a": [1e20] * 32, "b": [-1e20] * 32}
+        matched, _ = self.assert_retrieval(feats, "a", [1e30], weight=0.0)
+        assert matched == [["c0", "c1"]]
+
+    def test_subnormal_components(self):
+        """Rows of float32 subnormals, whose products underflow to 0,
+        and as many far rows for the bound to drop. The weight makes
+        distances near 1e-42 move the scores."""
+        rng = np.random.default_rng(11)
+        tiny = np.float32(2.0**-149)
+        feats = {
+            f"i{j}": (rng.integers(-900, 900, size=5) * tiny).tolist()
+            for j in range(40)
+        }
+        feats.update({f"far{j}": [1.0 + j] * 5 for j in range(40)})
+        full = full_pass_distances(FeatureStore(feats), "i0")
+        near = full[:40]
+        cutoffs = [float(x) for x in np.quantile(near[near > 0], [0.1, 0.5])]
+        cutoffs += [np.nextafter(full[3], np.inf), full[3], 1e-45, 2.0**-1074]
+        matched, kept = self.assert_retrieval(
+            feats, "i0", cutoffs, weight=1e40
+        )
+        assert matched[-1] == ["c0"]  # only the query's own row, at 0
+        assert kept == [40] * len(cutoffs)
+
+    @pytest.mark.parametrize("cutoff", [1e200, math.inf])
+    def test_cutoffs_past_float64_squares_keep_every_row(self, cutoff):
+        feats = {f"i{j}": [float(j), -3.5 * j, 1e30] for j in range(6)}
+        feats["huge"] = [3e38, -3e38, -3e38]
+        matched, kept = self.assert_retrieval(
+            feats, "i2", [cutoff], weight=0.0
+        )
+        assert matched == [[f"c{j}" for j in range(7)]] and kept == [None]
+
+    def test_row_at_exactly_the_cutoff(self):
+        """c1 lies at 5.0 exactly (a 3-4-5 triangle); the cutoff is
+        strict. Ten far rows leave the bound room to drop rows."""
+        feats = {"q": [0.0, 0.0], "r": [3.0, 4.0]}
+        feats.update({f"far{j}": [1e3, float(j)] for j in range(10)})
+        cutoffs = [np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, np.inf)]
+        matched, kept = self.assert_retrieval(feats, "q", cutoffs)
+        assert matched == [["c0"], ["c0"], ["c0", "c1"]]
+        assert kept == [2, 2, 2]
+
+    def test_slack_covers_the_float32_dot(self):
+        """Rows share an offset of 10,000 in each of 32 dims and differ
+        by a few quarters, so the float32 dot's rounding (hundreds in
+        squared-distance units) exceeds a near row's squared distance
+        (tens). A cutoff just past each near row's distance must still
+        admit it, and the bound must still drop the far rows."""
+        rng = np.random.default_rng(5)
+        near = 1e4 + 0.25 * rng.integers(-3, 4, size=(200, 32))
+        far = 1e4 + 0.25 * rng.integers(-3, 4, size=(800, 32))
+        far[:, 0] += 2e3
+        vectors = np.vstack([near, far])
+        feats = {f"i{j}": row.tolist() for j, row in enumerate(vectors)}
+        retriever = one_caption_per_image(feats)
+        full = full_pass_distances(retriever.feats, "i0")
+        for row in range(1, 200, 7):
+            for cutoff in (full[row], np.nextafter(full[row], np.inf)):
+                kept = self.assert_gate(retriever, "i0", cutoff)
+                assert kept is not None and 200 <= kept < 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_float32_features_and_cutoff(self, data):
+        dim = data.draw(st.integers(1, 9), label="dim")
+        component = st.one_of(
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            st.floats(-4.0, 4.0, width=32),
+            st.sampled_from([0.0, 1e20, -1e20, 2.0**-149]),
+        )
+        vectors = data.draw(
+            st.lists(
+                st.lists(component, min_size=dim, max_size=dim),
+                min_size=1, max_size=30,
+            ),
+            label="vectors",
+        )
+        retriever = one_caption_per_image(
+            {f"i{j}": v for j, v in enumerate(vectors)}
+        )
+        query = f"i{data.draw(st.integers(0, len(vectors) - 1))}"
+        full = full_pass_distances(retriever.feats, query)
+        at = float(full[data.draw(st.integers(0, len(vectors) - 1))])
+        cutoff = data.draw(
+            st.one_of(
+                st.sampled_from([at, math.inf]),
+                st.floats(min_value=0.0, exclude_min=True),
+            ),
+            label="cutoff",
+        )
+        if cutoff == at:  # cutoffs are positive: 0 becomes inf
+            cutoff = data.draw(
+                st.sampled_from(
+                    [np.nextafter(at, np.inf), np.nextafter(at, 0.0), at]
+                )
+            ) or math.inf
+        self.assert_gate(retriever, query, cutoff)
+
+    def test_large_matrix_blas_splits_across_threads(self):
+        """20,000 x 32 rows: OpenBLAS splits a product this size across
+        its threads. Clusters with a common offset put many rows near
+        each cutoff."""
+        rng = np.random.default_rng(17)
+        centres = 300.0 + rng.normal(0.0, 40.0, size=(50, 32))
+        vectors = centres[rng.integers(0, 50, size=20_000)]
+        vectors += rng.normal(0.0, 6.0, size=vectors.shape)
+        retriever = one_caption_per_image(
+            {f"i{j}": v for j, v in enumerate(vectors)}
+        )
+        kept = []
+        for query in ("i0", "i1", "i2"):
+            full = full_pass_distances(retriever.feats, query)
+            ranked = np.sort(full)
+            cutoffs = [ranked[50], np.nextafter(ranked[400], np.inf), 40.0]
+            cutoffs += [60.0, 200.0, math.inf]
+            for cutoff in cutoffs:
+                kept.append(self.assert_gate(retriever, query, cutoff))
+        assert None in kept and any(k is not None for k in kept)
