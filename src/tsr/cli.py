@@ -40,19 +40,17 @@ from .rerank import (
 from .retrieval import (
     MODES,
     RETRIEVAL_DEFAULTS,
-    Query,
     Retriever,
     RetrievalParams,
     check_count,
     read_kbest,
     read_matchlists,
     read_queries,
+    retrieve_sentence,
     write_matchlists,
 )
 from .textcore import build_idf, IdfTable, read_token_lines, write_lines
-from .tune import DevSet, GridSpec, stepwise_search
-
-_PARAMS = (RetrievalParams, RerankParams)
+from .tune import _PARAMS, DevSet, GridSpec, stepwise_search
 
 _PATH_KEYS = (
     "collection", "idf", "kbest", "out_dir", "features", "queries",
@@ -150,29 +148,6 @@ def _run_sentences(work, kbests, workers: int) -> list:
         return list(pool.map(work, kbests))
 
 
-def _retrieve(retriever: Retriever, queries, mode: str, params, kb):
-    """One sentence's match list; a failure names the sentence."""
-    query = queries.get(kb.sent_id, Query(kb.sent_id))
-    try:
-        return retriever.retrieve(
-            kb, query.image_id, query.categories, mode, params
-        )
-    except Exception as exc:
-        raise RuntimeError(
-            f"retrieve stage failed on sentence {kb.sent_id}: {exc}"
-        ) from exc
-
-
-def _rerank(kb, ml, retriever: Retriever, params):
-    """One sentence's reranked output; a failure names the sentence."""
-    try:
-        return select_best(kb, ml, retriever, params)
-    except Exception as exc:
-        raise RuntimeError(
-            f"rerank stage failed on sentence {kb.sent_id}: {exc}"
-        ) from exc
-
-
 def cmd_extract_idf(args) -> int:
     table = build_idf(read_token_lines(args.corpus))
     table.save(args.out)
@@ -199,7 +174,9 @@ def cmd_retrieve(args) -> int:
     )
     retriever = Retriever(coll, idf, feats)
     kbests = _read_kbest(args.kbest, queries, args.queries)
-    work = functools.partial(_retrieve, retriever, queries, args.mode, params)
+    work = functools.partial(
+        retrieve_sentence, retriever, queries, args.mode, params
+    )
     matchlists = _run_sentences(work, kbests, args.workers)
     write_matchlists(matchlists, coll, args.out)
     fallbacks = sum(ml.used_fallback for ml in matchlists)
@@ -221,7 +198,7 @@ def cmd_rerank(args) -> int:
         ([ml.sent_id for ml in dump], dump),
     )
     outputs = [
-        _rerank(kb, ml, retriever, params)
+        select_best(kb, ml, retriever, params)
         for kb, ml in zip(kbests, matchlists)
     ]
     write_output(outputs, args.out)
@@ -277,8 +254,8 @@ def cmd_pipeline(args) -> int:
     )
 
     def work(kb):
-        ml = _retrieve(retriever, queries, mode, retrieval_params, kb)
-        return _rerank(kb, ml, retriever, rerank_params)
+        ml = retrieve_sentence(retriever, queries, mode, retrieval_params, kb)
+        return select_best(kb, ml, retriever, rerank_params)
 
     outputs = _run_sentences(work, kbests, cfg["workers"])
 
@@ -459,14 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", help="run retrieval and reranking end to end"
     )
     sp.add_argument("--config", help="JSON config; flags override fields")
-    sp.add_argument("--collection")
-    sp.add_argument("--idf")
-    sp.add_argument("--kbest")
-    sp.add_argument("--out-dir", dest="out_dir")
+    for key in _PATH_KEYS:
+        sp.add_argument("--" + key.replace("_", "-"), dest=key)
     sp.add_argument("--mode", choices=MODES)
-    sp.add_argument("--features")
-    sp.add_argument("--queries")
-    sp.add_argument("--references")
     _add_param_flags(sp, *_PARAMS)
     sp.add_argument("--workers", type=int)
     sp.add_argument(

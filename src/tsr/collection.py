@@ -375,11 +375,10 @@ class FeatureStore:
                 raise ValueError(f"{label}: non-finite feature component")
             self._row[image_id] = len(rows)
             rows.append(row)
-        self.ids = list(self._row)
         self.matrix = np.vstack(rows) if rows else np.empty((0, 0), np.float32)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._row)
 
     def __contains__(self, image_id) -> bool:
         return image_id in self._row

@@ -235,11 +235,12 @@ def join_sentences(base, base_loaded, path, loaded) -> list:
 
     loaded is the file's sent_ids (None for a plain file) and its
     sentences, as read_sentence_file returns them, or any per-sentence
-    records such as match lists; base_loaded is the same for the base
-    (k-best lists, say). A file with sent_ids must hold exactly
-    the base's ids and is joined on them; a plain file must hold as many
-    sentences as the base and is joined by position. Raises, naming
-    both, otherwise.
+    records such as match lists; base_loaded is the same for the base,
+    which carries sent_ids unless the file is plain (align_sentences
+    refuses mixed layouts; every other base is a k-best file). A file
+    with sent_ids must hold exactly the base's ids and is joined on
+    them; a plain file must hold as many sentences as the base and is
+    joined by position. Raises, naming both, otherwise.
     """
     base_ids, base_sentences = base_loaded
     ids, sentences = loaded
@@ -250,8 +251,6 @@ def join_sentences(base, base_loaded, path, loaded) -> list:
                 f" expected {len(base_sentences)} as in {base}"
             )
         return sentences
-    if base_ids is None:
-        raise ValueError(f"{path}: layout differs from {base}")
     table, known = dict(zip(ids, sentences)), set(base_ids)
     if table.keys() != known:
         missing = [sid for sid in base_ids if sid not in table]

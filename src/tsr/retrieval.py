@@ -412,6 +412,21 @@ class Retriever:
         return None if rows.size > _GATHER_SHARE * len(matrix) else rows
 
 
+def retrieve_sentence(
+    retriever: Retriever,
+    queries: dict[str, Query],
+    mode: str,
+    params: RetrievalParams,
+    kbest: KBestList,
+) -> MatchList:
+    """kbest's match list. A sentence queries leaves out has no image
+    and no categories, so a gated mode falls back to txt for it."""
+    query = queries.get(kbest.sent_id, Query(kbest.sent_id))
+    return retriever.retrieve(
+        kbest, query.image_id, query.categories, mode, params
+    )
+
+
 def _squared_distances(matrix, rows, centre, out):
     """out[i] = the float64 pairwise sum of (matrix[rows[i]] - centre)**2,
     or of matrix[i]'s when rows is None, upcast one _DISTANCE_BLOCK of

@@ -33,12 +33,12 @@ from .collection import Collection, FeatureStore
 from .evalsig import BleuStats, bleu_score, bleu_stats, sum_stats
 from .rerank import RerankParams, relevance_scores, select_best
 from .retrieval import (
-    MODES,
     KBestList,
     MatchList,
     Query,
     Retriever,
     RetrievalParams,
+    retrieve_sentence,
 )
 
 _PARAMS = (RetrievalParams, RerankParams)
@@ -90,10 +90,8 @@ class GridSpec:
         return cls(**spec)
 
     def check_mode(self, mode: str) -> None:
-        """Fail unless mode is known and, outside cnn mode, the grid
-        sweeps no distance_cutoff."""
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        """Fail if the grid sweeps distance_cutoff outside cnn mode. An
+        unknown mode is refused by cli._check_mode and Retriever.retrieve."""
         if self.distance_cutoff is not None and mode != "cnn":
             raise ValueError("distance_cutoff can only be swept in cnn mode")
 
@@ -174,14 +172,10 @@ def stepwise_search(
         key = replace(rparams, k_m=top_k_m)
         full = retrieved.get(key)
         if full is None:
-            full = retrieved[key] = []
-            for kb in dev.kbests:
-                query = dev.queries.get(kb.sent_id, Query(kb.sent_id))
-                full.append(
-                    retriever.retrieve(
-                        kb, query.image_id, query.categories, mode, key
-                    )
-                )
+            full = retrieved[key] = [
+                retrieve_sentence(retriever, dev.queries, mode, key, kb)
+                for kb in dev.kbests
+            ]
         return [
             MatchList(ml.sent_id, ml.matches[: rparams.k_m], ml.used_fallback)
             for ml in full

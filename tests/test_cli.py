@@ -9,7 +9,7 @@ import pytest
 
 import tsr
 from tsr import CaptionDoc
-from tsr.cli import main
+from tsr.cli import _PIPELINE_KEYS, build_parser, main
 
 
 CORPUS = (
@@ -977,3 +977,40 @@ def test_parameters_checked_before_loading(ws, capsys, command):
     assert run(*argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "pipeline", "rerank"])
+def test_failure_while_scoring_writes_nothing(
+    ws, capsys, monkeypatch, command
+):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    inputs = (
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+    )
+    if command == "rerank":
+        assert run("retrieve", *inputs, "--out", ws / "matches.txt") == 0
+        monkeypatch.setattr("tsr.cli.select_best", boom)
+    else:
+        monkeypatch.setattr("tsr.retrieval.Retriever.retrieve", boom)
+    out = {
+        "retrieve": ("--out", ws / "out"),
+        "pipeline": ("--out-dir", ws / "out", "--references", ws / "refs.txt",
+                     "--diagnostics"),
+        "rerank": ("--out", ws / "out", "--matches", ws / "matches.txt",
+                   "--diagnostics", ws / "diag.txt"),
+    }[command]
+    capsys.readouterr()
+    assert run(command, *inputs, *out) == 1
+    assert capsys.readouterr() == ("", "error: boom\n")
+    assert not (ws / "out").exists()
+    assert not (ws / "diag.txt").exists()
+
+
+def test_pipeline_flags_are_the_config_keys():
+    args = build_parser().parse_args(["pipeline"])
+    dests = set(vars(args)) - {"verbose", "command", "func"}
+    assert dests == {*_PIPELINE_KEYS, "config"}

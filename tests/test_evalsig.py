@@ -309,6 +309,10 @@ class TestApproxRandomization:
         with pytest.raises(ValueError):
             approx_randomization(stats_a, stats_b[:-1], trials=10, seed=0)
 
+    def test_rejects_no_sentences(self):
+        with pytest.raises(ValueError, match="^no sentences to test$"):
+            approx_randomization([], [], trials=10, seed=1)
+
     def test_rejects_bad_trials(self):
         stats_a, stats_b = self.fixture()
         with pytest.raises(ValueError):

@@ -373,24 +373,30 @@ def test_corrupted_sentence_line_fails_with_its_location(tmp_path, kind):
             read_sentence_file(path)
 
 
-def test_idf_header_below_one_names_the_file(tmp_path):
+@pytest.mark.parametrize("header, message", [
+    ("N=0", "doc_count must be positive"),
+    ("N=abc", "bad doc_count in header"),
+], ids=["below-one", "not-an-integer"])
+def test_bad_idf_header_names_the_file(tmp_path, header, message):
     path = tmp_path / "idf.txt"
-    path.write_text("N=0\na\t1\n", encoding="utf-8")
+    path.write_text(f"{header}\na\t1\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
         IdfTable.load(path)
-    assert str(err.value) == f"{path}: doc_count must be positive"
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_library_records_check_themselves():
     with pytest.raises(ValueError, match="^empty caption_id or image_id$"):
         CaptionDoc("", "i1", ("a",))
+    with pytest.raises(ValueError, match="^empty category set on caption 'c'$"):
+        CaptionDoc("c", "i", ("x",), frozenset())
     with pytest.raises(ValueError, match="^image 'b': vector length 2 != 1"):
         FeatureStore({"a": [1.0], "b": [1.0, 2.0]})
 
 
 def comparable(loaded):
     if isinstance(loaded, FeatureStore):
-        return loaded.ids, loaded.matrix.tolist()
+        return loaded._row, loaded.matrix.tolist()
     return loaded
 
 
