@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -43,6 +44,7 @@ from .retrieval import (
     Retriever,
     RetrievalParams,
     check_count,
+    cutoff_from_json,
     read_kbest,
     read_matchlists,
     read_queries,
@@ -94,12 +96,27 @@ def _aligned_references(path, kbests, kbest_path) -> list[list[str]]:
 
 
 def _load_json_object(path) -> dict:
-    """The JSON object a config or grid file holds."""
+    """The JSON object a config or grid file holds. Python's NaN and
+    Infinity extensions are not JSON and fail."""
+
+    def refuse(constant):
+        raise ValueError(
+            f'{path}: {constant} is not JSON; no cutoff is spelled "inf"'
+        )
+
     with open(path, encoding="utf-8") as handle:
-        loaded = json.load(handle)
+        loaded = json.load(handle, parse_constant=refuse)
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return loaded
+
+
+def _json_text(obj: dict, indent: int | None = None) -> str:
+    """obj as strict JSON with sorted keys; an infinite distance_cutoff
+    is written "inf", as config files and grids give it."""
+    if obj.get("distance_cutoff") == math.inf:
+        obj = {**obj, "distance_cutoff": "inf"}
+    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _check_mode(mode: str, features, queries) -> None:
@@ -123,7 +140,7 @@ def _load_inputs(mode: str, collection, idf, features, queries):
     if mode == "hca" and not (coll.cat_group >= 0).any():
         raise ValueError("hca mode requires category annotations")
     feats = load_features(features) if mode == "cnn" else None
-    if feats is not None and not any(map(feats.__contains__, coll.image_ids)):
+    if feats is not None and not any(map(feats.__contains__, coll.images)):
         raise ValueError(
             f"{features}: no feature vector for any collection image"
         )
@@ -160,7 +177,7 @@ def cmd_build_index(args) -> int:
     coll = load_collection(args.collection, skip_empty=args.skip_empty)
     save_collection(coll, args.out)
     print(f"captions: {len(coll)}")
-    print(f"images: {len(set(coll.image_ids))}")
+    print(f"images: {len(coll.images)}")
     print(f"terms: {len(coll.vocab)}")
     return 0
 
@@ -222,6 +239,7 @@ def _merge_pipeline_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    cfg["distance_cutoff"] = cutoff_from_json(cfg["distance_cutoff"])
     for key in _PATH_KEYS:
         if cfg[key] is not None and not isinstance(cfg[key], str):
             raise ValueError(
@@ -270,8 +288,7 @@ def cmd_pipeline(args) -> int:
         **dataclasses.asdict(retrieval_params),
         **dataclasses.asdict(rerank_params),
     }
-    config = json.dumps(resolved, indent=2, sort_keys=True)
-    write_lines(out_dir / "config.json", [config])
+    write_lines(out_dir / "config.json", [_json_text(resolved, indent=2)])
 
     fallbacks = sum(out.used_fallback for out in outputs)
     report = [
@@ -342,8 +359,7 @@ def cmd_tune(args) -> int:
 
     if args.trace_out:
         trace = (
-            json.dumps({**point, "bleu": bleu}, sort_keys=True)
-            for point, bleu in result.trace
+            _json_text({**point, "bleu": bleu}) for point, bleu in result.trace
         )
         write_lines(args.trace_out, trace)
     best = {
@@ -353,8 +369,7 @@ def cmd_tune(args) -> int:
         "bleu": result.best_bleu,
     }
     if args.best_out:
-        best_json = json.dumps(best, indent=2, sort_keys=True)
-        write_lines(args.best_out, [best_json])
+        write_lines(args.best_out, [_json_text(best, indent=2)])
     print(f"evaluated points: {len(result.trace)}")
     for key, value in best.items():
         print(f"{key}: {value}")
@@ -381,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Caption-translation reranking using target-side retrieval"
             " over a captioned-image collection."
         ),
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true", help="enable info logging"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -481,10 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # WARNING, the root logger's default level: load_collection warns
+    # of each caption build-index --skip-empty drops
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except Exception as exc:

@@ -11,11 +11,13 @@ with the fourth field optional. Feature files carry one image embedding
 per line as ``image_id<TAB>f1 f2 ... fD`` with a constant D per file.
 
 A Collection is held as columns, not as one object per caption: the
-caption ids and image ids as lists of str, every caption's term ids in
-token order as one int32 array cut by an offsets array, and one
-category group id per doc (-1 for none) into the list of distinct
-category sets, numbered by first appearance. Retrieval and rerank name
-a caption by its row; no ``CaptionDoc`` is made back from the columns.
+caption ids as a list of str; an image table, one int32 code per doc
+into the list of distinct image ids, numbered by first appearance;
+every caption's term ids in token order as one int32 array cut by an
+offsets array; and one int32 category group id per doc (-1 for none)
+into the list of distinct category sets, numbered by first appearance.
+Retrieval and rerank name a caption by its row; no ``CaptionDoc`` is
+made back from the columns.
 
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
@@ -90,24 +92,28 @@ class Columns:
     given in order of first appearance in the token stream."""
 
     caption_ids: list[str]
-    image_ids: list[str]
+    image_code: np.ndarray  # int32 index into images per doc
+    images: list[str]  # distinct image ids, by first appearance
     lengths: np.ndarray  # token count per doc
     tokens: np.ndarray  # provisional term id per token, docs in order
     terms: list[str]  # term per provisional id
-    group: np.ndarray  # category group id per doc, -1 for none
+    group: np.ndarray  # int32 category group id per doc, -1 for none
     group_sets: list[frozenset[str]]
     where: Callable[[int], str] = lambda i: ""  # error prefix of doc i
 
     @classmethod
     def of(cls, records: Iterable[tuple]) -> Columns:
-        """Columns of checked (caption_id, image_id, tokens, categories)."""
-        ids, images, lengths, tokens, group = [], [], [], [], []
+        """Columns of checked (caption_id, image_id, tokens, categories).
+        Image ids are interned as they are read: a record's own id str is
+        dropped with it unless it is the first of its image."""
+        ids, codes, lengths, tokens, group = [], [], [], [], []
+        image_codes = defaultdict(itertools.count().__next__)
         term_ids = defaultdict(itertools.count().__next__)
         group_ids: dict[frozenset[str], int] = {}
         add_tokens, term_id = tokens.extend, term_ids.__getitem__
         for caption_id, image_id, toks, cats in records:
             ids.append(caption_id)
-            images.append(image_id)
+            codes.append(image_codes[image_id])
             lengths.append(len(toks))
             add_tokens(map(term_id, toks))
             group.append(
@@ -116,11 +122,12 @@ class Columns:
             )
         return cls(
             ids,
-            images,
+            np.array(codes, dtype=np.int32),
+            list(image_codes),
             np.array(lengths, dtype=np.int64),
             np.array(tokens, dtype=np.int32),
             list(term_ids),
-            np.array(group, dtype=np.int64),
+            np.array(group, dtype=np.int32),
             list(group_ids),
         )
 
@@ -142,7 +149,8 @@ class Collection:
                 for d in docs
             )
         self.caption_ids = ids = columns.caption_ids
-        self.image_ids = columns.image_ids
+        self.image_code = columns.image_code
+        self.images = columns.images
         # Rank of each doc's caption_id in string order, used as the
         # deterministic tie-break key when scores are equal.
         self.caption_rank = _string_rank(ids)
@@ -153,10 +161,12 @@ class Collection:
 
         # Final term ids order terms by (first doc, term string). Each new
         # provisional id is one above all ids before it in the token
-        # stream, so first appearances are where the running max grows.
+        # stream, so an id first appears where the running max reaches it.
         self.offsets = np.concatenate(([0], np.cumsum(columns.lengths)))
-        grows = np.diff(np.maximum.accumulate(columns.tokens), prepend=-1) > 0
-        first = np.flatnonzero(grows)  # token position, by provisional id
+        top = np.maximum.accumulate(columns.tokens)
+        provisional = np.arange(len(columns.terms), dtype=top.dtype)
+        first = np.searchsorted(top, provisional)  # token position, by id
+        del top
         doc_of = np.searchsorted(self.offsets, first, "right") - 1
         terms, first_doc = columns.terms, doc_of.tolist()
         order = sorted(
@@ -169,11 +179,13 @@ class Collection:
         self.term_rank = _string_rank(list(self.vocab))
         final = np.empty(len(order), dtype=np.int32)
         final[order] = np.arange(len(order), dtype=np.int32)
-        self._tokens = final[columns.tokens]
-        self.matrix, counts = _type_incidence(
+        # Replacing the provisional ids frees them before the matrix is
+        # built: only one per-token id array is alive while it is.
+        self._tokens = columns.tokens = final[columns.tokens]
+        self.matrix = _type_incidence(
             columns.lengths, self._tokens, len(order)
         )
-        self.type_counts = counts.astype(np.float64)
+        self.type_counts = np.diff(self.matrix.indptr).astype(np.float64)
 
         # Category sets mapped to small group ids; -1 marks docs with
         # no annotations (they can never satisfy a strict-equality gate).
@@ -192,7 +204,8 @@ class Collection:
         # docs give equal columns, and equal columns equal docs.
         return (
             self.caption_ids == other.caption_ids
-            and self.image_ids == other.image_ids
+            and self.images == other.images
+            and np.array_equal(self.image_code, other.image_code)
             and self.vocab == other.vocab
             and self._categories == other._categories
             and np.array_equal(self.offsets, other.offsets)
@@ -202,7 +215,7 @@ class Collection:
 
     def __repr__(self) -> str:
         return (
-            f"Collection(docs={len(self)}, images={len(set(self.image_ids))},"
+            f"Collection(docs={len(self)}, images={len(self.images)},"
             f" terms={len(self.vocab)})"
         )
 
@@ -218,10 +231,10 @@ class Collection:
 
 
 def _string_rank(strings: list[str]) -> np.ndarray:
-    """The rank of each string in Python's string order. A numpy string
-    sort would tie strings that differ only by trailing NULs."""
+    """The int32 rank of each string in Python's string order. A numpy
+    string sort would tie strings that differ only by trailing NULs."""
     n = len(strings)
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int32)
     rank[sorted(range(n), key=strings.__getitem__)] = np.arange(n)
     return rank
 
@@ -238,14 +251,16 @@ def _first_repeat(strings: list[str], rank: np.ndarray) -> int | None:
 
 def _type_incidence(
     lengths: np.ndarray, tokens: np.ndarray, n_terms: int
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """The docs-by-terms matrix with 1.0 where a term is a type of a doc,
-    and each doc's type count. One sort of the (doc, term) keys orders
-    every row by term id; int64, as docs times terms outgrows int32. A
-    function of its own so that its key arrays are freed on return,
-    before the constructor's next pass: that bounds the load's peak
-    memory. scipy is imported here, not with the module, so that the
-    commands that build no index never load it."""
+) -> sparse.csr_matrix:
+    """The docs-by-terms matrix with 1.0 where a term is a type of a doc.
+    One sort of the (doc, term) keys orders every row by term id; int64,
+    as docs times terms outgrows int32. Each row's extent is searched
+    for in the sorted keys, with no second key-sized array of doc ids,
+    and the term ids are cut to int32 and the keys freed before the
+    data array is made, so scipy makes no converting copy. A function
+    of its own so that its temporaries are freed on return: that bounds
+    the load's peak memory. scipy is imported here, not with the module,
+    so that the commands that build no index never load it."""
     from scipy import sparse
 
     n = lengths.size
@@ -256,14 +271,13 @@ def _type_incidence(
     keys.sort()
     if keys.size:
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    counts = np.bincount(keys // width, minlength=n)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * width)
     keys %= width  # each type's term id
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    matrix = sparse.csr_matrix(
-        (np.ones(keys.size), keys, indptr), shape=(n, n_terms)
+    indices = keys.astype(np.int32)
+    del keys
+    return sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n, n_terms)
     )
-    return matrix, counts
 
 
 def parse_categories(field: str) -> frozenset[str] | None:
@@ -321,7 +335,9 @@ def save_collection(coll: Collection, path) -> None:
 
     def lines():
         for caption_id, image_id, tokens, g in zip(
-            coll.caption_ids, coll.image_ids, coll._token_tuples(),
+            coll.caption_ids,
+            map(coll.images.__getitem__, coll.image_code.tolist()),
+            coll._token_tuples(),
             coll.cat_group.tolist(),
         ):
             text = " ".join(tokens)
@@ -351,21 +367,24 @@ class FeatureStore:
         """Keep one float32 row per ``(label, image_id, values)`` record,
         values read as float64 and rounded. Fails as ``<label>: ...`` on a
         repeated id, a non-number, an empty vector, a length other than
-        the first row's, or a value not finite once rounded."""
+        the first row's, or a value not finite once rounded. Each checked
+        row is appended to one growing float32 buffer, which becomes the
+        matrix without a copy."""
         self._row: dict[str, int] = {}
-        rows: list[np.ndarray] = []
-        for label, image_id, values in records:
+        values = array("f")
+        dim = 0
+        for label, image_id, components in records:
             if image_id in self._row:
                 raise ValueError(f"{label}: repeated image_id {image_id!r}")
             try:
-                row = np.asarray(values, np.float64).astype(np.float32)
+                row = np.asarray(components, np.float64).astype(np.float32)
             except ValueError:
                 raise ValueError(
                     f"{label}: non-numeric feature component"
                 ) from None
             if not row.size:
                 raise ValueError(f"{label}: empty feature vector")
-            dim = rows[0].size if rows else row.size
+            dim = dim or row.size
             if row.shape != (dim,):
                 raise ValueError(
                     f"{label}: vector length {row.size} != {dim};"
@@ -373,9 +392,11 @@ class FeatureStore:
                 )
             if not np.isfinite(row).all():
                 raise ValueError(f"{label}: non-finite feature component")
-            self._row[image_id] = len(rows)
-            rows.append(row)
-        self.matrix = np.vstack(rows) if rows else np.empty((0, 0), np.float32)
+            self._row[image_id] = len(self._row)
+            values.frombytes(row.tobytes())
+        self.matrix = np.frombuffer(values, np.float32).reshape(
+            len(self._row), dim
+        )
 
     def __len__(self) -> int:
         return len(self._row)
@@ -387,9 +408,9 @@ class FeatureStore:
         return self._row.get(image_id)
 
     def rows_of(self, image_ids: Iterable[str]) -> np.ndarray:
-        """The feature row of each image id, -1 for one without."""
+        """The int32 feature row of each image id, -1 for one without."""
         lookup = map(self._row.get, image_ids, itertools.repeat(-1))
-        return np.fromiter(lookup, dtype=np.int64)
+        return np.fromiter(lookup, dtype=np.int32)
 
 
 def load_features(path) -> FeatureStore:

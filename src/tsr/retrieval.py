@@ -149,6 +149,13 @@ def check_cutoff(name: str, value) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
+def cutoff_from_json(value):
+    """A distance_cutoff as a JSON config or grid gives it. JSON has no
+    infinity, so the string "inf" spells no cutoff, as the JSON outputs
+    write it; any other value is returned for check_cutoff to judge."""
+    return math.inf if value == "inf" else value
+
+
 RETRIEVAL_DEFAULTS = {
     "txt": RetrievalParams(),
     "cnn": RetrievalParams(k_m=300),
@@ -188,15 +195,17 @@ class Query:
 class Retriever:
     """Reusable scorer over one (collection, idf, features) triple.
 
-    Precomputes the per-term idf weight vector and the doc-to-embedding
-    row map; retrieve() is safe to call from many threads at once. The
-    gated modes apply their gate first and score only the docs it
-    admits; selection then ranks only those docs. The cnn gate keeps
-    each feature row's squared norm, bounds every row's distance with
-    one float32 product per query and measures in float64 only the rows
-    the bound cannot place beyond the cutoff. Selection partitions
-    around the k_m-th largest score and sorts only k_m docs plus the tie
-    group at the cut, not every doc scoring above zero.
+    Precomputes the per-term idf weight vector, the docs of each
+    category set and, given features, the docs of each feature row;
+    retrieve() is safe to call from many threads at once. The gated
+    modes apply their gate first and score only the docs it admits,
+    gathered from those groups; selection then ranks only those docs.
+    The cnn gate keeps each feature row's squared norm, bounds every
+    row's distance with one float32 product per query and measures in
+    float64 only the rows the bound cannot place beyond the cutoff.
+    Selection partitions around the k_m-th largest score and sorts only
+    k_m docs plus the tie group at the cut, not every doc scoring above
+    zero.
     """
 
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
@@ -204,9 +213,11 @@ class Retriever:
         self.feats = feats
         # vocab iterates in term id order
         self.weights = np.array(list(map(idf.idf, coll.vocab)), np.float64)
-        self._img_row = None
+        self._docs_of_group = _docs_by_key(coll.cat_group)
         if feats is not None:
-            self._img_row = feats.rows_of(coll.image_ids)
+            # one lookup per distinct image, then one per doc by its code
+            rows = feats.rows_of(coll.images)[coll.image_code]
+            self._docs_of_row = _docs_by_key(rows, len(feats))
             # each feature row's squared norm times 1 - k, k as in
             # _bound_rows, summed a block at a time like a distance
             matrix = feats.matrix
@@ -309,7 +320,8 @@ class Retriever:
         group = self.coll.category_group(query_categories)
         if group is None:
             return None
-        rows = np.flatnonzero(self.coll.cat_group == group)
+        starts, docs = self._docs_of_group
+        rows = docs[starts[group] : starts[group + 1]]
         scores = self._txt_scores(counts, rows)
         return (scores, rows) if np.any(scores > 0.0) else None
 
@@ -326,8 +338,9 @@ class Retriever:
         qrow = None if self.feats is None else self.feats.row_of(query_image)
         if qrow is None:
             return None
-        dist = self._row_distances(qrow, params.distance_cutoff)
-        rows = np.flatnonzero((dist < params.distance_cutoff)[self._img_row])
+        near, dist = self._row_distances(qrow, params.distance_cutoff)
+        rows, per_row = _gather(*self._docs_of_row, near)
+        dist = np.repeat(dist, per_row)  # each gathered doc's distance
         s_txt = self._txt_scores(counts, rows)
         if np.all(self.weights[counts > 0] > 0.0):
             # Every query term adds a positive weight, so a doc shares a
@@ -338,33 +351,27 @@ class Retriever:
         keep = rows[overlap]
         if keep.size == 0:
             return None
-        damping = np.exp(-params.distance_weight * dist[self._img_row[keep]])
+        damping = np.exp(-params.distance_weight * dist[overlap])
         return s_txt[overlap] * damping, keep
 
-    def _row_distances(self, qrow: int, cutoff: float) -> np.ndarray:
-        """Euclidean distance from feature row qrow to each feature row
-        that may lie within cutoff, +inf for the rows _bound_rows proves
-        lie at or beyond it. One more entry, +inf, follows the last row:
-        docs without an embedding have row -1 and so land on it, beyond
-        every cutoff.
+    def _row_distances(
+        self, qrow: int, cutoff: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The feature rows strictly within cutoff of feature row qrow,
+        ascending, and their Euclidean distances. Only the rows
+        _bound_rows cannot prove to lie at or beyond cutoff are measured.
 
         A measured distance is the float64 pairwise sum of one row's
         squared differences (_squared_distances), so it has the bits of
-        measuring every row, and dist < cutoff admits the same rows."""
+        measuring every row, and the same rows fall within cutoff."""
         matrix = self.feats.matrix
         qvec = matrix[qrow].astype(np.float64)
-        n = len(matrix)
         rows = self._bound_rows(qrow, cutoff)
-        if rows is None:
-            dist = np.empty(n + 1)
-            _squared_distances(matrix, None, qvec, dist[:n])
-            np.sqrt(dist[:n], out=dist[:n])
-        else:
-            dist = np.full(n + 1, np.inf)
-            sq = _squared_distances(matrix, rows, qvec, np.empty(rows.size))
-            dist[rows] = np.sqrt(sq)
-        dist[n] = np.inf
-        return dist
+        size = len(matrix) if rows is None else rows.size
+        dist = np.sqrt(_squared_distances(matrix, rows, qvec, np.empty(size)))
+        inside = dist < cutoff
+        near = np.flatnonzero(inside) if rows is None else rows[inside]
+        return near, dist[inside]
 
     def _bound_rows(self, qrow: int, cutoff: float) -> np.ndarray | None:
         """The feature rows whose float64 distance to row qrow may come
@@ -444,6 +451,28 @@ def _squared_distances(matrix, rows, centre, out):
         diffs *= diffs
         np.sum(diffs, axis=1, out=out[start:stop])
     return out
+
+
+def _docs_by_key(keys: np.ndarray, n_keys: int = 0):
+    """(starts, docs): the docs whose key is k, ascending, are
+    docs[starts[k]:starts[k + 1]], for each k below n_keys or up to the
+    largest key; docs is int32. Docs keyed -1 are in no group."""
+    counts = np.bincount(keys[keys >= 0], minlength=n_keys)
+    starts = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, out=starts[1:])
+    # a stable sort puts the -1s first and keeps each group ascending
+    docs = np.argsort(keys, kind="stable")[keys.size - starts[-1] :]
+    return starts, docs.astype(np.int32)
+
+
+def _gather(starts: np.ndarray, docs: np.ndarray, keys: np.ndarray):
+    """(the docs of each of keys, key after key; how many each key has):
+    _docs_by_key's groups concatenated without a loop."""
+    begin, count = starts[keys], starts[keys + 1] - starts[keys]
+    # a doc's index in docs is its index in the output plus the shift
+    # from its group's place in the output to its place in docs
+    shift = np.repeat(begin - (np.cumsum(count) - count), count)
+    return docs[shift + np.arange(shift.size)], count
 
 
 def _sentence_runs(records: Iterable[tuple]) -> Iterator[tuple[str, Iterator]]:

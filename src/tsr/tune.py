@@ -38,6 +38,7 @@ from .retrieval import (
     Query,
     Retriever,
     RetrievalParams,
+    cutoff_from_json,
     retrieve_sentence,
 )
 
@@ -74,7 +75,8 @@ class GridSpec:
     @classmethod
     def from_dict(cls, spec: dict) -> GridSpec:
         """Build from a grid JSON object without its ``mode`` key,
-        rejecting keys that are not fields and missing candidate lists."""
+        rejecting keys that are not fields and missing candidate lists;
+        "inf" in the distance_cutoff list is no cutoff."""
         unknown = set(spec) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(
@@ -87,6 +89,10 @@ class GridSpec:
             raise ValueError(
                 f"grid is missing candidate lists: {', '.join(sorted(missing))}"
             )
+        cutoffs = spec.get("distance_cutoff")
+        if isinstance(cutoffs, list):
+            cutoffs = list(map(cutoff_from_json, cutoffs))
+            spec = {**spec, "distance_cutoff": cutoffs}
         return cls(**spec)
 
     def check_mode(self, mode: str) -> None:

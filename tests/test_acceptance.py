@@ -687,7 +687,7 @@ def test_capacity_full_scale_collection():
     del token_ids
     coll = Collection(docs)
     assert len(coll) == 409110
-    assert len(set(coll.image_ids)) == 81822
+    assert len(coll.images) == 81822
 
     idf = random_idf_table(rng, vocab)
     retriever = Retriever(coll, idf)

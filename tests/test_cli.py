@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -100,6 +99,30 @@ class TestBuildIndex:
         assert run("build-index", bad, ws / "x.tsv") == 1
         assert "error:" in capsys.readouterr().err
         assert run("build-index", bad, ws / "x.tsv", "--skip-empty") == 0
+
+    def test_skipped_caption_is_warned_on_stderr(self, ws):
+        """The one log line: a fresh process prints it at the default
+        WARNING level. -v is no flag."""
+        bad = ws / "bad.tsv"
+        bad.write_text(COLLECTION + "c9\ti9\t\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(tsr.__file__).parents[1]))
+
+        def tsr_cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "tsr.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        proc = tsr_cli("build-index", bad, ws / "x.tsv", "--skip-empty")
+        assert proc.returncode == 0
+        assert proc.stdout == "captions: 4\nimages: 3\nterms: 13\n"
+        assert proc.stderr == (
+            f"WARNING tsr.collection: {bad}:5: skipping empty caption 'c9'\n"
+        )
+        proc = tsr_cli("-v", "build-index", bad, ws / "y.tsv", "--skip-empty")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: -v" in proc.stderr
+        assert not (ws / "y.tsv").exists()
 
 
 class TestRetrieveRerank:
@@ -729,14 +752,15 @@ ROUTE_CASES = [
     ("config", "k_n", 2.5, f"k_n {COUNT} 2.5"),
     ("config", "k_m", "3", f"k_m {COUNT} '3'"),
     ("config", "k_r", True, f"k_r {COUNT} True"),
-    ("config", "interp_weight", math.inf, f"interp_weight {WEIGHT} inf"),
+    # "inf" spells no cutoff in JSON, and only for distance_cutoff
+    ("config", "interp_weight", "inf", f"interp_weight {WEIGHT} 'inf'"),
     ("config", "distance_weight", -1, f"distance_weight {WEIGHT} -1"),
     ("config", "distance_cutoff", 0, f"distance_cutoff {CUTOFF} 0"),
     ("grid", "k_n", 1.5, f"k_n {COUNT} 1.5"),
     ("grid", "k_n", "3", f"k_n {COUNT} '3'"),
     ("grid", "k_m", True, f"k_m {COUNT} True"),
     ("grid", "k_r", 0, f"k_r {COUNT} 0"),
-    ("grid", "interp_weight", math.nan, f"interp_weight {WEIGHT} nan"),
+    ("grid", "interp_weight", "nan", f"interp_weight {WEIGHT} 'nan'"),
     ("grid", "distance_cutoff", 0, f"distance_cutoff {CUTOFF} 0"),
     ("bare grid value", "k_n", 3, "k_n must be a list of candidates, got 3"),
     ("bare grid value", "distance_weight", "x",
@@ -1012,5 +1036,98 @@ def test_failure_while_scoring_writes_nothing(
 
 def test_pipeline_flags_are_the_config_keys():
     args = build_parser().parse_args(["pipeline"])
-    dests = set(vars(args)) - {"verbose", "command", "func"}
+    dests = set(vars(args)) - {"command", "func"}
     assert dests == {*_PIPELINE_KEYS, "config"}
+
+
+def strict_json(text):
+    """text parsed as JSON proper: NaN and Infinity fail."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_no_cutoff_is_spelled_inf_and_reruns_from_config_json(ws):
+    """An infinite cutoff is written "inf" in strict JSON, and the run's
+    config.json, given back as --config, reruns it byte for byte."""
+    gate = (
+        "--mode", "cnn",
+        "--features", ws / "features.tsv",
+        "--queries", ws / "queries.tsv",
+    )
+    assert run(
+        "pipeline",
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+        "--out-dir", ws / "a",
+        "--diagnostics", "--distance-cutoff", "inf", *gate,
+    ) == 0
+    config = ws / "a" / "config.json"
+    assert strict_json(config.read_text())["distance_cutoff"] == "inf"
+    assert run("pipeline", "--config", config, "--out-dir", ws / "b") == 0
+    for name in ("output.txt", "diagnostics.txt", "config.json"):
+        got = (ws / "b" / name).read_text()
+        assert got == (ws / "a" / name).read_text().replace(
+            str(ws / "a"), str(ws / "b")
+        )
+    # a finite cutoff moves the scores, so "inf" was read as no cutoff
+    assert run("pipeline", "--config", config, "--out-dir", ws / "c",
+               "--distance-cutoff", "4.0") == 0
+    diagnostics = (ws / "c" / "diagnostics.txt").read_text()
+    assert diagnostics != (ws / "a" / "diagnostics.txt").read_text()
+
+    grid = ws / "grid.json"
+    grid.write_text(
+        json.dumps({**SMALL_GRID, "mode": "cnn", "distance_cutoff": ["inf"]}),
+        encoding="utf-8",
+    )
+    assert run(
+        "tune", "--grid", grid,
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+        "--references", ws / "refs.txt",
+        "--features", ws / "features.tsv",
+        "--queries", ws / "queries.tsv",
+        "--trace-out", ws / "trace.jsonl",
+        "--best-out", ws / "best.json",
+    ) == 0
+    trace = (ws / "trace.jsonl").read_text().splitlines()
+    assert len(trace) == 6
+    assert {strict_json(line)["distance_cutoff"] for line in trace} == {"inf"}
+    best = strict_json((ws / "best.json").read_text())
+    assert best["distance_cutoff"] == "inf"
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("route", ["config", "grid"])
+def test_json_inputs_refuse_nan_and_infinity(ws, capsys, route, constant):
+    inputs = (
+        "--collection", ws / "collection.tsv",
+        "--idf", ws / "idf.txt",
+        "--kbest", ws / "kbest.txt",
+    )
+    path = ws / f"{route}.json"
+    if route == "config":
+        path.write_text(f'{{"distance_cutoff": {constant}}}', encoding="utf-8")
+        argv = ("pipeline", "--config", path, *inputs, "--out-dir", ws / "out")
+    else:
+        grid = json.dumps({**SMALL_GRID, "mode": "cnn"})
+        path.write_text(
+            grid[:-1] + f', "distance_cutoff": [{constant}]}}',
+            encoding="utf-8",
+        )
+        argv = (
+            "tune", "--grid", path, *inputs,
+            "--references", ws / "refs.txt",
+            "--features", ws / "features.tsv",
+            "--queries", ws / "queries.tsv",
+            "--trace-out", ws / "out",
+        )
+    assert run(*argv) == 1
+    refusal = f'{constant} is not JSON; no cutoff is spelled "inf"'
+    assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
+    assert not (ws / "out").exists()

@@ -84,7 +84,9 @@ def assert_holds(coll, docs, path):
     """coll holds docs in order: their ids in its columns, and their
     tokens and categories in the text save_collection writes."""
     assert coll.caption_ids == [doc.caption_id for doc in docs]
-    assert coll.image_ids == [doc.image_id for doc in docs]
+    assert [coll.images[c] for c in coll.image_code] == [
+        doc.image_id for doc in docs
+    ]
     save_collection(coll, path)
     want = "".join(record(doc) + "\n" for doc in docs)
     assert path.read_text(encoding="utf-8") == want
@@ -378,3 +380,69 @@ def test_load_features_rejects_bad_values(tmp_path):
 def test_features_stored_float32_but_finite_checked():
     with pytest.raises(ValueError, match="non-finite"):
         FeatureStore({"i1": [1e39, 0.0]})
+
+
+def dense_type_incidence(docs, vocab):
+    """docs x terms, 1.0 where the term is one of the doc's types."""
+    dense = np.zeros((len(docs), len(vocab)))
+    for i, doc in enumerate(docs):
+        for term in doc.tokens:
+            dense[i, vocab[term]] = 1.0
+    return dense
+
+
+@pytest.mark.parametrize("n_words", [1, 3, 40])
+def test_matrix_equals_a_dense_reference(tmp_path, n_words):
+    """On both routes the CSR arrays are the dense reference's, indices
+    int32: captions repeat tokens, the vocabulary may be one term, and
+    a collection may be empty."""
+    rng = np.random.default_rng(n_words)
+    words = [f"w{i}" for i in range(n_words)]
+    repeats = 0
+    for trial in range(30):
+        docs = [
+            CaptionDoc(
+                f"c{i}", f"img{int(rng.integers(0, 4))}",
+                tuple(rng.choice(words, size=int(rng.integers(1, 9)))),
+            )
+            for i in range(0 if trial == 0 else int(rng.integers(1, 50)))
+        ]
+        repeats += sum(len(set(d.tokens)) < len(d.tokens) for d in docs)
+        path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
+        vocab = oracle_index(docs)["vocab"]
+        dense = dense_type_incidence(docs, vocab)
+        for coll in (Collection(docs), load_collection(path)):
+            matrix = coll.matrix
+            assert coll.vocab == vocab
+            assert matrix.shape == (len(docs), len(vocab))
+            assert matrix.indices.dtype == np.int32
+            assert matrix.data.dtype == np.float64
+            assert np.array_equal(matrix.toarray(), dense)
+            counts = dense.sum(axis=1)
+            assert matrix.indptr.tolist() == [0, *np.cumsum(counts)]
+            assert coll.type_counts.dtype == np.float64
+            assert coll.type_counts.tolist() == counts.tolist()
+            for i in range(len(docs)):
+                row = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+                assert np.all(np.diff(row) > 0)  # ascending, no repeats
+    assert repeats > 20
+
+
+def test_image_table_on_both_routes(tmp_path):
+    """Each doc's image id reads back through its int32 code; the table
+    holds the distinct ids in first-appearance order."""
+    rng = np.random.default_rng(41)
+    for trial in range(30):
+        n = 0 if trial == 0 else int(rng.integers(1, 40))
+        images = [f"img{int(i)}" for i in rng.integers(0, 1 + n // 3, n)]
+        docs = [
+            CaptionDoc(f"c{i}", image, ("w",)) for i, image in enumerate(images)
+        ]
+        path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
+        for coll in (Collection(docs), load_collection(path)):
+            assert coll.image_code.dtype == np.int32
+            assert [coll.images[c] for c in coll.image_code] == images
+            assert coll.images == list(dict.fromkeys(images))
+            assert repr(coll).startswith(
+                f"Collection(docs={n}, images={len(set(images))},"
+            )

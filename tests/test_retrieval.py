@@ -27,6 +27,7 @@ from tsr.retrieval import MODES, MatchList, read_queries
 from oracles import (
     FixedIdf,
     ScaledIdf,
+    float32_exact,
     random_collection,
     random_idf_table,
     random_kbest,
@@ -699,6 +700,11 @@ def full_pass_distances(feats, image):
     return np.sqrt(np.sum((rows64 - q) ** 2, axis=1))
 
 
+def image_ids(coll):
+    """Each doc's image id, read through the collection's image table."""
+    return [coll.images[code] for code in coll.image_code]
+
+
 def reference_scores(retriever, kbest, image, categories, mode, params):
     """Every doc's score as retrieval computed it before the gates ran
     first: txt scores for every doc, every feature row's distance in one
@@ -712,7 +718,10 @@ def reference_scores(retriever, kbest, image, categories, mode, params):
     scores = None
     if mode == "cnn" and retriever.feats.row_of(image) is not None:
         per_row = full_pass_distances(retriever.feats, image)
-        dist = np.append(per_row, np.inf)[retriever._img_row]
+        dist = np.array([
+            per_row[row] if row is not None else np.inf
+            for row in map(retriever.feats.row_of, image_ids(retriever.coll))
+        ])
         overlap = retriever.coll.matrix @ (counts > 0).astype(float) > 0
         keep = np.flatnonzero(overlap & (dist < params.distance_cutoff))
         if keep.size:
@@ -813,7 +822,8 @@ class TestGatedScorerBits:
         fallbacks = 0
         for seed in range(4):
             rng, docs, retriever, kbests = self.instance(seed, [])
-            assert np.any(retriever._img_row < 0)  # docs without one
+            has_row = retriever.feats.__contains__
+            assert not all(map(has_row, retriever.coll.images))  # rowless
             images = sorted({d.image_id for d in docs}) + ["far", None]
             for kbest in kbests:
                 image = images[int(rng.integers(0, len(images)))]
@@ -896,6 +906,56 @@ class TestGatedScorerBits:
                     assert seen == [np.count_nonzero(want > 0.0)]
         assert mode == "txt" or (True in sides and False in sides)
 
+    def test_grouped_gates_on_both_sides_of_each_share(
+        self, monkeypatch, sides
+    ):
+        """The gates gather the docs of the admitted feature rows and of
+        the query's category set from groups built once. Some images
+        have no feature row, and spare feature rows that no doc uses lie
+        among the others, so the gate admits rows without docs. Cutoffs
+        from a few rows to all of them, and infinite, take both sides of
+        _GATHER_SHARE and of _GATED_SHARE; every match keeps the row,
+        the score bits and the fallback of scoring every doc."""
+        measured = []
+        bound_rows = Retriever._bound_rows
+
+        def spy(self, qrow, cutoff):
+            rows = bound_rows(self, qrow, cutoff)
+            measured.append(rows is None)
+            return rows
+
+        monkeypatch.setattr(Retriever, "_bound_rows", spy)
+        for seed in range(3):
+            rng = np.random.default_rng(seed + 20)
+            vocab = [f"v{i:02d}" for i in range(12)]
+            docs, feats_map = random_collection(
+                rng, 150, vocab, 19, ["a", "b", "c"], feature_coverage=0.7
+            )
+            for j in range(20):
+                feats_map[f"spare{j}"] = float32_exact(rng.uniform(size=19))
+            feats = FeatureStore(feats_map)
+            retriever = Retriever(
+                Collection(docs), random_idf_table(rng, vocab), feats
+            )
+            assert not all(map(feats.__contains__, retriever.coll.images))
+            images = [*feats_map]
+            sets = [d.categories for d in docs] + [frozenset({"zz"}), None]
+            for q in range(8):
+                kbest = random_kbest(rng, f"s{q}", vocab, 3)
+                image = images[int(rng.integers(0, len(images)))]
+                for cutoff in (0.8, 1.3, 1.6, 1.75, 1.9, 2.3, math.inf):
+                    params = RetrievalParams(3, len(docs) + 1, 0.7, cutoff)
+                    self.assert_same_bits(
+                        retriever, kbest, image, None, "cnn", params
+                    )
+                cats = sets[int(rng.integers(0, len(sets)))]
+                self.assert_same_bits(
+                    retriever, kbest, None, cats, "hca",
+                    RetrievalParams(3, len(docs) + 1),
+                )
+        assert True in measured and False in measured
+        assert True in sides and False in sides
+
     def test_threads_get_the_sequential_results(self):
         _, docs, retriever, _ = self.instance(8, [])
         rng = np.random.default_rng(9)
@@ -948,11 +1008,10 @@ class TestCnnGateBound:
         feats = retriever.feats
         qrow = feats.row_of(image)
         full = full_pass_distances(feats, image)
-        got = retriever._row_distances(qrow, cutoff)
-        assert got[-1] == np.inf and got.size == full.size + 1
+        rows, dist = retriever._row_distances(qrow, cutoff)
         admitted = full < cutoff
-        assert np.array_equal(got[:-1] < cutoff, admitted)
-        assert got[:-1][admitted].tobytes() == full[admitted].tobytes()
+        assert rows.tolist() == np.flatnonzero(admitted).tolist()
+        assert dist.tobytes() == full[admitted].tobytes()
         kept = retriever._bound_rows(qrow, cutoff)
         return None if kept is None else kept.size
 
