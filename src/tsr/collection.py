@@ -31,6 +31,7 @@ across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import operator
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .textcore import joined_line, read_records, write_lines
+from .textcore import joined_line, read_blocks, write_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -54,26 +55,30 @@ class EmptyCaption(ValueError):
     """A caption without tokens; load_collection may skip these."""
 
 
-def check_record(
-    caption_id: str,
-    image_id: str,
-    tokens: Sequence[str],
-    categories: frozenset[str] | None,
+def check_records(
+    caption_ids: Sequence[str],
+    image_ids: Sequence[str],
+    token_lists: Sequence[Sequence[str]],
+    categories: Sequence[frozenset[str] | None],
 ) -> None:
-    """The rules of one caption record: ids, tokens and a given category
-    set must be non-empty; EmptyCaption when only the tokens are."""
-    if not caption_id or not image_id:
+    """The rules of caption records, given as columns: ids, tokens and a
+    given category set must be non-empty; EmptyCaption when only the
+    tokens are. Each rule is one pass over a column, and its message
+    names the first record: a caller with many records that is refused
+    checks them one at a time to name the bad one."""
+    if not (all(caption_ids) and all(image_ids)):
         raise ValueError("empty caption_id or image_id")
-    if not tokens:
-        raise EmptyCaption(f"empty caption {caption_id!r}")
-    if categories is not None and not categories:
-        raise ValueError(f"empty category set on caption {caption_id!r}")
+    if not all(token_lists):
+        raise EmptyCaption(f"empty caption {caption_ids[0]!r}")
+    # Every set is None or non-empty.
+    if categories.count(None) + sum(map(bool, categories)) < len(categories):
+        raise ValueError(f"empty category set on caption {caption_ids[0]!r}")
 
 
 @dataclass(frozen=True)
 class CaptionDoc:
     """One caption of one image, with optional category annotations,
-    checked by check_record."""
+    checked by check_records."""
 
     caption_id: str
     image_id: str
@@ -81,8 +86,9 @@ class CaptionDoc:
     categories: frozenset[str] | None = None
 
     def __post_init__(self):
-        check_record(
-            self.caption_id, self.image_id, self.tokens, self.categories
+        check_records(
+            (self.caption_id,), (self.image_id,), (self.tokens,),
+            (self.categories,),
         )
 
 
@@ -102,33 +108,35 @@ class Columns:
     where: Callable[[int], str] = lambda i: ""  # error prefix of doc i
 
     @classmethod
-    def of(cls, records: Iterable[tuple]) -> Columns:
-        """Columns of checked (caption_id, image_id, tokens, categories).
-        Image ids are interned as they are read: a record's own id str is
-        dropped with it unless it is the first of its image."""
-        ids, codes, lengths, tokens, group = [], [], [], [], []
+    def of(cls, blocks: Iterable[Sequence[list]]) -> Columns:
+        """Columns of checked records, given as blocks of four columns:
+        caption ids, image ids, token lists and category sets (None for
+        none). Each column of a block is taken in one pass. Image ids
+        are interned as they are read: a record's own id str is dropped
+        with its block unless it is the first of its image."""
+        ids: list[str] = []
+        codes, tokens, group = array("i"), array("i"), array("i")
+        lengths = array("q")
         image_codes = defaultdict(itertools.count().__next__)
         term_ids = defaultdict(itertools.count().__next__)
-        group_ids: dict[frozenset[str], int] = {}
-        add_tokens, term_id = tokens.extend, term_ids.__getitem__
-        for caption_id, image_id, toks, cats in records:
-            ids.append(caption_id)
-            codes.append(image_codes[image_id])
-            lengths.append(len(toks))
-            add_tokens(map(term_id, toks))
-            group.append(
-                -1 if cats is None
-                else group_ids.setdefault(cats, len(group_ids))
-            )
+        group_ids = defaultdict(itertools.count().__next__)
+        group_ids[None] = -1
+        for caption_ids, image_ids, token_lists, categories in blocks:
+            ids += caption_ids
+            codes.fromlist(list(map(image_codes.__getitem__, image_ids)))
+            lengths.fromlist(list(map(len, token_lists)))
+            flat = itertools.chain.from_iterable(token_lists)
+            tokens.fromlist(list(map(term_ids.__getitem__, flat)))
+            group.fromlist(list(map(group_ids.__getitem__, categories)))
         return cls(
             ids,
-            np.array(codes, dtype=np.int32),
+            np.frombuffer(codes, np.int32),
             list(image_codes),
-            np.array(lengths, dtype=np.int64),
-            np.array(tokens, dtype=np.int32),
+            np.frombuffer(lengths, np.int64),
+            np.frombuffer(tokens, np.int32),
             list(term_ids),
-            np.array(group, dtype=np.int32),
-            list(group_ids),
+            np.frombuffer(group, np.int32),
+            list(group_ids)[1:],
         )
 
 
@@ -144,9 +152,10 @@ class Collection:
         self, docs: Iterable[CaptionDoc] = (), columns: Columns | None = None
     ):
         if columns is None:
+            docs = list(docs)
+            fields = ("caption_id", "image_id", "tokens", "categories")
             columns = Columns.of(
-                (d.caption_id, d.image_id, d.tokens, d.categories)
-                for d in docs
+                [[list(map(operator.attrgetter(f), docs)) for f in fields]]
             )
         self.caption_ids = ids = columns.caption_ids
         self.image_code = columns.image_code
@@ -294,29 +303,50 @@ def load_collection(path, skip_empty: bool = False) -> Collection:
     skip_empty is set, in which case they are dropped with a warning.
     Errors and warnings locate the record as ``<path>:<line>``.
     """
+    return Collection(columns=_read_columns(path, skip_empty))
+
+
+def _read_columns(path, skip_empty: bool) -> Columns:
+    """The Columns of the collection file at path, read a block of lines
+    at a time; see load_collection. A function of its own, which returns
+    before the index is built: what it holds to read the file is freed
+    first."""
     name = os.fspath(path)
     kept = array("q")  # line number of each kept record
+    parse = functools.lru_cache(maxsize=None)(parse_categories)
+    message = "expected 3 or 4 tab-separated fields, got {n}"
 
-    def records():
-        message = "expected 3 or 4 tab-separated fields, got {n}"
-        lines = read_records(path, "\t", (3, 4), message, numbered=True)
-        for lineno, fields in lines:
-            tokens = fields[2].split()
-            cats = parse_categories(fields[3]) if len(fields) == 4 else None
+    def blocks():
+        for linenos, rows in read_blocks(path, "\t", (3, 4), message):
+            block = [
+                list(map(operator.itemgetter(0), rows)),
+                list(map(operator.itemgetter(1), rows)),
+                list(map(str.split, map(operator.itemgetter(2), rows))),
+                [parse(row[3]) if len(row) == 4 else None for row in rows],
+            ]
             try:
-                check_record(fields[0], fields[1], tokens, cats)
-            except ValueError as exc:
-                where = f"{name}:{lineno}"
-                if not (skip_empty and isinstance(exc, EmptyCaption)):
-                    raise ValueError(f"{where}: {exc}") from None
-                log.warning("%s: skipping %s", where, exc)
+                check_records(*block)
+            except ValueError:
+                # Check one record at a time, to name the first bad one.
+                for i, lineno in enumerate(linenos):
+                    record = [column[i:i + 1] for column in block]
+                    try:
+                        check_records(*record)
+                    except ValueError as exc:
+                        where = f"{name}:{lineno}"
+                        if not (skip_empty and isinstance(exc, EmptyCaption)):
+                            raise ValueError(f"{where}: {exc}") from None
+                        log.warning("%s: skipping %s", where, exc)
+                        continue
+                    kept.append(lineno)
+                    yield record
                 continue
-            kept.append(lineno)
-            yield fields[0], fields[1], tokens, cats
+            kept.extend(linenos)
+            yield block
 
-    columns = Columns.of(records())
+    columns = Columns.of(blocks())
     columns.where = lambda i: f"{name}:{kept[i]}: "
-    return Collection(columns=columns)
+    return columns
 
 
 def save_collection(coll: Collection, path) -> None:
@@ -327,7 +357,7 @@ def save_collection(coll: Collection, path) -> None:
     (a tab or line break in a field, whitespace in a token, a comma in
     a label or an empty one) fails naming its caption, leaving no file.
     Only docs built in code can hold these, so the check is made per
-    written line, not in check_record, which the file route runs.
+    written line, not in check_records, which the file route runs.
     """
     groups = coll._categories
     # The fourth field of each group, none for group -1 (the last).
@@ -360,40 +390,63 @@ class FeatureStore:
     """
 
     def __init__(self, vectors: dict[str, Sequence[float]] | None = None):
-        self._fill((f"image {i!r}", i, v) for i, v in (vectors or {}).items())
+        vectors = vectors or {}
+        labels = map("image {!r}".format, vectors)
+        self._fill([(labels, list(vectors), list(vectors.values()))])
 
     @np.errstate(over="ignore")  # rounding to float32 may overflow
-    def _fill(self, records: Iterable[tuple[str, str, Sequence]]) -> None:
-        """Keep one float32 row per ``(label, image_id, values)`` record,
-        values read as float64 and rounded. Fails as ``<label>: ...`` on a
-        repeated id, a non-number, an empty vector, a length other than
-        the first row's, or a value not finite once rounded. Each checked
-        row is appended to one growing float32 buffer, which becomes the
-        matrix without a copy."""
+    def _fill(
+        self, blocks: Iterable[tuple[Iterable[str], list, list]]
+    ) -> None:
+        """Keep one float32 row per image of each ``(labels, image_ids,
+        components)`` block, values read as float64 and rounded. Fails as
+        ``<label>: ...`` on a repeated id, a non-number, an empty vector,
+        a length other than the first row's, or a value not finite once
+        rounded. Each rule is one pass over the block; a refused block is
+        checked one row at a time, so that its first bad row is named.
+        Checked rows are appended to one growing float32 buffer, which
+        becomes the matrix without a copy."""
         self._row: dict[str, int] = {}
         values = array("f")
         dim = 0
-        for label, image_id, components in records:
-            if image_id in self._row:
-                raise ValueError(f"{label}: repeated image_id {image_id!r}")
+
+        def add(ids: list, components: list) -> None:
+            """Check a block and keep its rows; a message names its first
+            row, and a refused block keeps nothing."""
+            nonlocal dim
+            n = len(ids)
+            if len(set(ids)) < n or not self._row.keys().isdisjoint(ids):
+                raise ValueError(f"repeated image_id {ids[0]!r}")
             try:
-                row = np.asarray(components, np.float64).astype(np.float32)
+                rows = np.asarray(components, np.float64).astype(np.float32)
             except ValueError:
+                raise ValueError("non-numeric feature component") from None
+            size = rows.size // n
+            if not size:
+                raise ValueError("empty feature vector")
+            if rows.shape != (n, dim or size):
                 raise ValueError(
-                    f"{label}: non-numeric feature component"
-                ) from None
-            if not row.size:
-                raise ValueError(f"{label}: empty feature vector")
-            dim = dim or row.size
-            if row.shape != (dim,):
-                raise ValueError(
-                    f"{label}: vector length {row.size} != {dim};"
+                    f"vector length {size} != {dim or size};"
                     " feature vectors must share one dimension"
                 )
-            if not np.isfinite(row).all():
-                raise ValueError(f"{label}: non-finite feature component")
-            self._row[image_id] = len(self._row)
-            values.frombytes(row.tobytes())
+            if not np.isfinite(rows).all():
+                raise ValueError("non-finite feature component")
+            dim = dim or size
+            start = len(self._row)
+            self._row.update(zip(ids, range(start, start + n)))
+            values.frombytes(rows.tobytes())
+
+        for labels, ids, components in blocks:
+            if not ids:
+                continue
+            try:
+                add(ids, components)
+            except ValueError:
+                for label, image_id, row in zip(labels, ids, components):
+                    try:
+                        add([image_id], [row])
+                    except ValueError as exc:
+                        raise ValueError(f"{label}: {exc}") from None
         self.matrix = np.frombuffer(values, np.float32).reshape(
             len(self._row), dim
         )
@@ -416,8 +469,15 @@ class FeatureStore:
 def load_features(path) -> FeatureStore:
     """Read a feature file into a FeatureStore; a malformed line fails
     naming its ``<file>:<line>``."""
+    name = os.fspath(path)
     message = "expected image_id<TAB>components"
-    records = read_records(path, "\t", (2,), message)
     store = FeatureStore()
-    store._fill((where, img, rest.split()) for where, (img, rest) in records)
+    store._fill(
+        (
+            (f"{name}:{lineno}" for lineno in linenos),
+            list(map(operator.itemgetter(0), rows)),
+            list(map(str.split, map(operator.itemgetter(1), rows))),
+        )
+        for linenos, rows in read_blocks(path, "\t", (2,), message)
+    )
     return store

@@ -14,17 +14,78 @@ into relevance scores.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import sys
 import uuid
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
+
+
+# Lines per block of read_blocks. Loading txt-capacity's collection
+# (409,110 lines) in fresh processes on a 2-vCPU VM took a median 1.86 s
+# with 256-line blocks, 2.03 s with 512 and 2.31 s with 4,096, against
+# 2.21 s reading a line at a time; on cnn-zipf, 256 and 128 tied.
+_BLOCK = 256
 
 
 def read_token_lines(path) -> Iterator[list[str]]:
-    """Yield one token list per line of a UTF-8 text file."""
+    """Yield one token list per line of a UTF-8 text file, a blank line
+    giving an empty list."""
+    blocks = read_blocks(path, None, range(sys.maxsize), "", keep_blank=True)
+    for _, rows in blocks:
+        yield from rows
+
+
+def read_blocks(
+    path,
+    sep: str | None,
+    counts: Container[int],
+    message: str,
+    header: bool = False,
+    keep_blank: bool = False,
+) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Yield ``(line numbers, rows)`` per block of up to _BLOCK lines of
+    the UTF-8 file at path, skipping whitespace-only lines unless
+    keep_blank is set; no block is empty. Each line, less its newline, is
+    split on sep (None: on whitespace) into a row, which needs a field
+    count in counts, else ValueError ``<path>:<line>: <message>``, ``{n}``
+    in message being the count; the rows before that line come first, as
+    a block of their own. With header set, the raw first line comes
+    first, unchecked, as the one-field row of line 1. A file whose first
+    line starts with a byte-order mark fails as ``<path>:1: ...``: the
+    mark would read as part of the first field."""
+    name = os.fspath(path)
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            yield line.split()
+        first = next(handle, "")
+        if first.startswith("\ufeff"):
+            raise ValueError(
+                f"{name}:1: starts with a byte-order mark; save the file"
+                " as UTF-8 without one"
+            )
+        lines = itertools.chain([first] if first else [], handle)
+        start = 1
+        if header:
+            yield range(1, 2), [[next(lines, "")]]
+            start = 2
+        while block := list(itertools.islice(lines, _BLOCK)):
+            linenos: Sequence[int] = range(start, start + len(block))
+            start += len(block)
+            if not keep_blank and any(map(str.isspace, block)):
+                kept = [i for i, line in enumerate(block) if line.strip()]
+                if not kept:
+                    continue
+                linenos = [linenos[i] for i in kept]
+                block = [block[i] for i in kept]
+            rows = [line.rstrip("\n").split(sep) for line in block]
+            if all(n in counts for n in set(map(len, rows))):
+                yield linenos, rows
+                continue
+            bad = next(i for i, row in enumerate(rows) if len(row) not in counts)
+            if bad:
+                yield linenos[:bad], rows[:bad]
+            where = f"{name}:{linenos[bad]}"
+            raise ValueError(f"{where}: " + message.format(n=len(rows[bad])))
 
 
 def read_records(
@@ -33,29 +94,16 @@ def read_records(
     counts: Container[int],
     message: str,
     header=False,
-    numbered=False,
     keep_blank=False,
 ) -> Iterator[tuple[str, list[str]]]:
-    """Yield ``(where, fields)`` per line of the UTF-8 file at path,
-    skipping whitespace-only lines unless keep_blank is set. Each line,
-    less its newline, is split on sep and needs a field count in counts,
-    else ValueError ``<path>:<line>: <message>``, ``{n}`` in message
-    being the count. where is ``<path>:<line>``; with numbered set, the
-    bare line number, so that a reader of many lines need not hold a
-    string per line. With header set, the raw first line comes first,
-    unchecked, as ``(where, [line])``."""
+    """Yield ``(where, fields)`` per row of read_blocks, one line at a
+    time; where is ``<path>:<line>``."""
     name = os.fspath(path)
-    with open(path, encoding="utf-8") as lines:
-        if header:
-            yield f"{name}:1", [next(lines, "")]
-        for lineno, line in enumerate(lines, start=2 if header else 1):
-            if not (keep_blank or line.strip()):
-                continue
-            fields = line.rstrip("\n").split(sep)
-            if len(fields) not in counts:
-                where = f"{name}:{lineno}"
-                raise ValueError(f"{where}: " + message.format(n=len(fields)))
-            yield lineno if numbered else f"{name}:{lineno}", fields
+    for linenos, rows in read_blocks(
+        path, sep, counts, message, header, keep_blank
+    ):
+        for lineno, fields in zip(linenos, rows):
+            yield f"{name}:{lineno}", fields
 
 
 def joined_line(

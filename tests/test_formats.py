@@ -30,7 +30,7 @@ from tsr.collection import load_features
 from tsr.evalsig import read_sentence_file
 from tsr.rerank import RerankedOutput
 from tsr.retrieval import MatchList, read_queries
-from tsr.textcore import read_records, write_lines
+from tsr.textcore import read_records, read_token_lines, write_lines
 
 WORD = st.text(alphabet="abcxyzäß019-'", min_size=1, max_size=5)
 SCORE = st.floats(allow_nan=False, allow_infinity=False)
@@ -410,6 +410,30 @@ def test_whitespace_only_lines_are_skipped(tmp_path, name):
         encoding="utf-8",
     )
     assert comparable(read(padded)) == comparable(read(clean))
+
+
+READERS = {
+    **{name: (read, lines) for name, (read, lines, _) in ARTIFACTS.items()},
+    "sentences": (read_sentence_file, SENTENCES),
+    "tokens": (lambda path: list(read_token_lines(path)), ["a man", "a dog"]),
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_byte_order_mark_fails_at_line_one(tmp_path, name):
+    """A UTF-8 byte-order mark would read as part of the first field
+    (an id, or the idf header), so every reader refuses it."""
+    read, lines = READERS[name]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    read(path)
+    path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == (
+        f"{path}:1: starts with a byte-order mark;"
+        " save the file as UTF-8 without one"
+    )
 
 
 def test_write_lines_failure_keeps_earlier_file(tmp_path):
