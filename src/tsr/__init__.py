@@ -13,7 +13,6 @@ from .collection import (
     Collection,
     FeatureStore,
     load_collection,
-    save_collection,
 )
 from .evalsig import approx_randomization, bleu_score, bleu_stats, sum_stats
 from .rerank import (
@@ -58,7 +57,6 @@ __all__ = [
     "read_matchlists",
     "read_token_lines",
     "relevance_scores",
-    "save_collection",
     "select_best",
     "stepwise_search",
     "sum_stats",

@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .collection import load_collection, load_features, save_collection
+from .collection import load_collection, load_features, write_normal_form
 from .evalsig import (
     align_sentences,
     approx_randomization,
@@ -174,8 +174,9 @@ def cmd_extract_idf(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    # Check the whole file first, so that a refused one writes nothing.
     coll = load_collection(args.collection, skip_empty=args.skip_empty)
-    save_collection(coll, args.out)
+    write_normal_form(args.collection, args.out)
     print(f"captions: {len(coll)}")
     print(f"images: {len(coll.images)}")
     print(f"terms: {len(coll.vocab)}")

@@ -13,11 +13,12 @@ per line as ``image_id<TAB>f1 f2 ... fD`` with a constant D per file.
 A Collection is held as columns, not as one object per caption: the
 caption ids as a list of str; an image table, one int32 code per doc
 into the list of distinct image ids, numbered by first appearance;
-every caption's term ids in token order as one int32 array cut by an
-offsets array; and one int32 category group id per doc (-1 for none)
-into the list of distinct category sets, numbered by first appearance.
-Retrieval and rerank name a caption by its row; no ``CaptionDoc`` is
-made back from the columns.
+each caption's token count, as the differences of an offsets array;
+and one int32 category group id per doc (-1 for none) into the list
+of distinct category sets, numbered by first appearance. A caption's
+term ids are kept only as its types, in the index below, since no
+stage reads token order. Retrieval and rerank name a caption by its
+row; no ``CaptionDoc`` is made back from the columns.
 
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
@@ -39,16 +40,19 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .textcore import joined_line, read_blocks, write_lines
+from .textcore import read_blocks, write_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
 
 log = logging.getLogger(__name__)
+
+# The field-count message of every reader of a collection file.
+_FIELDS = "expected 3 or 4 tab-separated fields, got {n}"
 
 
 class EmptyCaption(ValueError):
@@ -182,17 +186,17 @@ class Collection:
             range(len(terms)), key=lambda p: (first_doc[p], terms[p])
         )
         self.vocab = {terms[p]: i for i, p in enumerate(order)}
-        self._term_of = np.array(list(self.vocab), dtype=object)
         # Rank of each term id's string in string order: rerank sums a
         # caption's types in that order.
         self.term_rank = _string_rank(list(self.vocab))
         final = np.empty(len(order), dtype=np.int32)
         final[order] = np.arange(len(order), dtype=np.int32)
         # Replacing the provisional ids frees them before the matrix is
-        # built: only one per-token id array is alive while it is.
-        self._tokens = columns.tokens = final[columns.tokens]
+        # built: only one per-token id array is alive while it is, and
+        # none once the columns are dropped.
+        columns.tokens = final[columns.tokens]
         self.matrix = _type_incidence(
-            columns.lengths, self._tokens, len(order)
+            columns.lengths, columns.tokens, len(order)
         )
         self.type_counts = np.diff(self.matrix.indptr).astype(np.float64)
 
@@ -200,39 +204,15 @@ class Collection:
         # no annotations (they can never satisfy a strict-equality gate).
         self.cat_group = columns.group
         self._cat_groups = dict(zip(columns.group_sets, itertools.count()))
-        # Indexed by group id; group -1 reads the None at the end.
-        self._categories = [*columns.group_sets, None]
 
     def __len__(self) -> int:
         return len(self.caption_ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Collection):
-            return NotImplemented
-        # Term ids and group ids follow from the docs alone, so equal
-        # docs give equal columns, and equal columns equal docs.
-        return (
-            self.caption_ids == other.caption_ids
-            and self.images == other.images
-            and np.array_equal(self.image_code, other.image_code)
-            and self.vocab == other.vocab
-            and self._categories == other._categories
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self._tokens, other._tokens)
-            and np.array_equal(self.cat_group, other.cat_group)
-        )
 
     def __repr__(self) -> str:
         return (
             f"Collection(docs={len(self)}, images={len(self.images)},"
             f" terms={len(self.vocab)})"
         )
-
-    def _token_tuples(self) -> Iterator[tuple[str, ...]]:
-        """The tokens of every doc, in doc order."""
-        words = tuple(self._term_of[self._tokens].tolist())
-        bounds = self.offsets.tolist()
-        return (words[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def category_group(self, categories: Iterable[str]) -> int | None:
         """Group id of an exact category set; None if no doc carries it."""
@@ -314,10 +294,9 @@ def _read_columns(path, skip_empty: bool) -> Columns:
     name = os.fspath(path)
     kept = array("q")  # line number of each kept record
     parse = functools.lru_cache(maxsize=None)(parse_categories)
-    message = "expected 3 or 4 tab-separated fields, got {n}"
 
     def blocks():
-        for linenos, rows in read_blocks(path, "\t", (3, 4), message):
+        for linenos, rows in read_blocks(path, "\t", (3, 4), _FIELDS):
             block = [
                 list(map(operator.itemgetter(0), rows)),
                 list(map(operator.itemgetter(1), rows)),
@@ -349,35 +328,29 @@ def _read_columns(path, skip_empty: bool) -> Columns:
     return columns
 
 
-def save_collection(coll: Collection, path) -> None:
-    """Persist a collection in the record format read by load_collection.
-
-    Loading the result reproduces an equal Collection with the same term
-    ids and index matrix. A record that would read back as other data
-    (a tab or line break in a field, whitespace in a token, a comma in
-    a label or an empty one) fails naming its caption, leaving no file.
-    Only docs built in code can hold these, so the check is made per
-    written line, not in check_records, which the file route runs.
-    """
-    groups = coll._categories
-    # The fourth field of each group, none for group -1 (the last).
-    labels = [[",".join(sorted(c))] for c in groups[:-1]] + [[]]
+def write_normal_form(path, out) -> None:
+    """Write the collection file at path, which load_collection has
+    accepted, to out in normal form. Each record that has a token is
+    one line ``caption_id<TAB>image_id<TAB>tokens[<TAB>labels]``: its
+    tokens joined by one space, and its labels, if any, sorted and
+    joined by commas. The records without one are those skip_empty
+    drops. The file is read again a block at a time, so its lines are
+    never all held, and out may be path: write_lines renames over out
+    only at the end. A record read from a file holds no tab or line
+    break in a field, no whitespace in a token, no comma in a label and
+    no empty label, so its line reads back as that record."""
 
     def lines():
-        for caption_id, image_id, tokens, g in zip(
-            coll.caption_ids,
-            map(coll.images.__getitem__, coll.image_code.tolist()),
-            coll._token_tuples(),
-            coll.cat_group.tolist(),
-        ):
-            text = " ".join(tokens)
-            same = tuple(text.split()) == tokens and all(
-                parse_categories(field) == groups[g] for field in labels[g]
-            )
-            fields = [caption_id, image_id, text, *labels[g]]
-            yield joined_line(fields, "\t", f"caption {caption_id!r}", same)
+        for _, rows in read_blocks(path, "\t", (3, 4), _FIELDS):
+            for row in rows:
+                tokens = row[2].split()
+                if not tokens:
+                    continue
+                labels = parse_categories(row[3]) if len(row) == 4 else None
+                text = [",".join(sorted(labels))] if labels else []
+                yield "\t".join([row[0], row[1], " ".join(tokens), *text])
 
-    write_lines(path, lines())
+    write_lines(out, lines())
 
 
 class FeatureStore:

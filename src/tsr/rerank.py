@@ -78,14 +78,15 @@ def relevance_scores(
     the type equals the token contributes idf(type); the total is
     divided by the summed token count of the retrieved captions. An
     empty match list scores 0, so reranking degenerates gracefully to
-    the decoder order. A type a sequence lacks adds an exact 0.0, which
-    leaves a non-negative sum's bits as they are.
+    the decoder order, and no token sequences get no scores. A type a
+    sequence lacks adds an exact 0.0, which leaves a non-negative sum's
+    bits as they are.
     """
     coll = retriever.coll
     size, pairs = len(coll), matches.matches
     rows = np.fromiter((checked_row(r, s, size) for r, s in pairs), np.int64)
     total = int((coll.offsets[rows + 1] - coll.offsets[rows]).sum())
-    if total == 0:
+    if total == 0 or not token_lists:
         return [0.0] * len(token_lists)
     types = coll.matrix[rows]
     caption = np.repeat(np.arange(rows.size), np.diff(types.indptr))

@@ -168,11 +168,6 @@ class IdfTable:
     def __len__(self) -> int:
         return len(self.df)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IdfTable):
-            return NotImplemented
-        return self.doc_count == other.doc_count and self.df == other.df
-
     def __repr__(self) -> str:
         return f"IdfTable(doc_count={self.doc_count}, terms={len(self.df)})"
 

@@ -246,6 +246,25 @@ def oracle_approx_randomization(pairs_a, pairs_b, trials: int, seed: int):
     return (exceed + 1) / (trials + 1)
 
 
+def assert_same_collection(a, b) -> None:
+    """a and b hold the same docs, index and all: caption ids and image
+    table, vocab and token counts (offsets), the matrix's arrays, and
+    each doc's category group, which names the same set in both."""
+    assert a.caption_ids == b.caption_ids
+    assert a.images == b.images
+    assert np.array_equal(a.image_code, b.image_code)
+    assert a.vocab == b.vocab
+    assert np.array_equal(a.offsets, b.offsets)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+    assert np.array_equal(a.cat_group, b.cat_group)
+    for coll, other in ((a, b), (b, a)):
+        sets = {group: labels for labels, group in coll._cat_groups.items()}
+        for group in coll.cat_group.tolist():
+            if group >= 0:
+                assert other.category_group(sets[group]) == group
+
+
 def float32_exact(values) -> list[float]:
     """Round components to float32 so library-side float32 storage is
     lossless and oracle distances see identical operands."""

@@ -93,6 +93,26 @@ class TestBuildIndex:
         assert run("build-index", ws / "index.tsv", ws / "index2.tsv") == 0
         assert (ws / "index.tsv").read_bytes() == (ws / "index2.tsv").read_bytes()
 
+    def test_output_may_be_its_own_input(self, ws):
+        """build-index x.tsv x.tsv leaves x.tsv's normal form in its place
+        and no temporary file."""
+        folder = ws / "in-place"
+        folder.mkdir()
+        path = folder / "x.tsv"
+        path.write_text(
+            "c2\ti1\t a  man\u3000rides \tperson,,horse,person\n"
+            "\n"
+            "c1\ti2\tthe dog\t,\n"
+            "c3\ti2\t \tdog\n",
+            encoding="utf-8",
+        )
+        assert run("build-index", path, path, "--skip-empty") == 0
+        assert path.read_text(encoding="utf-8") == (
+            "c2\ti1\ta man rides\thorse,person\n"
+            "c1\ti2\tthe dog\n"
+        )
+        assert os.listdir(folder) == ["x.tsv"]
+
     def test_empty_caption_fails_without_skip(self, ws, capsys):
         bad = ws / "bad.tsv"
         bad.write_text(COLLECTION + "c9\ti9\t\n", encoding="utf-8")
@@ -1100,6 +1120,37 @@ def test_no_cutoff_is_spelled_inf_and_reruns_from_config_json(ws):
     assert {strict_json(line)["distance_cutoff"] for line in trace} == {"inf"}
     best = strict_json((ws / "best.json").read_text())
     assert best["distance_cutoff"] == "inf"
+
+
+def test_rerun_resolves_relative_paths_where_it_starts(
+    ws, monkeypatch, capsys
+):
+    """config.json keeps relative paths as given, and a rerun resolves
+    them against its own working directory: from the run's directory it
+    reproduces the run, from another it fails before writing anything."""
+    monkeypatch.chdir(ws)
+    assert run(
+        "pipeline",
+        "--collection", "collection.tsv",
+        "--idf", "idf.txt",
+        "--kbest", "kbest.txt",
+        "--out-dir", "a",
+        "--diagnostics",
+    ) == 0
+    config = ws / "a" / "config.json"
+    assert strict_json(config.read_text())["collection"] == "collection.tsv"
+    assert run("pipeline", "--config", "a/config.json", "--out-dir", "b") == 0
+    for name in ("output.txt", "diagnostics.txt"):
+        assert (ws / "b" / name).read_bytes() == (ws / "a" / name).read_bytes()
+    elsewhere = ws / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    assert run("pipeline", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: 'idf.txt'\n"
+    )
+    assert os.listdir(elsewhere) == []
 
 
 @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])

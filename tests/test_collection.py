@@ -9,10 +9,9 @@ from tsr import (
     KBestList,
     Retriever,
     load_collection,
-    save_collection,
 )
-from tsr.collection import load_features
-from oracles import FixedIdf, oracle_index
+from tsr.collection import load_features, write_normal_form
+from oracles import FixedIdf, assert_same_collection, oracle_index
 
 
 def make_docs():
@@ -80,16 +79,18 @@ def record(doc):
     return "\t".join(fields)
 
 
-def assert_holds(coll, docs, path):
-    """coll holds docs in order: their ids in its columns, and their
-    tokens and categories in the text save_collection writes."""
+def assert_holds(coll, docs):
+    """coll holds docs in order: their ids in its columns, their token
+    counts in its offsets, and their category sets in its groups."""
     assert coll.caption_ids == [doc.caption_id for doc in docs]
     assert [coll.images[c] for c in coll.image_code] == [
         doc.image_id for doc in docs
     ]
-    save_collection(coll, path)
-    want = "".join(record(doc) + "\n" for doc in docs)
-    assert path.read_text(encoding="utf-8") == want
+    assert np.diff(coll.offsets).tolist() == [len(d.tokens) for d in docs]
+    assert coll.cat_group.tolist() == [
+        -1 if doc.categories is None else coll.category_group(doc.categories)
+        for doc in docs
+    ]
 
 
 def test_index_equals_oracle_on_random_collections(tmp_path):
@@ -115,7 +116,7 @@ def test_index_equals_oracle_on_random_collections(tmp_path):
         path = write_tsv(tmp_path / "coll.tsv", lines)
         want = oracle_index(docs)
         for coll in (Collection(docs), load_collection(path, True)):
-            assert_holds(coll, docs, tmp_path / "saved.tsv")
+            assert_holds(coll, docs)
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
             assert coll.matrix.indptr.tolist() == want["indptr"]
@@ -140,7 +141,7 @@ def test_order_keeps_strings_numpy_would_conflate(tmp_path):
         want = oracle_index(docs)
         path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
         for coll in (Collection(docs), load_collection(path)):
-            assert_holds(coll, docs, tmp_path / "saved.tsv")
+            assert_holds(coll, docs)
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
             assert coll.matrix.indptr.tolist() == want["indptr"]
@@ -224,8 +225,7 @@ def test_index_keys_beyond_int32(tmp_path):
         got = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]].tolist()
         assert got == sorted({coll.vocab[words[w]] for w in row})
     assert coll.type_counts.tolist() == np.diff(matrix.indptr).tolist()
-    path = tmp_path / "wide.tsv"
-    save_collection(coll, path)
+    path = write_tsv(tmp_path / "wide.tsv", map(record, docs))
     loaded = load_collection(path)
     assert loaded.vocab == coll.vocab
     for name in ("indptr", "indices", "data"):
@@ -294,45 +294,13 @@ def test_retrieved_docs_are_term_overlap_brute_force():
 
 
 def test_round_trip_preserves_collection(tmp_path):
-    coll = Collection(make_docs())
-    path = tmp_path / "coll.tsv"
-    save_collection(coll, path)
-    loaded = load_collection(path)
-    assert loaded == coll
-    assert loaded.vocab == coll.vocab
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(
-            getattr(loaded.matrix, name), getattr(coll.matrix, name)
-        )
-    save_collection(loaded, tmp_path / "again.tsv")
+    """Docs written as records load to the collection built from them in
+    code, and records in normal form are written back as they are."""
+    docs = make_docs()
+    path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
+    assert_same_collection(load_collection(path), Collection(docs))
+    write_normal_form(path, tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
-
-
-def test_equality_is_equality_of_docs():
-    rng = np.random.default_rng(3)
-    cats = [None, frozenset({"dog"}), frozenset({"cat"})]
-
-    def doc(i):
-        tokens = tuple(f"t{t}" for t in rng.integers(0, 4, rng.integers(1, 4)))
-        return CaptionDoc(f"c{i}", f"i{i % 2}", tokens, cats[i % 3])
-
-    for _ in range(200):
-        a = [doc(i) for i in range(int(rng.integers(0, 5)))]
-        b = list(a)
-        if b and rng.random() < 0.7:
-            at = int(rng.integers(0, len(b)))
-            fields = dict(vars(b[at]))
-            key = ["caption_id", "image_id", "tokens", "categories"][
-                int(rng.integers(0, 4))
-            ]
-            fields[key] = {
-                "caption_id": "x",
-                "image_id": "j",
-                "tokens": doc(at).tokens,
-                "categories": cats[int(rng.integers(0, 3))],
-            }[key]
-            b[at] = CaptionDoc(**fields)
-        assert (Collection(a) == Collection(b)) == (a == b)
 
 
 def test_feature_store_basics():

@@ -21,16 +21,17 @@ from tsr import (
     load_collection,
     read_kbest,
     read_matchlists,
-    save_collection,
     write_diagnostics,
     write_matchlists,
     write_output,
 )
+from tsr.cli import main
 from tsr.collection import load_features
 from tsr.evalsig import read_sentence_file
 from tsr.rerank import RerankedOutput
 from tsr.retrieval import MatchList, read_queries
 from tsr.textcore import read_records, read_token_lines, write_lines
+from oracles import assert_same_collection
 
 WORD = st.text(alphabet="abcxyzäß019-'", min_size=1, max_size=5)
 SCORE = st.floats(allow_nan=False, allow_infinity=False)
@@ -51,7 +52,8 @@ def round_trip(write, read, value, name):
 ))
 def test_idf_table_round_trip(drawn):
     table = IdfTable(*drawn)
-    assert round_trip(IdfTable.save, IdfTable.load, table, "idf.txt") == table
+    loaded = round_trip(IdfTable.save, IdfTable.load, table, "idf.txt")
+    assert (loaded.doc_count, loaded.df) == (table.doc_count, table.df)
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,13 +67,76 @@ def test_idf_table_round_trip(drawn):
     max_size=6,
 ))
 def test_collection_round_trip(drawn):
-    coll = Collection([
+    docs = [
         CaptionDoc(cid, image, tuple(tokens), cats)
         for cid, (image, tokens, cats) in drawn.items()
-    ])
-    loaded = round_trip(save_collection, load_collection, coll, "coll.tsv")
-    assert loaded == coll
-    assert loaded.vocab == coll.vocab
+    ]
+    lines = [
+        record_line(d.caption_id, d.image_id, d.tokens, d.categories)
+        for d in docs
+    ]
+    loaded = round_trip(
+        lambda value, path: write_lines(path, value),
+        load_collection, lines, "coll.tsv",
+    )
+    assert_same_collection(loaded, Collection(docs))
+
+
+def record_line(caption_id, image_id, tokens, labels):
+    """A collection record's line in normal form."""
+    text = [",".join(sorted(labels))] if labels else []
+    return "\t".join([caption_id, image_id, " ".join(tokens), *text])
+
+
+# A messy collection file that load_collection accepts: ids that may
+# start with a space, captions of words and runs of spaces and U+3000
+# (none but spaces is an empty caption), label fields with empty,
+# repeated and unsorted labels, and blank lines between records.
+MESSY_RECORD = st.tuples(
+    st.tuples(st.sampled_from(["", " "]), WORD).map("".join),
+    WORD,
+    st.lists(WORD | st.sampled_from([" ", "  ", "\u3000"]), max_size=6)
+    .map("".join),
+    st.none() | st.lists(WORD | st.just(""), max_size=4).map(",".join),
+)
+BLANK = st.sampled_from(["", "   ", "\u3000", " \t "])
+
+
+def normal_form(caption_id, image_id, text, labels):
+    """A messy record's normal-form line; None for an empty caption."""
+    tokens = text.split()
+    kept = set(labels.split(",")) - {""} if labels else None
+    return record_line(caption_id, image_id, tokens, kept) if tokens else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(MESSY_RECORD, max_size=8, unique_by=lambda r: r[0]),
+    st.lists(st.tuples(st.integers(0, 8), BLANK), max_size=3),
+)
+@example([("c1", "i", " a\u3000\u3000b ", "y,,x,y"), ("c2", "i", " ", ",")],
+         [(1, "  ")])
+def test_build_index_writes_the_normal_form(records, blanks):
+    """build-index --skip-empty writes each record with a token in normal
+    form; its output is a fixed point and loads as the input does. An
+    empty caption without --skip-empty fails and writes nothing."""
+    lines = ["\t".join(f for f in r if f is not None) for r in records]
+    for at, blank in blanks:
+        lines.insert(min(at, len(lines)), blank)
+    want = [line for line in (normal_form(*r) for r in records) if line]
+    refused = len(want) < len(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out, again = (Path(tmp) / n for n in ("in", "out", "again"))
+        write_lines(src, lines)
+        assert main(["build-index", str(src), str(out)]) == refused
+        assert sorted(os.listdir(tmp)) == ["in", *["out"] * (not refused)]
+        assert main(["build-index", str(src), str(out), "--skip-empty"]) == 0
+        assert out.read_text("utf-8") == "".join(f"{l}\n" for l in want)
+        assert main(["build-index", str(out), str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        assert_same_collection(
+            load_collection(out), load_collection(src, skip_empty=True)
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,31 +234,6 @@ def test_match_lines_read_back_or_fail(caption_ids, drawn):
         assert by_stripped_id(loaded, *attrs) == by_stripped_id(mls, *attrs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.tuples(
-        HOSTILE,
-        HOSTILE,
-        st.lists(HOSTILE, min_size=1, max_size=3).map(tuple),
-        st.none()
-        | st.frozensets(HOSTILE | st.just(""), min_size=1, max_size=2),
-    ),
-    max_size=4,
-    unique_by=lambda record: record[0],
-))
-@example([("a\tb", "i", ("x",), None)])
-@example([("c1", "i", ("x y",), None)])
-@example([("c1", "i", ("x",), frozenset({"p,q"}))])
-@example([("c1", "i", ("x",), frozenset({""}))])
-def test_collection_lines_read_back_or_fail(drawn):
-    coll = Collection([CaptionDoc(*record) for record in drawn])
-    loaded = refused_or_read_back(
-        save_collection, load_collection, coll, "coll.tsv"
-    )
-    if loaded is not None:
-        assert loaded == coll
-
-
 def reranked(sent_id, tokens, combined=-1.0, relevance=0.0, flag=False):
     """A rerank result choosing tokens at decoder rank 1."""
     hyp = Hypothesis(tokens, combined)
@@ -259,12 +299,10 @@ MATCH_COLL = Collection([
     (lambda value, path: write_matchlists(value, MATCH_COLL, path),
      [MatchList("s1", [(0, 1.0)]), MatchList(" s1", [])],
      "sentence ' s1' written twice"),
-    (save_collection, Collection([CaptionDoc("a\tb", "i", ("x",))]),
-     "caption 'a\\tb'"),
     (write_output, [reranked("s1", ("x y",))], "sentence 's1'"),
     (write_diagnostics, [reranked("s1", ("x",)), reranked("a\nb", ("x",))],
      "sentence 'a\\nb'"),
-], ids=["matches", "collection", "output", "diagnostics"])
+], ids=["matches", "output", "diagnostics"])
 def test_refused_record_is_named(tmp_path, write, value, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         write(value, tmp_path / "out.txt")
@@ -397,6 +435,8 @@ def test_library_records_check_themselves():
 def comparable(loaded):
     if isinstance(loaded, FeatureStore):
         return loaded._row, loaded.matrix.tolist()
+    if isinstance(loaded, IdfTable):
+        return loaded.doc_count, loaded.df
     return loaded
 
 
@@ -409,7 +449,11 @@ def test_whitespace_only_lines_are_skipped(tmp_path, name):
         "\n".join([lines[0], "", "  ", *lines[1:], " \t "]) + "\n",
         encoding="utf-8",
     )
-    assert comparable(read(padded)) == comparable(read(clean))
+    got, want = read(padded), read(clean)
+    if isinstance(want, Collection):
+        assert_same_collection(got, want)
+    else:
+        assert comparable(got) == comparable(want)
 
 
 READERS = {

@@ -39,6 +39,12 @@ class TestRelevanceScore:
     def test_empty_matchlist_is_zero(self):
         assert relevance_scores([("a", "dog")], *ml(IDF))[0] == 0.0
 
+    def test_no_token_sequences_give_no_scores(self):
+        """With or without a caption that has tokens in the match list."""
+        doc = CaptionDoc("c1", "i1", ("a", "dog", "runs", "a", "dog"))
+        assert relevance_scores([], *ml(IDF, doc)) == []
+        assert relevance_scores([], *ml(IDF)) == []
+
     def test_hand_fixture_normalizes_by_token_count(self):
         # match ["a","dog"]: 2 tokens; rerank candidate [a, dog, dog]
         # contributes 0.1 + 2.0 + 2.0, normalized by 2.

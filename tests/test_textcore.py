@@ -54,7 +54,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "idf.txt"
     table.save(path)
     loaded = IdfTable.load(path)
-    assert loaded == table
+    assert (loaded.doc_count, loaded.df) == (table.doc_count, table.df)
     assert loaded.idf("dog") == table.idf("dog")
 
 
