@@ -28,15 +28,26 @@ by (first doc holding the term, term string), the order a walk over
 the docs in file order, each doc's types sorted, assigns them; so score
 accumulation order, and therefore every output byte, is reproducible
 across runs.
+
+load_collection and load_features keep the arrays they build in a
+sidecar beside their input, ``<file>.tsr-index.npz``, keyed by the
+sha256 of the file and of this loader's source; a repeat load of an
+unchanged file adopts them, checked, instead of parsing the text. The
+text stays the source: a sidecar that is missing, stale or damaged is
+ignored and rewritten, and one that cannot be written is skipped.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import logging
+import math
 import operator
 import os
+import sys
+import zipfile
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -44,7 +55,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .textcore import read_blocks, write_lines
+from . import textcore
+from .textcore import read_blocks, write_arrays, write_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -147,27 +159,39 @@ class Columns:
 class Collection:
     """Immutable indexed collection of caption documents.
 
-    Safe for concurrent reads; all derived structures are built once in
-    the constructor, from docs or from the columns load_collection
-    parsed. The docs themselves are not kept.
+    Safe for concurrent reads; all derived structures are made once in
+    the constructor, by one of two paths: built from docs or from the
+    columns load_collection parsed, or adopted from the arrays of a
+    sidecar (see load_collection). Both end in _check, which states the
+    collection's invariants. The docs themselves are not kept.
     """
 
     def __init__(
-        self, docs: Iterable[CaptionDoc] = (), columns: Columns | None = None
+        self,
+        docs: Iterable[CaptionDoc] = (),
+        columns: Columns | None = None,
+        stored: dict[str, np.ndarray] | None = None,
     ):
-        if columns is None:
-            docs = list(docs)
-            fields = ("caption_id", "image_id", "tokens", "categories")
-            columns = Columns.of(
-                [[list(map(operator.attrgetter(f), docs)) for f in fields]]
-            )
+        if stored is not None:
+            self._adopt(stored)
+        else:
+            if columns is None:
+                docs = list(docs)
+                fields = ("caption_id", "image_id", "tokens", "categories")
+                columns = Columns.of(
+                    [[list(map(operator.attrgetter(f), docs)) for f in fields]]
+                )
+            self._build(columns)
+        self.type_counts = np.diff(self.matrix.indptr).astype(np.float64)
+        self._check()
+
+    def _build(self, columns: Columns) -> None:
         self.caption_ids = ids = columns.caption_ids
         self.image_code = columns.image_code
         self.images = columns.images
         # Rank of each doc's caption_id in string order, used as the
         # deterministic tie-break key when scores are equal.
-        self.caption_rank = _string_rank(ids)
-        i = _first_repeat(ids, self.caption_rank)
+        self.caption_rank, i = _string_rank(ids)
         if i is not None:
             where = columns.where(i)
             raise ValueError(f"{where}duplicate caption_id {ids[i]!r}")
@@ -188,22 +212,118 @@ class Collection:
         self.vocab = {terms[p]: i for i, p in enumerate(order)}
         # Rank of each term id's string in string order: rerank sums a
         # caption's types in that order.
-        self.term_rank = _string_rank(list(self.vocab))
+        self.term_rank, _ = _string_rank(list(self.vocab))
         final = np.empty(len(order), dtype=np.int32)
         final[order] = np.arange(len(order), dtype=np.int32)
         # Replacing the provisional ids frees them before the matrix is
         # built: only one per-token id array is alive while it is, and
         # none once the columns are dropped.
         columns.tokens = final[columns.tokens]
-        self.matrix = _type_incidence(
-            columns.lengths, columns.tokens, len(order)
+        self.matrix = _csr(
+            *_type_incidence(columns.lengths, columns.tokens, len(order)),
+            len(order),
         )
-        self.type_counts = np.diff(self.matrix.indptr).astype(np.float64)
 
         # Category sets mapped to small group ids; -1 marks docs with
         # no annotations (they can never satisfy a strict-equality gate).
         self.cat_group = columns.group
         self._cat_groups = dict(zip(columns.group_sets, itertools.count()))
+
+    def _adopt(self, stored: dict[str, np.ndarray]) -> None:
+        """Take the arrays _stored wrote, laid out as _COLLECTION_ARRAYS
+        says; ValueError if a blob does not decode."""
+        self.caption_ids = _strings(stored["caption_ids"])
+        self.image_code = stored["image_code"]
+        self.images = _strings(stored["images"])
+        self.caption_rank = stored["caption_rank"]
+        self.offsets = stored["offsets"]
+        terms = _strings(stored["terms"])
+        self.vocab = dict(zip(terms, itertools.count()))
+        self.term_rank = stored["term_rank"]
+        self.matrix = _csr(stored["indptr"], stored["indices"], len(terms))
+        self.cat_group = stored["cat_group"]
+        groups = _strings(stored["group_sets"])
+        self._cat_groups = {
+            frozenset(labels.split(",")): i for i, labels in enumerate(groups)
+        }
+
+    def _stored(self) -> dict[str, np.ndarray]:
+        """The arrays _adopt takes back, strings as _blob writes them.
+        Only a collection read from a file is stored: none of its ids,
+        terms or labels holds a line break, a term no whitespace and a
+        label no comma."""
+        return {
+            "caption_ids": _blob(self.caption_ids),
+            "image_code": self.image_code,
+            "images": _blob(self.images),
+            "caption_rank": self.caption_rank,
+            "offsets": self.offsets,
+            "terms": _blob(self.vocab),
+            "term_rank": self.term_rank,
+            "indptr": self.matrix.indptr.astype(np.int64),
+            "indices": self.matrix.indices.astype(np.int32, copy=False),
+            "cat_group": self.cat_group,
+            "group_sets": _blob(",".join(sorted(g)) for g in self._cat_groups),
+        }
+
+    def _check(self) -> None:
+        """The collection's invariants; ValueError naming the first that
+        fails. Each rule is checked only once those before it hold."""
+        n, n_terms = len(self.caption_ids), len(self.vocab)
+        lengths, matrix = np.diff(self.offsets), self.matrix
+        indptr, indices = matrix.indptr, matrix.indices
+        types = np.diff(indptr)
+
+        def require(holds, rule: str) -> None:
+            if not holds:
+                raise ValueError(f"collection index: not {rule}")
+
+        require(
+            self.image_code.shape == self.caption_rank.shape
+            == self.cat_group.shape == lengths.shape == (n,)
+            and self.offsets.shape == (n + 1,)
+            and matrix.shape == (n, n_terms)
+            and self.term_rank.shape == (n_terms,),
+            "one entry per caption and per term in each array",
+        )
+        require(
+            self.offsets[0] == 0 and (lengths > 0).all(),
+            "a token in each caption",
+        )
+        require(
+            indptr[0] == 0 and indptr[-1] == indices.size
+            and (types > 0).all() and (types <= lengths).all(),
+            "a type in each row, and no more types than tokens",
+        )
+        require(
+            not indices.size or 0 <= indices.min() <= indices.max() < n_terms,
+            "every term id in range",
+        )
+        require(_rows_ascend(indptr, indices), "each row strictly ascending")
+        require(
+            _sorts(self.caption_ids, self.caption_rank),
+            "a caption_rank that sorts the caption ids, each id once",
+        )
+        require(
+            _sorts(list(self.vocab), self.term_rank),
+            "a term_rank that sorts the terms, each term once",
+        )
+        require(
+            not n or 0 <= self.image_code.min()
+            <= self.image_code.max() < len(self.images),
+            "every image code in range",
+        )
+        require(len(set(self.images)) == len(self.images), "distinct images")
+        require(
+            not n or -1 <= self.cat_group.min()
+            <= self.cat_group.max() < len(self._cat_groups),
+            "every category group in range",
+        )
+        require(
+            list(self._cat_groups.values()) == list(range(len(self._cat_groups)))
+            and all(self._cat_groups),
+            "distinct, non-empty category sets, numbered in order",
+        )
 
     def __len__(self) -> int:
         return len(self.caption_ids)
@@ -219,39 +339,70 @@ class Collection:
         return self._cat_groups.get(frozenset(categories))
 
 
-def _string_rank(strings: list[str]) -> np.ndarray:
-    """The int32 rank of each string in Python's string order. A numpy
-    string sort would tie strings that differ only by trailing NULs."""
+def _string_rank(strings: list[str]) -> tuple[np.ndarray, int | None]:
+    """The int32 rank of each string in Python's string order, and the
+    first index holding a string an earlier one holds (None if none),
+    from one stable sort of the strings as Python objects: equal strings
+    sit next to each other in list order, the later of each pair a
+    repeat. A numpy string sort would tie strings that differ only by
+    trailing NULs."""
+    ranked = np.array(strings, dtype=object)
+    order = np.argsort(ranked, kind="stable")
+    ranked = ranked[order]
+    rank = np.empty(len(strings), dtype=np.int32)
+    rank[order] = np.arange(len(strings))
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    return rank, int(repeats.min()) if repeats.size else None
+
+
+def _sorts(strings: list[str], rank: np.ndarray) -> bool:
+    """Whether rank is a permutation that puts strings in strictly
+    ascending Python string order: one pass, no sort."""
     n = len(strings)
-    rank = np.empty(n, dtype=np.int32)
-    rank[sorted(range(n), key=strings.__getitem__)] = np.arange(n)
-    return rank
+    if rank.shape != (n,) or (n and not 0 <= rank.min() <= rank.max() < n):
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[rank] = True
+    ranked = np.empty(n, dtype=object)
+    ranked[rank] = strings
+    return bool(seen.all() and (ranked[:-1] < ranked[1:]).all())
 
 
-def _first_repeat(strings: list[str], rank: np.ndarray) -> int | None:
-    """The first index holding a string an earlier one holds. Equal strings
-    rank next to each other, in list order, in _string_rank(strings)."""
-    order = np.empty_like(rank)
-    order[rank] = np.arange(rank.size)
-    ranked = list(map(strings.__getitem__, order.tolist()))
-    same = np.fromiter(map(operator.eq, ranked[1:], ranked), bool)
-    return min(order[1:][same].tolist(), default=None)
+def _rows_ascend(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether each row of CSR arrays whose rows are all non-empty holds
+    strictly increasing column indices."""
+    rising = indices[1:] > indices[:-1]
+    rising[indptr[1:-1] - 1] = True  # a row's last to the next's first
+    return bool(rising.all())
+
+
+def _blob(strings: Iterable[str]) -> np.ndarray:
+    """strings as one UTF-8 byte array, each ended by a line break; none
+    may hold one."""
+    strings = list(strings)
+    text = "\n".join(strings) + "\n" if strings else ""
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _strings(blob: np.ndarray) -> list[str]:
+    """The strings of a _blob; ValueError if it is not one."""
+    strings = blob.tobytes().decode("utf-8").split("\n")
+    if strings.pop():
+        raise ValueError("collection index: a string blob is not ended")
+    return strings
 
 
 def _type_incidence(
     lengths: np.ndarray, tokens: np.ndarray, n_terms: int
-) -> sparse.csr_matrix:
-    """The docs-by-terms matrix with 1.0 where a term is a type of a doc.
-    One sort of the (doc, term) keys orders every row by term id; int64,
-    as docs times terms outgrows int32. Each row's extent is searched
-    for in the sorted keys, with no second key-sized array of doc ids,
-    and the term ids are cut to int32 and the keys freed before the
-    data array is made, so scipy makes no converting copy. A function
-    of its own so that its temporaries are freed on return: that bounds
-    the load's peak memory. scipy is imported here, not with the module,
-    so that the commands that build no index never load it."""
-    from scipy import sparse
-
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR indptr and int32 indices of the docs-by-terms matrix with
+    1.0 where a term is a type of a doc. One sort of the (doc, term)
+    keys orders every row by term id; int64, as docs times terms
+    outgrows int32. Each row's extent is searched for in the sorted
+    keys, with no second key-sized array of doc ids, and the term ids
+    are cut to int32 and the keys freed before they are returned. A
+    function of its own so that its temporaries are freed on return:
+    that bounds the load's peak memory."""
     n = lengths.size
     width = max(n_terms, 1)
     keys = np.repeat(np.arange(n, dtype=np.int64), lengths)
@@ -262,10 +413,21 @@ def _type_incidence(
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * width)
     keys %= width  # each type's term id
-    indices = keys.astype(np.int32)
-    del keys
+    return indptr, keys.astype(np.int32)
+
+
+def _csr(
+    indptr: np.ndarray, indices: np.ndarray, n_terms: int
+) -> sparse.csr_matrix:
+    """The docs-by-terms matrix of int64 indptr and int32 indices, 1.0 at
+    each entry; with its data array made last, scipy makes no converting
+    copy. scipy is imported here, not with the module, so that the
+    commands that build no index never load it."""
+    from scipy import sparse
+
     return sparse.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(n, n_terms)
+        (np.ones(indices.size), indices, indptr),
+        shape=(indptr.size - 1, n_terms),
     )
 
 
@@ -282,8 +444,128 @@ def load_collection(path, skip_empty: bool = False) -> Collection:
     type count, which an empty caption would make undefined) unless
     skip_empty is set, in which case they are dropped with a warning.
     Errors and warnings locate the record as ``<path>:<line>``.
+
+    Unless skip_empty is set, the load goes through the file's sidecar
+    (see _through_sidecar): a repeat load of an unchanged file adopts
+    the built arrays and does not parse it.
     """
-    return Collection(columns=_read_columns(path, skip_empty))
+    if skip_empty:
+        return Collection(columns=_read_columns(path, skip_empty=True))
+    return _through_sidecar(
+        path,
+        _COLLECTION_ARRAYS,
+        lambda stored: Collection(stored=stored),
+        lambda: Collection(columns=_read_columns(path, skip_empty=False)),
+        Collection._stored,
+    )
+
+
+# Suffix of the sidecar beside a collection or feature file.
+SIDECAR = ".tsr-index.npz"
+# The arrays of a sidecar, name -> (dtype, ndim), besides its uint8 key.
+# Strings are stored as _blob bytes.
+_COLLECTION_ARRAYS = {
+    "caption_ids": (np.uint8, 1),
+    "image_code": (np.int32, 1),
+    "images": (np.uint8, 1),
+    "caption_rank": (np.int32, 1),
+    "offsets": (np.int64, 1),
+    "terms": (np.uint8, 1),
+    "term_rank": (np.int32, 1),
+    "indptr": (np.int64, 1),
+    "indices": (np.int32, 1),
+    "cat_group": (np.int32, 1),
+    "group_sets": (np.uint8, 1),
+}
+_FEATURE_ARRAYS = {"ids": (np.uint8, 1), "matrix": (np.float32, 2)}
+# What a sidecar that is missing, unreadable or refused raises: OSError
+# when it cannot be opened, zipfile's own error on a bad CRC or
+# structure, KeyError on a missing member, EOFError on a truncated one,
+# RuntimeError (NotImplementedError included) on a flag or compression
+# method it does not support, ValueError on a bad array header or a
+# refused check.
+_UNUSABLE = (
+    OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile,
+)
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _through_sidecar(path, layout, adopt, parse, arrays_of):
+    """What adopt makes of the arrays of path's sidecar, ``<path>.tsr-
+    index.npz``, when its key is path's and its arrays have layout;
+    else what parse makes of the file, whose arrays_of are written as
+    its sidecar. adopt raises ValueError on arrays that break a rule.
+    The key is the sha256 of the file's bytes, then of the loader's
+    source, so an edited file or a changed loader never reuses a
+    sidecar. The file is hashed again after the parse, and the sidecar
+    written only if it did not change meanwhile. A sidecar that cannot
+    be written is skipped with a warning: the result never depends on
+    the sidecar. Only a regular file has one: a pipe cannot be read
+    twice."""
+    if not os.path.isfile(path):
+        return parse()
+    sidecar = f"{os.fspath(path)}{SIDECAR}"
+    key = _key(path)
+    try:
+        return adopt(_read_arrays(sidecar, key, layout))
+    except _UNUSABLE:
+        pass
+    built = parse()
+    if np.array_equal(_key(path), key):
+        try:
+            write_arrays(sidecar, {"key": key, **arrays_of(built)})
+        except OSError as exc:
+            log.warning("%s: sidecar not written: %s", sidecar, exc)
+    return built
+
+
+def _read_arrays(sidecar: str, key: np.ndarray, layout) -> dict:
+    """The arrays of the sidecar, read-only, checked against key and
+    layout; an error of _UNUSABLE if they do not match, or the file is
+    unusable. Each array is read to its end, so that zipfile checks its
+    CRC, and its header must give the size read: a damaged header never
+    makes an array of another size."""
+    with zipfile.ZipFile(sidecar) as archive:
+
+        def read(name: str, dtype, ndim: int) -> np.ndarray:
+            with archive.open(f"{name}.npy") as member:
+                version = np.lib.format.read_magic(member)
+                header = _NPY_HEADERS[version]  # KeyError if unknown
+                shape, fortran, got = header(member)
+                data = member.read()
+            if (got, len(shape), fortran) != (dtype, ndim, False) or (
+                math.prod(shape) * got.itemsize != len(data)
+            ):
+                raise ValueError(f"sidecar array {name} of another layout")
+            return np.frombuffer(data, dtype).reshape(shape)
+
+        if not np.array_equal(read("key", np.uint8, 1), key):
+            raise ValueError("stale sidecar")
+        return {name: read(name, *spec) for name, spec in layout.items()}
+
+
+@functools.cache
+def _loader_digest() -> bytes:
+    """The sha256 of the source of this module and of textcore, as
+    loaded."""
+    digest = hashlib.sha256()
+    for module in (sys.modules[__name__], textcore):
+        with open(module.__file__, "rb") as handle:
+            digest.update(handle.read())
+    return digest.digest()
+
+
+def _key(path) -> np.ndarray:
+    """A sidecar's key for the file at path: the sha256 of its bytes,
+    read a chunk at a time, then _loader_digest, as uint8."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return np.frombuffer(digest.digest() + _loader_digest(), dtype=np.uint8)
 
 
 def _read_columns(path, skip_empty: bool) -> Columns:
@@ -369,7 +651,9 @@ class FeatureStore:
 
     @np.errstate(over="ignore")  # rounding to float32 may overflow
     def _fill(
-        self, blocks: Iterable[tuple[Iterable[str], list, list]]
+        self,
+        blocks: Iterable[tuple[Iterable[str], list, list]],
+        matrix: np.ndarray | None = None,
     ) -> None:
         """Keep one float32 row per image of each ``(labels, image_ids,
         components)`` block, values read as float64 and rounded. Fails as
@@ -378,7 +662,9 @@ class FeatureStore:
         rounded. Each rule is one pass over the block; a refused block is
         checked one row at a time, so that its first bad row is named.
         Checked rows are appended to one growing float32 buffer, which
-        becomes the matrix without a copy."""
+        becomes the matrix without a copy; given the float32 matrix whose
+        rows the blocks are, in order, as a sidecar's are, that matrix
+        is kept instead, so that no second copy is made."""
         self._row: dict[str, int] = {}
         values = array("f")
         dim = 0
@@ -407,7 +693,8 @@ class FeatureStore:
             dim = dim or size
             start = len(self._row)
             self._row.update(zip(ids, range(start, start + n)))
-            values.frombytes(rows.tobytes())
+            if matrix is None:
+                values.frombytes(rows.tobytes())
 
         for labels, ids, components in blocks:
             if not ids:
@@ -420,9 +707,10 @@ class FeatureStore:
                         add([image_id], [row])
                     except ValueError as exc:
                         raise ValueError(f"{label}: {exc}") from None
-        self.matrix = np.frombuffer(values, np.float32).reshape(
-            len(self._row), dim
-        )
+        if matrix is None:
+            matrix = np.frombuffer(values, np.float32)
+            matrix = matrix.reshape(len(self._row), dim)
+        self.matrix = matrix
 
     def __len__(self) -> int:
         return len(self._row)
@@ -441,7 +729,16 @@ class FeatureStore:
 
 def load_features(path) -> FeatureStore:
     """Read a feature file into a FeatureStore; a malformed line fails
-    naming its ``<file>:<line>``."""
+    naming its ``<file>:<line>``. The load goes through the file's
+    sidecar, as load_collection's does; adopted rows pass the checks
+    parsed ones do."""
+    return _through_sidecar(
+        path, _FEATURE_ARRAYS, _adopt_features, lambda: _parse_features(path),
+        lambda store: {"ids": _blob(store._row), "matrix": store.matrix},
+    )
+
+
+def _parse_features(path) -> FeatureStore:
     name = os.fspath(path)
     message = "expected image_id<TAB>components"
     store = FeatureStore()
@@ -452,5 +749,23 @@ def load_features(path) -> FeatureStore:
             list(map(str.split, map(operator.itemgetter(1), rows))),
         )
         for linenos, rows in read_blocks(path, "\t", (2,), message)
+    )
+    return store
+
+
+def _adopt_features(stored: dict[str, np.ndarray]) -> FeatureStore:
+    """The FeatureStore of a sidecar's arrays, through the checks of
+    parsed blocks; ValueError if they fail, or the rows are not one per
+    id. Rows are checked 4,096 at a time, so that no float64 copy of the
+    whole matrix is made."""
+    ids, matrix = _strings(stored["ids"]), stored["matrix"]
+    if len(ids) != len(matrix):
+        raise ValueError("feature sidecar: not one row per id")
+    store = FeatureStore()
+    blocks = (
+        (ids[i:i + 4096], matrix[i:i + 4096]) for i in range(0, len(ids), 4096)
+    )
+    store._fill(
+        ((map("image {!r}".format, b), b, rows) for b, rows in blocks), matrix
     )
     return store

@@ -1,5 +1,5 @@
-"""Token primitives, the record reader and the atomic writer that every
-text artifact goes through, and inverse document frequency estimation.
+"""Token primitives, the record reader and the atomic writers that every
+artifact goes through, and inverse document frequency estimation.
 
 All text handled by this package is assumed to be pre-tokenized and
 lowercased; the only processing done here is whitespace splitting on
@@ -14,12 +14,15 @@ into relevance scores.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
 import sys
 import uuid
-from typing import Container, Iterable, Iterator, Sequence
+from typing import IO, Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 # Lines per block of read_blocks. Loading txt-capacity's collection
@@ -119,18 +122,35 @@ def joined_line(
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
-    """Write each of lines plus a newline to path as UTF-8, atomically: to
-    a temporary file beside path, renamed over it at the end. A failure
-    partway, in lines too, removes that file and keeps an earlier path
-    whole. A new file gets mode 0o666 under the umask, as open() gives."""
+    """Write each of lines plus a newline to path as UTF-8, atomically:
+    see _replacing."""
+    with _replacing(path, "w") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write arrays to path as an uncompressed ``.npz``, which
+    ``np.load(path, allow_pickle=False)`` reads back, atomically: see
+    _replacing. Each array must be of numbers, not of objects."""
+    with _replacing(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str) -> Iterator[IO]:
+    """A handle, opened in mode, on a temporary file beside path that is
+    renamed over path when the block ends. A failure partway, in the
+    block too, removes that file and keeps an earlier path whole. A new
+    file gets mode 0o666 under the umask, as open() gives."""
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the output, not the temporary file
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(line + "\n" for line in lines)
+        encoding = None if "b" in mode else "utf-8"
+        with open(fd, mode, encoding=encoding) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from tsr import CaptionDoc, Hypothesis, IdfTable, KBestList
+from tsr import CaptionDoc, Hypothesis, IdfTable, KBestList, load_collection
 
 
 class FixedIdf:
@@ -263,6 +264,19 @@ def assert_same_collection(a, b) -> None:
         for group in coll.cat_group.tolist():
             if group >= 0:
                 assert other.category_group(sets[group]) == group
+
+
+def both_loads(path) -> list:
+    """load_collection(path) by both routes: the load that parses the
+    file and writes its sidecar, then one that adopts that sidecar and
+    leaves it as it is (a rewrite would replace the file)."""
+    sidecar = Path(f"{path}.tsr-index.npz")
+    sidecar.unlink(missing_ok=True)
+    parsed = load_collection(path)
+    written = sidecar.stat().st_ino
+    adopted = load_collection(path)
+    assert sidecar.stat().st_ino == written
+    return [parsed, adopted]
 
 
 def float32_exact(values) -> list[float]:

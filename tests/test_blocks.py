@@ -320,8 +320,11 @@ def test_feature_file_loads_as_read_row_by_row(drawn):
         want, error = outcome(reference_features, path)
         with mock.patch.object(textcore, "_BLOCK", size):
             feats, got = outcome(load_features, path)
+        # A file that loads is loaded again, through the sidecar the
+        # first load wrote.
+        stores = [feats, load_features(path)] if error is None else []
     assert got == error
-    if error is None:
+    for feats in stores:
         row_of, matrix = want
         assert feats._row == row_of
         assert feats.matrix.dtype == np.float32

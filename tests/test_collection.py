@@ -11,7 +11,7 @@ from tsr import (
     load_collection,
 )
 from tsr.collection import load_features, write_normal_form
-from oracles import FixedIdf, assert_same_collection, oracle_index
+from oracles import FixedIdf, assert_same_collection, both_loads, oracle_index
 
 
 def make_docs():
@@ -114,8 +114,10 @@ def test_index_equals_oracle_on_random_collections(tmp_path):
         lines = [record(doc) for doc in docs]
         lines.insert(int(rng.integers(0, n + 1)), "c-empty\timg0\t \tdog")
         path = write_tsv(tmp_path / "coll.tsv", lines)
+        clean = write_tsv(tmp_path / "clean.tsv", map(record, docs))
         want = oracle_index(docs)
-        for coll in (Collection(docs), load_collection(path, True)):
+        routes = [Collection(docs), load_collection(path, True)]
+        for coll in routes + both_loads(clean):
             assert_holds(coll, docs)
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
@@ -140,7 +142,7 @@ def test_order_keeps_strings_numpy_would_conflate(tmp_path):
         docs = [CaptionDoc(cid, "img", tuple(draw(1, 5))) for cid in ids]
         want = oracle_index(docs)
         path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
-        for coll in (Collection(docs), load_collection(path)):
+        for coll in (Collection(docs), *both_loads(path)):
             assert_holds(coll, docs)
             assert coll.vocab == want["vocab"]
             assert coll.matrix.indices.tolist() == want["indices"]
@@ -226,13 +228,13 @@ def test_index_keys_beyond_int32(tmp_path):
         assert got == sorted({coll.vocab[words[w]] for w in row})
     assert coll.type_counts.tolist() == np.diff(matrix.indptr).tolist()
     path = write_tsv(tmp_path / "wide.tsv", map(record, docs))
-    loaded = load_collection(path)
-    assert loaded.vocab == coll.vocab
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(loaded.matrix, name), getattr(matrix, name)
-        assert np.array_equal(got, want)
-    assert np.array_equal(loaded.caption_rank, coll.caption_rank)
-    assert np.array_equal(loaded.type_counts, coll.type_counts)
+    for loaded in both_loads(path):
+        assert loaded.vocab == coll.vocab
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(loaded.matrix, name), getattr(matrix, name)
+            assert np.array_equal(got, want)
+        assert np.array_equal(loaded.caption_rank, coll.caption_rank)
+        assert np.array_equal(loaded.type_counts, coll.type_counts)
 
 
 def test_duplicate_caption_id_rejected(tmp_path):
@@ -298,7 +300,8 @@ def test_round_trip_preserves_collection(tmp_path):
     code, and records in normal form are written back as they are."""
     docs = make_docs()
     path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
-    assert_same_collection(load_collection(path), Collection(docs))
+    for loaded in both_loads(path):
+        assert_same_collection(loaded, Collection(docs))
     write_normal_form(path, tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
@@ -379,7 +382,7 @@ def test_matrix_equals_a_dense_reference(tmp_path, n_words):
         path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
         vocab = oracle_index(docs)["vocab"]
         dense = dense_type_incidence(docs, vocab)
-        for coll in (Collection(docs), load_collection(path)):
+        for coll in (Collection(docs), *both_loads(path)):
             matrix = coll.matrix
             assert coll.vocab == vocab
             assert matrix.shape == (len(docs), len(vocab))
@@ -407,7 +410,7 @@ def test_image_table_on_both_routes(tmp_path):
             CaptionDoc(f"c{i}", image, ("w",)) for i, image in enumerate(images)
         ]
         path = write_tsv(tmp_path / "coll.tsv", map(record, docs))
-        for coll in (Collection(docs), load_collection(path)):
+        for coll in (Collection(docs), *both_loads(path)):
             assert coll.image_code.dtype == np.int32
             assert [coll.images[c] for c in coll.image_code] == images
             assert coll.images == list(dict.fromkeys(images))

@@ -31,7 +31,7 @@ from tsr.evalsig import read_sentence_file
 from tsr.rerank import RerankedOutput
 from tsr.retrieval import MatchList, read_queries
 from tsr.textcore import read_records, read_token_lines, write_lines
-from oracles import assert_same_collection
+from oracles import assert_same_collection, both_loads
 
 WORD = st.text(alphabet="abcxyzäß019-'", min_size=1, max_size=5)
 SCORE = st.floats(allow_nan=False, allow_infinity=False)
@@ -56,17 +56,26 @@ def test_idf_table_round_trip(drawn):
     assert (loaded.doc_count, loaded.df) == (table.doc_count, table.df)
 
 
+# Pieces of the ids, tokens and labels of a collection round trip:
+# non-ASCII text, the k-best separator, NUL and, but in tokens, spaces.
+PIECE = st.sampled_from(["a", "b", "é", "ß", "𝔞", "|||", "\x00", "0"])
+TOKEN = st.lists(PIECE, min_size=1, max_size=4).map("".join)
+FIELD = st.lists(PIECE | st.just(" "), min_size=1, max_size=4).map("".join)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(
-    WORD,
+    FIELD,
     st.tuples(
-        WORD,
-        st.lists(WORD, min_size=1, max_size=5),
-        st.none() | st.frozensets(WORD, min_size=1, max_size=3),
+        FIELD,
+        st.lists(TOKEN, min_size=1, max_size=5),
+        st.none() | st.frozensets(FIELD, min_size=1, max_size=3),
     ),
     max_size=6,
 ))
 def test_collection_round_trip(drawn):
+    """Records load, by the text route and through the sidecar the
+    first load writes, to the collection built from them in code."""
     docs = [
         CaptionDoc(cid, image, tuple(tokens), cats)
         for cid, (image, tokens, cats) in drawn.items()
@@ -75,11 +84,11 @@ def test_collection_round_trip(drawn):
         record_line(d.caption_id, d.image_id, d.tokens, d.categories)
         for d in docs
     ]
-    loaded = round_trip(
-        lambda value, path: write_lines(path, value),
-        load_collection, lines, "coll.tsv",
-    )
-    assert_same_collection(loaded, Collection(docs))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coll.tsv"
+        write_lines(path, lines)
+        for loaded in both_loads(path):
+            assert_same_collection(loaded, Collection(docs))
 
 
 def record_line(caption_id, image_id, tokens, labels):
@@ -129,14 +138,16 @@ def test_build_index_writes_the_normal_form(records, blanks):
         src, out, again = (Path(tmp) / n for n in ("in", "out", "again"))
         write_lines(src, lines)
         assert main(["build-index", str(src), str(out)]) == refused
-        assert sorted(os.listdir(tmp)) == ["in", *["out"] * (not refused)]
+        kept = ["in.tsr-index.npz", "out"] * (not refused)
+        assert sorted(os.listdir(tmp)) == ["in", *kept]
         assert main(["build-index", str(src), str(out), "--skip-empty"]) == 0
         assert out.read_text("utf-8") == "".join(f"{l}\n" for l in want)
         assert main(["build-index", str(out), str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
-        assert_same_collection(
-            load_collection(out), load_collection(src, skip_empty=True)
-        )
+        for loaded in both_loads(out):
+            assert_same_collection(
+                loaded, load_collection(src, skip_empty=True)
+            )
 
 
 @settings(max_examples=60, deadline=None)
