@@ -5,8 +5,11 @@ Run with:  python3 demos/06_cli_walkthrough.py
 The subcommands chain through plain text artifacts: extract-idf and
 build-index persist the statics, retrieve writes a match dump, rerank
 consumes it, pipeline does both in memory, and evaluate / compare /
-tune close the loop on references. Everything here also works from a
-shell via the installed ``tsr`` entry point.
+tune close the loop on references. A stage that loads a collection or
+features file leaves a sidecar, ``<file>.tsr-index.npz``, beside it:
+a cache of the built arrays that the next stage adopts instead of
+parsing the text again. Everything here also works from a shell via
+the installed ``tsr`` entry point.
 """
 
 import json
