@@ -319,9 +319,9 @@ class Collection:
             <= self.cat_group.max() < len(self._cat_groups),
             "every category group in range",
         )
+        groups = list(self._cat_groups.values())
         require(
-            list(self._cat_groups.values()) == list(range(len(self._cat_groups)))
-            and all(self._cat_groups),
+            groups == list(range(len(groups))) and all(self._cat_groups),
             "distinct, non-empty category sets, numbered in order",
         )
 

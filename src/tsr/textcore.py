@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import uuid
+import zipfile
 from typing import IO, Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -131,9 +132,17 @@ def write_lines(path, lines: Iterable[str]) -> None:
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     """Write arrays to path as an uncompressed ``.npz``, which
     ``np.load(path, allow_pickle=False)`` reads back, atomically: see
-    _replacing. Each array must be of numbers, not of objects."""
-    with _replacing(path, "wb") as handle:
-        np.savez(handle, **arrays)
+    _replacing. Each array must be of numbers, not of objects. Each
+    member is its ``.npy`` header and then the array's own memory, so
+    no copy of an array is made (``np.savez`` makes one of up to 16 MiB
+    per array)."""
+    with _replacing(path, "wb") as handle, zipfile.ZipFile(handle, "w") as npz:
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            header = np.lib.format.header_data_from_array_1_0(array)
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(array.reshape(-1)).cast("B"))
 
 
 @contextlib.contextmanager

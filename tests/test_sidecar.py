@@ -20,6 +20,7 @@ import tsr.collection
 from tsr import load_collection
 from tsr.cli import main
 from tsr.collection import SIDECAR, load_features
+from tsr.textcore import write_arrays
 from oracles import assert_same_collection
 from test_cli import SMALL_GRID, ws  # noqa: F401 (ws is a fixture)
 
@@ -57,9 +58,10 @@ def outputs(ws, mode: str) -> dict[str, bytes]:
     return {name: (out / name).read_bytes() for name in names}
 
 
-def no_space(file, *args, **kwargs):
-    """np.savez that runs out of disk space partway through."""
-    file.write(b"PK\x03\x04 partial")
+def no_space(member, header):
+    """The npy header writer of textcore.write_arrays, running out of
+    disk space partway through a sidecar."""
+    member.write(b"\x93NUMPY partial")
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
@@ -76,7 +78,7 @@ def test_outputs_do_not_depend_on_the_sidecar(ws, mode, monkeypatch, caplog):
     sidecars = [Path(f"{path}{SIDECAR}") for path in sources]
     before = sorted(os.listdir(ws))
     with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
-        patch.setattr(np, "savez", no_space)
+        patch.setattr(np.lib.format, "write_array_header_1_0", no_space)
         unwritten = outputs(ws, mode)
     assert sorted(os.listdir(ws)) == sorted(before + ["grid.json", "out"])
     warned = [r.getMessage() for r in caplog.records]
@@ -90,7 +92,7 @@ def test_outputs_do_not_depend_on_the_sidecar(ws, mode, monkeypatch, caplog):
     for sidecar in sidecars:
         sidecar.write_bytes(sidecar.read_bytes()[:-100])
     with monkeypatch.context() as patch:
-        patch.setattr(np, "savez", no_space)
+        patch.setattr(np.lib.format, "write_array_header_1_0", no_space)
         failed = outputs(ws, mode)
     assert unwritten == written == adopted == failed
     assert not [name for name in os.listdir(ws) if name.endswith(".tmp")]
@@ -271,7 +273,7 @@ def test_failed_write_warns_once_and_leaves_no_file(
     path = tmp_path / "in.tsv"
     text = COLLECTION if load is load_collection else "i1\t1 2\ni2\t3 4\n"
     path.write_text(text, encoding="utf-8")
-    monkeypatch.setattr(np, "savez", no_space)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", no_space)
     with caplog.at_level(logging.WARNING):
         load(path)
     assert os.listdir(tmp_path) == ["in.tsv"]
@@ -345,3 +347,23 @@ def test_a_pipe_is_parsed_once(tmp_path):
         capture_output=True, cwd=tmp_path, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "40\n", "")
+
+
+def test_written_arrays_read_back_with_numpy(tmp_path):
+    """write_arrays writes an npz that np.load reads back, without
+    pickle, array for array: empty ones and a 2-D one too."""
+    arrays = {
+        "ids": np.frombuffer("a\nbé\n".encode(), np.uint8),
+        "codes": np.arange(5, dtype=np.int32),
+        "none": np.empty(0, np.int64),
+        "matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "no_rows": np.empty((0, 0), np.float32),
+    }
+    write_arrays(tmp_path / "a.npz", arrays)
+    assert os.listdir(tmp_path) == ["a.npz"]
+    with np.load(tmp_path / "a.npz", allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(arrays)
+        for name, array in arrays.items():
+            got = npz[name]
+            assert (got.dtype, got.shape) == (array.dtype, array.shape)
+            assert got.tobytes() == array.tobytes()
