@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .collection import load_collection, load_features, write_normal_form
@@ -59,6 +58,7 @@ _PATH_KEYS = (
     "references",
 )
 # Parameter keys default to None: the mode's defaults fill them in.
+# workers is checked but changes nothing: sentences are scored in turn.
 _PIPELINE_KEYS = {
     **dict.fromkeys(_PATH_KEYS),
     "mode": "txt",
@@ -158,11 +158,9 @@ def _read_kbest(path, queries: dict, queries_path) -> list:
     return kbests
 
 
-def _run_sentences(work, kbests, workers: int) -> list:
-    if workers <= 1:
-        return [work(kb) for kb in kbests]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, kbests))
+def _run_sentences(work, kbests) -> list:
+    """work's result for each k-best list, in order."""
+    return [work(kb) for kb in kbests]
 
 
 def cmd_extract_idf(args) -> int:
@@ -184,7 +182,6 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    check_count("workers", args.workers)
     _check_mode(args.mode, args.features, args.queries)
     params, _ = _resolve_params(args.mode, vars(args))
     idf, coll, feats, queries = _load_inputs(
@@ -195,7 +192,7 @@ def cmd_retrieve(args) -> int:
     work = functools.partial(
         retrieve_sentence, retriever, queries, args.mode, params
     )
-    matchlists = _run_sentences(work, kbests, args.workers)
+    matchlists = _run_sentences(work, kbests)
     write_matchlists(matchlists, coll, args.out)
     fallbacks = sum(ml.used_fallback for ml in matchlists)
     print(f"sentences: {len(matchlists)}")
@@ -276,7 +273,7 @@ def cmd_pipeline(args) -> int:
         ml = retrieve_sentence(retriever, queries, mode, retrieval_params, kb)
         return select_best(kb, ml, retriever, rerank_params)
 
-    outputs = _run_sentences(work, kbests, cfg["workers"])
+    outputs = _run_sentences(work, kbests)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,6 +315,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_count("trials", args.trials)
+    if args.seed < 0:
+        raise ValueError(
+            f"seed must be a non-negative integer, got {args.seed}"
+        )
     sys_a, sys_b, refs = align_sentences([args.a, args.b, args.ref])
     stats_a, stats_b = [], []
     for a, b, ref in zip(sys_a, sys_b, refs):
@@ -430,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--features", help="image feature file (cnn mode)")
     sp.add_argument("--queries", help="per-sentence image ids / categories")
     _add_param_flags(sp, RetrievalParams)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_retrieve)
 
     sp = sub.add_parser(
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--" + key.replace("_", "-"), dest=key)
     sp.add_argument("--mode", choices=MODES)
     _add_param_flags(sp, *_PARAMS)
-    sp.add_argument("--workers", type=int)
+    sp.add_argument("--workers", type=int, help="checked, then ignored")
     sp.add_argument(
         "--diagnostics", action="store_const", const=True, default=None
     )

@@ -159,11 +159,11 @@ class Columns:
 class Collection:
     """Immutable indexed collection of caption documents.
 
-    Safe for concurrent reads; all derived structures are made once in
-    the constructor, by one of two paths: built from docs or from the
-    columns load_collection parsed, or adopted from the arrays of a
-    sidecar (see load_collection). Both end in _check, which states the
-    collection's invariants. The docs themselves are not kept.
+    All derived structures are made once in the constructor, by one of
+    two paths: built from docs or from the columns load_collection
+    parsed, or adopted from the arrays of a sidecar (see
+    load_collection). Both end in _check, which states the collection's
+    invariants. The docs themselves are not kept.
     """
 
     def __init__(
@@ -487,10 +487,6 @@ _FEATURE_ARRAYS = {"ids": (np.uint8, 1), "matrix": (np.float32, 2)}
 _UNUSABLE = (
     OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile,
 )
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
 
 
 def _through_sidecar(path, layout, adopt, parse, arrays_of):
@@ -526,15 +522,17 @@ def _read_arrays(sidecar: str, key: np.ndarray, layout) -> dict:
     """The arrays of the sidecar, read-only, checked against key and
     layout; an error of _UNUSABLE if they do not match, or the file is
     unusable. Each array is read to its end, so that zipfile checks its
-    CRC, and its header must give the size read: a damaged header never
-    makes an array of another size."""
+    CRC, and its header must be the .npy 1.0 header write_arrays writes
+    and give the size read: a damaged header never makes an array of
+    another size."""
     with zipfile.ZipFile(sidecar) as archive:
 
         def read(name: str, dtype, ndim: int) -> np.ndarray:
             with archive.open(f"{name}.npy") as member:
-                version = np.lib.format.read_magic(member)
-                header = _NPY_HEADERS[version]  # KeyError if unknown
-                shape, fortran, got = header(member)
+                if np.lib.format.read_magic(member) != (1, 0):
+                    raise ValueError(f"sidecar array {name} not .npy 1.0")
+                header = np.lib.format.read_array_header_1_0(member)
+                shape, fortran, got = header
                 data = member.read()
             if (got, len(shape), fortran) != (dtype, ndim, False) or (
                 math.prod(shape) * got.itemsize != len(data)

@@ -196,16 +196,15 @@ class Retriever:
     """Reusable scorer over one (collection, idf, features) triple.
 
     Precomputes the per-term idf weight vector, the docs of each
-    category set and, given features, the docs of each feature row;
-    retrieve() is safe to call from many threads at once. The gated
-    modes apply their gate first and score only the docs it admits,
-    gathered from those groups; selection then ranks only those docs.
-    The cnn gate keeps each feature row's squared norm, bounds every
-    row's distance with one float32 product per query and measures in
-    float64 only the rows the bound cannot place beyond the cutoff.
-    Selection partitions around the k_m-th largest score and sorts only
-    k_m docs plus the tie group at the cut, not every doc scoring above
-    zero.
+    category set and, given features, the docs of each feature row.
+    The gated modes apply their gate first and score only the docs it
+    admits, gathered from those groups; selection then ranks only those
+    docs. The cnn gate keeps each feature row's squared norm, bounds
+    every row's distance with one float32 product per query and
+    measures in float64 only the rows the bound cannot place beyond the
+    cutoff. Selection partitions around the k_m-th largest score and
+    sorts only k_m docs plus the tie group at the cut, not every doc
+    scoring above zero.
     """
 
     def __init__(self, coll: Collection, idf, feats: FeatureStore | None = None):
@@ -438,8 +437,7 @@ def _squared_distances(matrix, rows, centre, out):
     """out[i] = the float64 pairwise sum of (matrix[rows[i]] - centre)**2,
     or of matrix[i]'s when rows is None, upcast one _DISTANCE_BLOCK of
     rows at a time into one buffer; returns out. A row's sum does not
-    depend on the block size or on the other rows in its block. The
-    buffer is local: threads share the Retriever."""
+    depend on the block size or on the other rows in its block."""
     n = len(out)
     buf = np.empty((min(_DISTANCE_BLOCK, n), matrix.shape[1]), np.float64)
     for start in range(0, n, _DISTANCE_BLOCK):
@@ -615,7 +613,7 @@ def read_queries(path) -> dict[str, Query]:
     """Read per-sentence query metadata.
 
     Format: ``sent_id<TAB>image_id[<TAB>cat1,cat2]`` with ``-`` standing
-    for a missing image id.
+    for a missing image id; an empty image_id fails.
     """
     queries: dict[str, Query] = {}
     for where, fields in read_records(
@@ -624,6 +622,8 @@ def read_queries(path) -> dict[str, Query]:
         sent_id = fields[0].strip()
         if sent_id in queries:
             raise ValueError(f"{where}: duplicate sent_id {sent_id!r}")
+        if not fields[1]:
+            raise ValueError(f"{where}: empty image_id ('-' marks none)")
         image_id = fields[1] if fields[1] != "-" else None
         categories = parse_categories(fields[2]) if len(fields) == 3 else None
         queries[sent_id] = Query(sent_id, image_id, categories)

@@ -167,10 +167,8 @@ def _replacing(path, mode: str) -> Iterator[IO]:
 
 
 class IdfTable:
-    """Document frequencies of terms over a monolingual corpus.
-
-    Immutable after construction and safe to share across threads.
-    """
+    """Document frequencies of terms over a monolingual corpus,
+    immutable after construction."""
 
     def __init__(self, doc_count: int, df: dict[str, int]):
         if doc_count <= 0:

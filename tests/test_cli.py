@@ -338,18 +338,23 @@ class TestRetrieveRerank:
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_checked_before_loading(self, ws, capsys, workers):
-        argv = (
-            "retrieve",
+        """pipeline checks its --workers, which changes nothing; retrieve
+        has no such flag."""
+        inputs = (
             "--collection", ws / "missing.tsv",
             "--idf", ws / "idf.txt",
             "--kbest", ws / "kbest.txt",
-            "--out", ws / "m.txt",
-            "--workers", workers,
         )
-        assert run(*argv) == 1
+        argv = ("pipeline", *inputs, "--out-dir", ws / "pipe")
+        assert run(*argv, "--workers", workers) == 1
         assert capsys.readouterr().err == (
             f"error: workers must be a positive integer, got {workers}\n"
         )
+        assert not (ws / "pipe").exists()
+        with pytest.raises(SystemExit) as exc:
+            run("retrieve", *inputs, "--out", ws / "m.txt", "--workers", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (ws / "m.txt").exists()
 
 
@@ -590,11 +595,12 @@ class TestPipeline:
         )
 
     def test_worker_count_does_not_change_output(self, ws):
-        self.pipeline(ws, "w1", "--workers", "1")
-        self.pipeline(ws, "w4", "--workers", "4")
-        assert (ws / "w1" / "output.txt").read_bytes() == (
-            ws / "w4" / "output.txt"
-        ).read_bytes()
+        self.pipeline(ws, "w1", "--workers", "1", "--diagnostics")
+        self.pipeline(ws, "w4", "--workers", "4", "--diagnostics")
+        for name in ("output.txt", "diagnostics.txt", "report.txt"):
+            assert (ws / "w1" / name).read_bytes() == (
+                ws / "w4" / name
+            ).read_bytes()
 
 
 class TestEvaluateCompare:
@@ -640,6 +646,28 @@ class TestEvaluateCompare:
         first = capsys.readouterr().out
         run("compare", a, b, ref, "--trials", "200", "--seed", "5")
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--seed", "-1")]
+    )
+    def test_compare_flags_checked_before_reading(
+        self, ws, capsys, flag, value
+    ):
+        """A bad --trials or --seed fails naming the flag, before any of
+        the three files is opened: here the first one is missing."""
+        refs = ws / "refs.txt"
+        argv = ("compare", ws / "missing.txt", refs, refs, flag, value)
+        assert run(*argv) == 1
+        rule = "a positive" if flag == "--trials" else "a non-negative"
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]} must be {rule} integer, got {value}\n"
+        )
+
+    def test_compare_seed_zero_accepted(self, ws, capsys):
+        refs = ws / "refs.txt"
+        argv = ("compare", refs, refs, refs, "--trials", "20", "--seed", "0")
+        assert run(*argv) == 0
+        assert "seed: 0\np-value: 1.000000\n" in capsys.readouterr().out
 
     def test_compare_and_evaluate_run_without_scipy(self, ws):
         # scipy builds the index; these two commands build none.

@@ -366,7 +366,8 @@ ARTIFACTS = {
         read_queries,
         ["s1\ti1\tperson", "s2\t-", "s3\ti2\tdog,person"],
         {"no tabs": lambda l: l.replace("\t", " "),
-         "extra field": lambda l: l + "\tx\ty"},
+         "extra field": lambda l: l + "\tx\ty",
+         "empty image_id": lambda l: l.split("\t")[0] + "\t"},
     ),
     "matches": (
         lambda path: read_matchlists(path, MATCH_COLL),

@@ -1,8 +1,6 @@
 import itertools
 import math
-import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -955,32 +953,6 @@ class TestGatedScorerBits:
                 )
         assert True in measured and False in measured
         assert True in sides and False in sides
-
-    def test_threads_get_the_sequential_results(self):
-        _, docs, retriever, _ = self.instance(8, [])
-        rng = np.random.default_rng(9)
-        vocab = sorted(retriever.coll.vocab)
-        images = sorted({d.image_id for d in docs})
-        queries = [
-            (random_kbest(rng, f"s{q}", vocab, 3),
-             images[int(rng.integers(0, len(images)))])
-            for q in range(64)
-        ]
-        params = RetrievalParams(3, 20, 0.7, 1.75)
-
-        def run(query):
-            ml = retriever.retrieve(query[0], query[1], None, "cnn", params)
-            return ml.used_fallback, [(r, s.hex()) for r, s in ml.matches]
-
-        sequential = list(map(run, queries))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                threaded = list(pool.map(run, queries, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == sequential
 
 
 def one_caption_per_image(feats_map):

@@ -162,6 +162,30 @@ def test_sidecar_of_another_loader_source(coll_path, monkeypatch):
     assert_rewritten(coll_path, inode(sidecar))
 
 
+def npy_versions(sidecar: Path) -> set[bytes]:
+    """The .npy format version bytes of every member of the sidecar."""
+    with zipfile.ZipFile(sidecar) as archive:
+        return {archive.read(name)[6:8] for name in archive.namelist()}
+
+
+def test_sidecar_of_npy_format_2_0(coll_path, monkeypatch):
+    """A sidecar under a matching key whose members have .npy 2.0
+    headers, which write_arrays never writes, is refused and rewritten
+    with 1.0 headers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            np.lib.format, "write_array_header_1_0",
+            np.lib.format.write_array_header_2_0,
+        )
+        load_collection(coll_path)
+    sidecar = Path(f"{coll_path}{SIDECAR}")
+    assert npy_versions(sidecar) == {bytes([2, 0])}
+    key = tsr.collection._key(coll_path)
+    assert np.array_equal(stored(coll_path)["key"], key)
+    assert_rewritten(coll_path, inode(sidecar))
+    assert npy_versions(sidecar) == {bytes([1, 0])}
+
+
 def member_data_end(sidecar: Path, name: str) -> int:
     """The offset just past the stored bytes of one npz member."""
     with zipfile.ZipFile(sidecar) as archive:
