@@ -2,13 +2,14 @@
 
 Run with:  python3 demos/04_bleu_and_significance.py
 
-Per-sentence statistics (clipped n-gram matches, totals, lengths) are
-plain integers that add across sentences, so corpus BLEU and the
-approximate-randomization significance test both work on sentence
-stats without re-touching the text.
+Each sentence's statistics are one integer row: 4 clipped n-gram
+matches, 4 n-gram totals, the hypothesis length and the reference
+length. Rows add across sentences, so corpus BLEU (of the column sums)
+and the approximate-randomization significance test (which swaps rows
+between systems) both work on the rows without re-touching the text.
 """
 
-from tsr import approx_randomization, bleu_score, bleu_stats, sum_stats
+from tsr import approx_randomization, bleu_score, bleu_stats
 
 REF = [
     "a man rides a brown horse",
@@ -34,17 +35,15 @@ SYSTEM_B = [
 
 
 def stats(system):
-    return [
-        bleu_stats(tuple(h.split()), tuple(r.split()))
-        for h, r in zip(system, REF)
-    ]
+    return bleu_stats([h.split() for h in system], [r.split() for r in REF])
 
 
 stats_a, stats_b = stats(SYSTEM_A), stats(SYSTEM_B)
-for name, s in (("A", stats_a), ("B", stats_b)):
-    total = sum_stats(s)
-    print(f"system {name}: matches={total.matches} totals={total.totals}"
-          f" hyp_len={total.hyp_len} ref_len={total.ref_len}")
+for name, rows in (("A", stats_a), ("B", stats_b)):
+    total = rows.sum(axis=0)
+    print(f"system {name}: matches={total[:4].tolist()}"
+          f" totals={total[4:8].tolist()}"
+          f" hyp_len={total[8]} ref_len={total[9]}")
     print(f"system {name}: BLEU = {100 * bleu_score(total):.2f}")
 
 # The null hypothesis: A and B are the same system, so swapping their

@@ -14,7 +14,7 @@ from .collection import (
     FeatureStore,
     load_collection,
 )
-from .evalsig import approx_randomization, bleu_score, bleu_stats, sum_stats
+from .evalsig import approx_randomization, bleu_score, bleu_stats
 from .rerank import (
     RerankParams,
     relevance_scores,
@@ -59,7 +59,6 @@ __all__ = [
     "relevance_scores",
     "select_best",
     "stepwise_search",
-    "sum_stats",
     "write_diagnostics",
     "write_matchlists",
     "write_output",

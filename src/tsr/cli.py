@@ -24,11 +24,10 @@ from .evalsig import (
     approx_randomization,
     bleu_score,
     bleu_stats,
-    bleu_stats_each,
+    check_seed,
     join_sentences,
     mismatched_ids,
     read_sentence_file,
-    sum_stats,
 )
 from .rerank import (
     RERANK_DEFAULTS,
@@ -294,10 +293,8 @@ def cmd_pipeline(args) -> int:
         f"fallbacks: {fallbacks} / {len(outputs)}",
     ]
     if refs is not None:
-        total = sum_stats(
-            [bleu_stats(o.chosen.tokens, r) for o, r in zip(outputs, refs)]
-        )
-        score = bleu_score(total)
+        hyps = [out.chosen.tokens for out in outputs]
+        score = bleu_score(bleu_stats(hyps, refs).sum(axis=0))
         report.append(f"BLEU: {100 * score:.2f} ({score:.6f})")
     for line in report:
         print(line)
@@ -307,8 +304,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_evaluate(args) -> int:
     hyps, refs = align_sentences([args.hyp, args.ref])
-    total = sum_stats([bleu_stats(h, r) for h, r in zip(hyps, refs)])
-    score = bleu_score(total)
+    score = bleu_score(bleu_stats(hyps, refs).sum(axis=0))
     print(f"sentences: {len(hyps)}")
     print(f"BLEU: {100 * score:.2f} ({score:.6f})")
     return 0
@@ -316,18 +312,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     check_count("trials", args.trials)
-    if args.seed < 0:
-        raise ValueError(
-            f"seed must be a non-negative integer, got {args.seed}"
-        )
+    check_seed(args.seed)
     sys_a, sys_b, refs = align_sentences([args.a, args.b, args.ref])
-    stats_a, stats_b = [], []
-    for a, b, ref in zip(sys_a, sys_b, refs):
-        stat_a, stat_b = bleu_stats_each((a, b), ref)
-        stats_a.append(stat_a)
-        stats_b.append(stat_b)
-    score_a = bleu_score(sum_stats(stats_a))
-    score_b = bleu_score(sum_stats(stats_b))
+    stats_a, stats_b = bleu_stats(sys_a, refs), bleu_stats(sys_b, refs)
+    score_a = bleu_score(stats_a.sum(axis=0))
+    score_b = bleu_score(stats_b.sum(axis=0))
     p = approx_randomization(stats_a, stats_b, args.trials, args.seed)
     print(f"sentences: {len(refs)}")
     print(f"BLEU_A: {100 * score_a:.2f} ({score_a:.6f})")

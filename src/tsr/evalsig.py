@@ -7,15 +7,19 @@ smoothing: any zero precision zeroes the corpus score, and an empty
 hypothesis corpus scores 0 by convention. Scores live in [0, 1]; use
 100 * bleu_score(...) for conventional display.
 
-Sufficient statistics are integers and strictly additive, which makes
-the significance test cheap: to compare systems A and B, swap the
-per-sentence statistics of a random subset of sentences, recompute both
-corpus scores, and count how often the shuffled score difference
-reaches the observed one. Each trial draws from its own generator
-seeded by a spawned child of the master seed, so p-values are
-bit-identical across runs. The swapped statistics of a block of trials
-are summed in one float64 matrix product: every partial sum is an
-integer below 2**53, so the product is exact in any summation order.
+The sufficient statistics of a sentence are one int64 row: 4 clipped
+n-gram matches, 4 hypothesis n-gram totals, hyp_len and ref_len.
+bleu_stats returns one row per sentence, a corpus's statistics are the
+column sums of its rows, and bleu_score scores either. Rows are
+strictly additive, which makes the significance test cheap: to compare
+systems A and B, swap the rows of a random subset of sentences,
+recompute both corpus scores, and count how often the shuffled score
+difference reaches the observed one. Each trial draws from its own
+generator seeded by a spawned child of the master seed, so p-values
+are bit-identical across runs. The swapped statistics of a block of
+trials are summed in one float64 matrix product: every partial sum is
+an integer below 2**53, so the product is exact in any summation
+order.
 
 The random source is numpy's default generator (PCG64, numpy >= 1.24)
 with SeedSequence.spawn for per-trial child seeds; changing either
@@ -25,88 +29,78 @@ would change p-values, so both are pinned here.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .retrieval import _is_number, check_count
 from .textcore import read_records
 
 MAX_ORDER = 4
+# Columns of a statistics row.
+_COLUMNS = 2 * MAX_ORDER + 2
 # Random draws approx_randomization holds at once: a block is as many
 # trials as fit in 2**18 float64 (2 MB; their masks take as much again).
 _MASK_ELEMENTS = 2**18
-
-
-@dataclass(frozen=True)
-class BleuStats:
-    """Sufficient statistics of one hypothesis/reference pair (or, by
-    summation, of a corpus): clipped n-gram matches, hypothesis n-gram
-    totals, and both lengths."""
-
-    matches: tuple[int, int, int, int]
-    totals: tuple[int, int, int, int]
-    hyp_len: int
-    ref_len: int
-
-    def __post_init__(self):
-        for m, t in zip(self.matches, self.totals):
-            if not 0 <= m <= t:
-                raise ValueError("clipped matches exceed n-gram totals")
-
-    def __add__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            tuple(a + b for a, b in zip(self.matches, other.matches)),
-            tuple(a + b for a, b in zip(self.totals, other.totals)),
-            self.hyp_len + other.hyp_len,
-            self.ref_len + other.ref_len,
-        )
-
-    @classmethod
-    def zero(cls) -> "BleuStats":
-        return cls((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> BleuStats:
-    """Clipped n-gram match statistics of hyp against one reference."""
-    return bleu_stats_each((hyp,), ref)[0]
-
-
-def bleu_stats_each(
-    hyps: Sequence[Sequence[str]], ref: Sequence[str]
-) -> list[BleuStats]:
-    """bleu_stats of each of hyps against one reference, whose n-grams
-    are counted once."""
-    ref_counts = [_ngram_counts(ref, n) for n in range(1, MAX_ORDER + 1)]
-    stats = []
-    for hyp in hyps:
-        matches = []
-        totals = []
-        for n, counts in enumerate(ref_counts, start=1):
-            hyp_counts = _ngram_counts(hyp, n)
-            matches.append(sum((hyp_counts & counts).values()))
-            totals.append(max(len(hyp) - n + 1, 0))
-        stats.append(
-            BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
+def bleu_stats(
+    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]
+) -> np.ndarray:
+    """Statistics rows of aligned hypotheses against their references:
+    an (n, 10) int64 array whose row i holds the MAX_ORDER clipped
+    n-gram matches of hyps[i] against refs[i], its MAX_ORDER n-gram
+    totals, and both lengths."""
+    if len(hyps) != len(refs):
+        raise ValueError(
+            f"{len(hyps)} hypotheses but {len(refs)} references"
         )
-    return stats
+    orders = range(1, MAX_ORDER + 1)
+    rows = []
+    for hyp, ref in zip(hyps, refs):
+        rows.append(
+            [
+                sum((_ngram_counts(hyp, n) & _ngram_counts(ref, n)).values())
+                for n in orders
+            ]
+            + [max(len(hyp) - n + 1, 0) for n in orders]
+            + [len(hyp), len(ref)]
+        )
+    return np.array(rows, dtype=np.int64).reshape(len(rows), _COLUMNS)
 
 
-def sum_stats(stats: Sequence[BleuStats]) -> BleuStats:
-    total = BleuStats.zero()
-    for s in stats:
-        total = total + s
-    return total
+def _checked_rows(rows, ndim: int) -> np.ndarray:
+    """rows as int64 statistics rows (one row for ndim 1, a stack of
+    them for ndim 2), or ValueError naming the rule they break: integer
+    entries, _COLUMNS columns, none negative, no clipped match count
+    above its n-gram total."""
+    rows = np.asarray(rows)
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"statistics must be integers, got {rows.dtype}")
+    if rows.ndim != ndim or rows.shape[-1] != _COLUMNS:
+        raise ValueError(
+            f"statistics must be {ndim}-dimensional with {_COLUMNS}"
+            f" columns, got shape {rows.shape}"
+        )
+    # A uint64 entry of 2**63 or more turns negative, and is refused.
+    rows = rows.astype(np.int64, copy=False)
+    if (rows < 0).any():
+        raise ValueError("statistics must not be negative")
+    if (rows[..., :MAX_ORDER] > rows[..., MAX_ORDER : 2 * MAX_ORDER]).any():
+        raise ValueError("clipped matches exceed n-gram totals")
+    return rows
 
 
-def bleu_score(stats: BleuStats) -> float:
-    """Corpus BLEU in [0, 1] from summed statistics."""
-    return _bleu(*stats.matches, *stats.totals, stats.hyp_len, stats.ref_len)
+def bleu_score(row) -> float:
+    """BLEU in [0, 1] of one statistics row: a pair's, or a corpus's
+    as rows.sum(axis=0)."""
+    return _bleu(*_checked_rows(row, 1).tolist())
 
 
 def _bleu(*row: int) -> float:
@@ -124,37 +118,33 @@ def _bleu(*row: int) -> float:
     return brevity * math.exp(log_precisions)
 
 
-def _stats_array(stats: Sequence[BleuStats]) -> np.ndarray:
-    rows = [
-        (*s.matches, *s.totals, s.hyp_len, s.ref_len) for s in stats
-    ]
-    return np.asarray(rows, dtype=np.int64)
+def check_seed(seed) -> None:
+    """Reject anything but a non-negative integer; bools are not integers."""
+    if not (_is_number(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def approx_randomization(
-    stats_a: Sequence[BleuStats],
-    stats_b: Sequence[BleuStats],
-    trials: int,
-    seed: int,
-) -> float:
+def approx_randomization(stats_a, stats_b, trials: int, seed: int) -> float:
     """Two-sided approximate-randomization p-value for the corpus BLEU
-    difference between aligned systems A and B.
+    difference between aligned systems A and B, given their statistics
+    rows as bleu_stats returns them.
 
     Each trial swaps every sentence's A/B statistics independently with
     probability 1/2 and recomputes the absolute corpus score
     difference; the p-value is (exceedances + 1) / (trials + 1), so it
-    is never 0 and is exactly 1 for identical systems. ValueError when
+    is never 0 and is exactly 1 for identical systems. trials must be
+    a positive integer and seed a non-negative one. ValueError when
     a statistic's absolute A/B differences sum to 2**53 or more, where
     the float64 shift sums would stop being exact.
     """
+    check_count("trials", trials)
+    check_seed(seed)
     if len(stats_a) != len(stats_b):
         raise ValueError("systems have different sentence counts")
-    if not stats_a:
+    if not len(stats_a):
         raise ValueError("no sentences to test")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    a = _stats_array(stats_a)
-    b = _stats_array(stats_b)
+    a = _checked_rows(stats_a, 2)
+    b = _checked_rows(stats_b, 2)
     sum_a = a.sum(axis=0)
     sum_b = b.sum(axis=0)
     observed = abs(_bleu(*sum_a.tolist()) - _bleu(*sum_b.tolist()))
@@ -163,7 +153,7 @@ def approx_randomization(
     if max(map(sum, np.abs(delta).T.tolist())) >= 2**53:
         raise ValueError("statistics differ too much to sum exactly")
     delta_f = delta.astype(np.float64)
-    n = len(stats_a)
+    n = len(a)
     root = np.random.SeedSequence(seed)
     block = max(1, _MASK_ELEMENTS // n)
     exceed = 0

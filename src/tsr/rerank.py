@@ -82,12 +82,32 @@ def relevance_scores(
     sequence lacks adds an exact 0.0, which leaves a non-negative sum's
     bits as they are.
     """
+    return prefix_relevances(
+        token_lists, matches, retriever, [len(matches.matches)]
+    )[0]
+
+
+def prefix_relevances(
+    token_lists: Sequence[Sequence[str]],
+    matches: MatchList,
+    retriever: Retriever,
+    sizes: Sequence[int],
+) -> list[list[float]]:
+    """relevance_scores of token_lists against the first size matches,
+    for each size in sizes (all of them when size exceeds the list).
+
+    The prefixes share one pass: the accumulated sum over all matches
+    already holds a prefix's numerator at the last type of its last
+    caption, since captions are summed in match order.
+    """
     coll = retriever.coll
     size, pairs = len(coll), matches.matches
     rows = np.fromiter((checked_row(r, s, size) for r, s in pairs), np.int64)
-    total = int((coll.offsets[rows + 1] - coll.offsets[rows]).sum())
-    if total == 0 or not token_lists:
-        return [0.0] * len(token_lists)
+    ends = np.minimum(sizes, rows.size)
+    lengths = coll.offsets[rows + 1] - coll.offsets[rows]
+    totals = np.concatenate(([0], np.cumsum(lengths)))[ends]
+    if totals.max(initial=0) == 0 or not token_lists:
+        return [[0.0] * len(token_lists) for _ in ends]
     types = coll.matrix[rows]
     caption = np.repeat(np.arange(rows.size), np.diff(types.indptr))
     key = caption * len(coll.vocab) + coll.term_rank[types.indices]
@@ -95,7 +115,11 @@ def relevance_scores(
     # Gathered one list at a time: no k_r-by-vocabulary matrix.
     counts = np.array([retriever.term_counts(t)[ordered] for t in token_lists])
     addends = counts * retriever.weights[ordered]
-    return (np.add.accumulate(addends, axis=1)[:, -1] / total).tolist()
+    sums = np.add.accumulate(addends, axis=1)
+    return [
+        (sums[:, last] / total).tolist() if total else [0.0] * len(token_lists)
+        for total, last in zip(totals.tolist(), types.indptr[ends] - 1)
+    ]
 
 
 def select_best(
@@ -108,8 +132,9 @@ def select_best(
     """Pick the hypothesis maximizing decoder score plus weighted
     relevance over the first k_r hypotheses; earlier decoder rank wins
     ties. matches must pass checked_row on retriever's collection.
-    relevances, when given, are those hypotheses' relevance_scores
-    against matches, computed by the caller (tune reuses them)."""
+    relevances, when given, are those hypotheses' relevances computed
+    by the caller (tune passes those against a prefix of matches);
+    matches then gives only its fallback flag."""
     if params is None:
         params = RerankParams()
     hyps = rbest.hyps[: params.k_r]

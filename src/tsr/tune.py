@@ -18,20 +18,25 @@ it, with the same bits as a point evaluated from scratch:
   grid's largest k_m. Selection is a total order (score descending,
   then caption id) and the fallback does not depend on k_m, so the
   match list of a smaller k_m is a prefix of that retrieval.
-* Relevance is computed once per match list, for the first max(k_r)
-  hypotheses. Each hypothesis's relevance is computed on its own, so
-  the first k_r of them are what select_best would compute for k_r.
-* A hypothesis's BLEU statistics never change across points; they are
-  computed when a point first chooses it.
+* Relevance is computed once per retrieval, for the first max(k_r)
+  hypotheses and every k_m of the grid. Captions are summed in match
+  order, so one accumulated sum over the retrieval holds each k_m's
+  numerator at the last type of its k_m-th caption. Each hypothesis's
+  relevance is computed on its own, so the first k_r of them are what
+  select_best would compute for k_r.
+* A hypothesis's BLEU statistics row never changes across points; it
+  is computed when a point first chooses the hypothesis.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
 
+import numpy as np
+
 from .collection import Collection, FeatureStore
-from .evalsig import BleuStats, bleu_score, bleu_stats, sum_stats
-from .rerank import RerankParams, relevance_scores, select_best
+from .evalsig import bleu_score, bleu_stats
+from .rerank import RerankParams, prefix_relevances, select_best
 from .retrieval import (
     KBestList,
     MatchList,
@@ -168,43 +173,34 @@ def stepwise_search(
 
     retriever = Retriever(dev.coll, dev.idf, dev.feats)
     top_k_m, top_k_r = max(grid.k_m), max(grid.k_r)
-    retrieved: dict[RetrievalParams, list[MatchList]] = {}
-    # Per match list: each sentence's (matches, first max(k_r) relevances)
-    ranked: dict[RetrievalParams, list[tuple[MatchList, list[float]]]] = {}
-    # Per sentence: decoder rank -> BLEU statistics of that hypothesis
-    stats: list[dict[int, BleuStats]] = [{} for _ in dev.kbests]
-
-    def matchlists(rparams: RetrievalParams) -> list[MatchList]:
-        key = replace(rparams, k_m=top_k_m)
-        full = retrieved.get(key)
-        if full is None:
-            full = retrieved[key] = [
-                retrieve_sentence(retriever, dev.queries, mode, key, kb)
-                for kb in dev.kbests
-            ]
-        return [
-            MatchList(ml.sent_id, ml.matches[: rparams.k_m], ml.used_fallback)
-            for ml in full
-        ]
+    # Per retrieval at the grid's largest k_m: each sentence's matches
+    # and, per k_m, the relevances of its first max(k_r) hypotheses
+    ranked: dict[RetrievalParams, list[tuple[MatchList, dict]]] = {}
+    # Per sentence: decoder rank -> BLEU statistics row of that hypothesis
+    stats: list[dict[int, np.ndarray]] = [{} for _ in dev.kbests]
 
     def evaluate(point: dict[str, float]) -> float:
         rparams, params = params_at(point)
-        sentences = ranked.get(rparams)
+        key = replace(rparams, k_m=top_k_m)
+        sentences = ranked.get(key)
         if sentences is None:
-            sentences = ranked[rparams] = []
-            for kb, ml in zip(dev.kbests, matchlists(rparams)):
+            sentences = ranked[key] = []
+            for kb in dev.kbests:
+                ml = retrieve_sentence(retriever, dev.queries, mode, key, kb)
                 tokens = [hyp.tokens for hyp in kb.hyps[:top_k_r]]
-                sentences.append((ml, relevance_scores(tokens, ml, retriever)))
+                rels = prefix_relevances(tokens, ml, retriever, grid.k_m)
+                sentences.append((ml, dict(zip(grid.k_m, rels))))
         chosen = []
         for kb, (ml, rels), ref, known in zip(
             dev.kbests, sentences, dev.references, stats
         ):
-            out = select_best(kb, ml, retriever, params, rels[: params.k_r])
+            relevances = rels[rparams.k_m][: params.k_r]
+            out = select_best(kb, ml, retriever, params, relevances)
             rank = out.decoder_rank_of_chosen
             if rank not in known:
-                known[rank] = bleu_stats(out.chosen.tokens, ref)
+                known[rank] = bleu_stats([out.chosen.tokens], [ref])[0]
             chosen.append(known[rank])
-        return bleu_score(sum_stats(chosen))
+        return bleu_score(np.sum(chosen, axis=0))
 
     trace: list[tuple[dict[str, float], float]] = []
     best_bleu = None

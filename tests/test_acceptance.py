@@ -32,7 +32,6 @@ from tsr import (
     relevance_scores,
     select_best,
     stepwise_search,
-    sum_stats,
 )
 from tsr.retrieval import MODES, MatchList
 from oracles import (
@@ -495,26 +494,29 @@ def test_bleu_correctness():
     """Corpus BLEU: exact 1.0 on a perfect corpus, the clipped 2/7
     unigram fixture, exact additivity of sufficient statistics, and a
     frozen 10-sentence corpus value to 1e-9."""
-    perfect = bleu_stats(tok("a man rides a horse"), tok("a man rides a horse"))
+    perfect = bleu_stats(
+        [tok("a man rides a horse")], [tok("a man rides a horse")]
+    )[0]
     assert bleu_score(perfect) == pytest.approx(1.0, abs=1e-15)
 
     clipped = bleu_stats(
-        tok("the the the the the the the"), tok("the cat is on the mat")
-    )
-    assert clipped.matches[0] == 2 and clipped.totals[0] == 7
+        [tok("the the the the the the the")], [tok("the cat is on the mat")]
+    )[0]
+    assert clipped[0] == 2 and clipped[4] == 7
 
     rng = np.random.default_rng(17)
     vocab = [f"w{i}" for i in range(12)]
-    stats = [
-        bleu_stats(
-            tuple(rng.choice(vocab, size=int(rng.integers(1, 12)))),
-            tuple(rng.choice(vocab, size=int(rng.integers(1, 12)))),
-        )
+    pairs = [
+        [
+            tuple(rng.choice(vocab, size=int(rng.integers(1, 12))))
+            for _ in range(2)
+        ]
         for _ in range(30)
     ]
-    whole = sum_stats(stats)
-    split = sum_stats(stats[:11]) + sum_stats(stats[11:])
-    assert whole == split
+    stats = bleu_stats([h for h, _ in pairs], [r for _, r in pairs])
+    whole = stats.sum(axis=0)
+    split = stats[:11].sum(axis=0) + stats[11:].sum(axis=0)
+    assert whole.tolist() == split.tolist()
 
     pairs = [
         ("a man rides a brown horse", "a man rides a brown horse"),
@@ -528,9 +530,11 @@ def test_bleu_correctness():
         ("the sun sets over the mountains", "the sun sets behind the mountains"),
         ("a group of friends eat pizza", "a group of friends eats pizza outside"),
     ]
-    total = sum_stats(bleu_stats(tok(h), tok(r)) for h, r in pairs)
-    assert total.matches == (49, 32, 20, 10)
-    assert total.totals == (57, 47, 37, 27)
+    total = bleu_stats(
+        [tok(h) for h, _ in pairs], [tok(r) for _, r in pairs]
+    ).sum(axis=0)
+    assert total[:4].tolist() == [49, 32, 20, 10]
+    assert total[4:8].tolist() == [57, 47, 37, 27]
     assert bleu_score(total) == pytest.approx(0.5174579372990767, abs=1e-9)
     rows = [oracle_bleu_row(h.split(), r.split()) for h, r in pairs]
     assert bleu_score(total) == pytest.approx(oracle_bleu(rows), rel=1e-12)
@@ -555,10 +559,11 @@ def test_significance_randomization():
         ("children play with a ball", "children played with the ball",
          "children play with a red ball"),
     ]
-    stats_a = [bleu_stats(tok(a), tok(r)) for a, _, r in pairs]
-    stats_b = [bleu_stats(tok(b), tok(r)) for _, b, r in pairs]
+    refs = [tok(r) for _, _, r in pairs]
+    stats_a = bleu_stats([tok(a) for a, _, _ in pairs], refs)
+    stats_b = bleu_stats([tok(b) for _, b, _ in pairs], refs)
 
-    assert approx_randomization(stats_a, list(stats_a), 500, seed=4) == 1.0
+    assert approx_randomization(stats_a, stats_a.copy(), 500, seed=4) == 1.0
 
     exact = oracle_exhaustive_p(
         [(a.split(), r.split()) for a, _, r in pairs],

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 import tsr.evalsig
-from tsr import approx_randomization, bleu_score, bleu_stats, sum_stats
-from tsr.evalsig import (
-    BleuStats,
-    align_sentences,
-    bleu_stats_each,
-    read_sentence_file,
-)
+from tsr import approx_randomization, bleu_score, bleu_stats
+from tsr.evalsig import align_sentences, read_sentence_file
 from oracles import (
     oracle_approx_randomization,
     oracle_bleu,
@@ -23,97 +18,111 @@ def toks(text):
     return tuple(text.split())
 
 
+def row(hyp, ref):
+    """The statistics row of one hypothesis against its reference."""
+    return bleu_stats([toks(hyp)], [toks(ref)])[0]
+
+
+def stats_row(matches, totals, hyp_len, ref_len):
+    return np.array([*matches, *totals, hyp_len, ref_len], dtype=np.int64)
+
+
 class TestBleuStats:
     def test_perfect_match(self):
-        s = bleu_stats(toks("a man rides a horse"), toks("a man rides a horse"))
-        assert s.matches == (5, 4, 3, 2)
-        assert s.totals == (5, 4, 3, 2)
-        assert s.hyp_len == 5 and s.ref_len == 5
+        s = row("a man rides a horse", "a man rides a horse")
+        assert s.tolist() == [5, 4, 3, 2, 5, 4, 3, 2, 5, 5]
+        assert s.dtype == np.int64
 
     def test_clipping_counts_each_ref_occurrence_once(self):
         # hypothesis repeats "the" seven times; reference has two.
-        s = bleu_stats(toks("the the the the the the the"), toks("the cat is on the mat"))
-        assert s.matches[0] == 2
-        assert s.totals[0] == 7
-        assert s.matches[1] == 0
+        s = row("the the the the the the the", "the cat is on the mat")
+        assert s[0] == 2
+        assert s[4] == 7
+        assert s[1] == 0
 
     def test_empty_hypothesis(self):
-        s = bleu_stats((), toks("a cat"))
-        assert s.matches == (0, 0, 0, 0)
-        assert s.totals == (0, 0, 0, 0)
-        assert s.hyp_len == 0 and s.ref_len == 2
+        s = row("", "a cat")
+        assert s.tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
 
     def test_short_hypothesis_has_zero_higher_order_totals(self):
-        s = bleu_stats(toks("a cat"), toks("a cat sat"))
-        assert s.totals == (2, 1, 0, 0)
+        s = row("a cat", "a cat sat")
+        assert s[4:8].tolist() == [2, 1, 0, 0]
+
+    def test_rows_align_with_their_pairs(self):
+        assert bleu_stats([], []).shape == (0, 10)
+        with pytest.raises(ValueError, match="^2 hypotheses but 1 references$"):
+            bleu_stats([toks("a b"), toks("c")], [toks("a b")])
 
     def test_validation_rejects_matches_above_totals(self):
-        with pytest.raises(ValueError):
-            BleuStats((3, 0, 0, 0), (2, 0, 0, 0), 2, 2)
+        """bleu_score and approx_randomization each refuse a row with
+        matches above its totals, a negative entry, 9 columns or float
+        entries, naming the rule."""
+        ok = stats_row((1, 0, 0, 0), (2, 0, 0, 0), 2, 2)
+        cases = [
+            (stats_row((3, 0, 0, 0), (2, 0, 0, 0), 2, 2),
+             "^clipped matches exceed n-gram totals$"),
+            (stats_row((0, 0, 0, 0), (0, 0, 0, 0), 2, -1),
+             "^statistics must not be negative$"),
+            (ok[:9], "with 10 columns, got shape"),
+            (ok.astype(float), "^statistics must be integers, got float64$"),
+        ]
+        good = np.array([ok])
+        for bad, rule in cases:
+            with pytest.raises(ValueError, match=rule):
+                bleu_score(bad)
+            for stats_a, stats_b in (([bad], good), (good, [bad])):
+                with pytest.raises(ValueError, match=rule):
+                    approx_randomization(stats_a, stats_b, trials=3, seed=0)
 
     def test_additivity(self):
         rng = np.random.default_rng(41)
         vocab = [f"w{i}" for i in range(12)]
-        pairs = []
+        hyps, refs = [], []
         for _ in range(20):
-            hyp = tuple(rng.choice(vocab, size=int(rng.integers(1, 12))))
-            ref = tuple(rng.choice(vocab, size=int(rng.integers(1, 12))))
-            pairs.append(bleu_stats(hyp, ref))
-        total = sum_stats(pairs)
-        assert total.hyp_len == sum(p.hyp_len for p in pairs)
-        assert total.ref_len == sum(p.ref_len for p in pairs)
-        for k in range(4):
-            assert total.matches[k] == sum(p.matches[k] for p in pairs)
-            assert total.totals[k] == sum(p.totals[k] for p in pairs)
+            hyps.append(tuple(rng.choice(vocab, size=int(rng.integers(1, 12)))))
+            refs.append(tuple(rng.choice(vocab, size=int(rng.integers(1, 12)))))
+        rows = bleu_stats(hyps, refs)
+        each = [bleu_stats([h], [r])[0].tolist() for h, r in zip(hyps, refs)]
+        assert rows.tolist() == each
+        assert rows.sum(axis=0).tolist() == [sum(col) for col in zip(*each)]
 
     def test_matches_oracle_rows(self):
+        """Whole corpora, several sentences a call, with empty
+        hypotheses and references and one-word vocabularies."""
         rng = np.random.default_rng(43)
-        vocab = [f"w{i}" for i in range(8)]
         for _ in range(100):
-            hyp = tuple(rng.choice(vocab, size=int(rng.integers(0, 15))))
-            ref = tuple(rng.choice(vocab, size=int(rng.integers(1, 15))))
-            s = bleu_stats(hyp, ref)
-            row = oracle_bleu_row(list(hyp), list(ref))
-            assert list(s.matches) + list(s.totals) + [s.hyp_len, s.ref_len] == row
-
-    def test_many_hypotheses_against_one_reference_match_oracle_rows(self):
-        """bleu_stats_each counts the reference's n-grams once; each
-        hypothesis still gets the oracle's statistics."""
-        rng = np.random.default_rng(44)
-        vocab = [f"w{i}" for i in range(6)]
-        for _ in range(40):
-            ref = tuple(rng.choice(vocab, size=int(rng.integers(0, 12))))
-            hyps = [
-                tuple(rng.choice(vocab, size=int(rng.integers(0, 12))))
-                for _ in range(int(rng.integers(1, 4)))
+            vocab = [f"w{i}" for i in range(int(rng.choice([1, 2, 8])))]
+            pairs = [
+                [
+                    list(rng.choice(vocab, size=int(rng.integers(0, 15))))
+                    for _ in range(2)
+                ]
+                for _ in range(int(rng.integers(1, 8)))
             ]
-            rows = [
-                [*s.matches, *s.totals, s.hyp_len, s.ref_len]
-                for s in bleu_stats_each(hyps, ref)
-            ]
-            assert rows == [oracle_bleu_row(list(h), list(ref)) for h in hyps]
+            rows = bleu_stats([h for h, _ in pairs], [r for _, r in pairs])
+            assert rows.tolist() == [oracle_bleu_row(h, r) for h, r in pairs]
 
 
 class TestBleuScore:
     def test_perfect_corpus_scores_one(self):
-        s = bleu_stats(toks("a man rides a horse"), toks("a man rides a horse"))
+        s = row("a man rides a horse", "a man rides a horse")
         assert bleu_score(s) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_when_any_order_has_no_match(self):
-        s = bleu_stats(toks("the the the the"), toks("the cat sat down"))
+        s = row("the the the the", "the cat sat down")
         assert bleu_score(s) == 0.0
 
     def test_zero_when_hypothesis_empty(self):
-        assert bleu_score(BleuStats((0,) * 4, (0,) * 4, 0, 5)) == 0.0
+        assert bleu_score(stats_row((0,) * 4, (0,) * 4, 0, 5)) == 0.0
 
     def test_brevity_penalty(self):
         # identical 4-gram stats; shorter hypothesis corpus gets penalized.
-        s = BleuStats((4, 3, 2, 1), (4, 3, 2, 1), 4, 8)
+        s = stats_row((4, 3, 2, 1), (4, 3, 2, 1), 4, 8)
         expected = math.exp(1 - 8 / 4)
         assert bleu_score(s) == pytest.approx(expected, rel=1e-12)
 
     def test_no_bonus_for_long_hypotheses(self):
-        s = BleuStats((4, 3, 2, 1), (4, 3, 2, 1), 8, 4)
+        s = stats_row((4, 3, 2, 1), (4, 3, 2, 1), 8, 4)
         assert bleu_score(s) == pytest.approx(1.0, abs=1e-15)
 
     def test_frozen_ten_sentence_fixture(self):
@@ -129,11 +138,10 @@ class TestBleuScore:
             ("the sun sets over the mountains", "the sun sets behind the mountains"),
             ("a group of friends eat pizza", "a group of friends eats pizza outside"),
         ]
-        total = sum_stats(bleu_stats(toks(h), toks(r)) for h, r in pairs)
-        assert total.matches == (49, 32, 20, 10)
-        assert total.totals == (57, 47, 37, 27)
-        assert total.hyp_len == 57
-        assert total.ref_len == 64
+        total = bleu_stats(
+            [toks(h) for h, _ in pairs], [toks(r) for _, r in pairs]
+        ).sum(axis=0)
+        assert total.tolist() == [49, 32, 20, 10, 57, 47, 37, 27, 57, 64]
         assert bleu_score(total) == pytest.approx(0.5174579372990767, abs=1e-9)
 
     def test_matches_oracle_on_random_corpora(self):
@@ -141,14 +149,15 @@ class TestBleuScore:
         vocab = [f"w{i}" for i in range(10)]
         for _ in range(50):
             rows = []
-            stats = []
+            hyps, refs = [], []
             for _ in range(int(rng.integers(1, 12))):
                 hyp = list(rng.choice(vocab, size=int(rng.integers(1, 12))))
                 ref = list(rng.choice(vocab, size=int(rng.integers(1, 12))))
                 rows.append(oracle_bleu_row(hyp, ref))
-                stats.append(bleu_stats(tuple(hyp), tuple(ref)))
-            assert bleu_score(sum_stats(stats)) == pytest.approx(
-                oracle_bleu(rows), rel=1e-12
+                hyps.append(hyp)
+                refs.append(ref)
+            assert bleu_score(bleu_stats(hyps, refs).sum(axis=0)) == (
+                pytest.approx(oracle_bleu(rows), rel=1e-12)
             )
 
 
@@ -165,23 +174,24 @@ class TestApproxRandomization:
     def fixture(self):
         rng = np.random.default_rng(53)
         vocab = [f"w{i}" for i in range(10)]
-        stats_a, stats_b = [], []
+        refs, noisy = [], []
         for _ in range(30):
             ref = tuple(rng.choice(vocab, size=8))
-            noisy = list(ref)
-            noisy[int(rng.integers(0, 8))] = "w0"
-            stats_a.append(bleu_stats(ref, ref))
-            stats_b.append(bleu_stats(tuple(noisy), ref))
-        return stats_a, stats_b
+            changed = list(ref)
+            changed[int(rng.integers(0, 8))] = "w0"
+            refs.append(ref)
+            noisy.append(tuple(changed))
+        return bleu_stats(refs, refs), bleu_stats(noisy, refs)
 
     def close_fixture(self):
-        stats_a = [bleu_stats(toks(a), toks(r)) for a, _, r in CLOSE_PAIRS]
-        stats_b = [bleu_stats(toks(b), toks(r)) for _, b, r in CLOSE_PAIRS]
+        refs = [toks(r) for _, _, r in CLOSE_PAIRS]
+        stats_a = bleu_stats([toks(a) for a, _, _ in CLOSE_PAIRS], refs)
+        stats_b = bleu_stats([toks(b) for _, b, _ in CLOSE_PAIRS], refs)
         return stats_a, stats_b
 
     def test_identical_systems_give_p_one(self):
         stats_a, _ = self.fixture()
-        p = approx_randomization(stats_a, list(stats_a), trials=200, seed=1)
+        p = approx_randomization(stats_a, stats_a.copy(), trials=200, seed=1)
         assert p == 1.0
 
     def test_reproducible_for_fixed_seed(self):
@@ -210,12 +220,11 @@ class TestApproxRandomization:
     def test_clearly_better_system_is_significant(self):
         rng = np.random.default_rng(59)
         vocab = [f"w{i}" for i in range(12)]
-        stats_a, stats_b = [], []
+        refs, bad = [], []
         for _ in range(20):
-            ref = tuple(rng.choice(vocab, size=10))
-            bad = tuple(rng.choice(vocab, size=10))
-            stats_a.append(bleu_stats(ref, ref))
-            stats_b.append(bleu_stats(bad, ref))
+            refs.append(tuple(rng.choice(vocab, size=10)))
+            bad.append(tuple(rng.choice(vocab, size=10)))
+        stats_a, stats_b = bleu_stats(refs, refs), bleu_stats(bad, refs)
         p = approx_randomization(stats_a, stats_b, trials=2000, seed=7)
         assert p < 0.01
 
@@ -265,8 +274,8 @@ class TestApproxRandomization:
         ]
         pairs_a = [(noisy(ref), ref) for ref in refs]
         pairs_b = [(noisy(ref), ref) for ref in refs]
-        stats_a = [bleu_stats(h, r) for h, r in pairs_a]
-        stats_b = [bleu_stats(h, r) for h, r in pairs_b]
+        stats_a = bleu_stats([h for h, _ in pairs_a], refs)
+        stats_b = bleu_stats([h for h, _ in pairs_b], refs)
         for seed in (0, 1) if n < 300 else (0,):
             assert approx_randomization(
                 stats_a, stats_b, trials, seed
@@ -294,7 +303,7 @@ class TestApproxRandomization:
         # Below 2**53 every float64 partial sum of the differences is an
         # exact integer; from there on it need not be.
         def hyp_len(n):
-            return BleuStats((0, 0, 0, 0), (0, 0, 0, 0), n, 1)
+            return stats_row((0, 0, 0, 0), (0, 0, 0, 0), n, 1)
 
         zero = [hyp_len(0), hyp_len(0)]
         below = [hyp_len(2**52), hyp_len(2**52 - 1)]
@@ -317,6 +326,27 @@ class TestApproxRandomization:
         stats_a, stats_b = self.fixture()
         with pytest.raises(ValueError):
             approx_randomization(stats_a, stats_b, trials=0, seed=0)
+
+    @pytest.mark.parametrize("trials, seed, message", [
+        (0, 1, "trials must be a positive integer, got 0"),
+        (True, 1, "trials must be a positive integer, got True"),
+        (2.5, 1, "trials must be a positive integer, got 2.5"),
+        (10, -1, "seed must be a non-negative integer, got -1"),
+        (10, True, "seed must be a non-negative integer, got True"),
+        (10, 1.5, "seed must be a non-negative integer, got 1.5"),
+    ])
+    def test_trials_and_seed_rules(self, trials, seed, message):
+        """trials is a positive integer and seed a non-negative one;
+        bools are neither, and each refusal names its argument."""
+        stats_a, stats_b = self.fixture()
+        with pytest.raises(ValueError) as err:
+            approx_randomization(stats_a, stats_b, trials, seed)
+        assert str(err.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        stats_a, stats_b = self.close_fixture()
+        p = approx_randomization(stats_a, stats_b, np.int64(400), np.uint8(13))
+        assert p == 84 / 401
 
 
 class TestSentenceFiles:

@@ -18,7 +18,6 @@ from tsr import (
     bleu_stats,
     select_best,
     stepwise_search,
-    sum_stats,
 )
 from tsr.retrieval import MODES, Query
 from oracles import (
@@ -204,9 +203,13 @@ def random_dev(rng, mode):
     def candidates(low, high, size):
         return rng.integers(low, high, size=size).tolist()
 
+    # No retrieval returns more than every caption: one k_m takes the
+    # whole match list, however short.
+    k_m = candidates(1, len(docs) + 1, 2)
+    k_m.insert(int(rng.integers(0, 3)), len(docs) + 1)
     grid = GridSpec(
         k_n=candidates(1, depth + 1, 2),
-        k_m=candidates(1, len(docs) + 3, 3),
+        k_m=k_m,
         k_r=candidates(1, 10, 3),
         interp_weight=rng.choice([0.0, 0.5, 3.0, 20.0, 200.0], 3).tolist(),
         distance_cutoff=(
@@ -221,10 +224,11 @@ def random_dev(rng, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_trace_equals_points_evaluated_from_scratch(mode):
-    """Cached retrievals, match-list prefixes, relevances and BLEU
-    statistics give every trace point the BLEU, to the bit, of that
-    point evaluated on its own with Retriever.retrieve, select_best and
-    bleu_stats."""
+    """Cached retrievals, relevances of every k_m's match-list prefix
+    and BLEU statistics give every trace point the BLEU, to the bit, of
+    that point evaluated on its own with Retriever.retrieve, select_best
+    and bleu_stats. Each grid has three k_m candidates, one above any
+    retrieval's length."""
     rng = np.random.default_rng({"txt": 11, "cnn": 12, "hca": 13}[mode])
     moved = 0
     for trial in range(12):
@@ -237,15 +241,15 @@ def test_trace_equals_points_evaluated_from_scratch(mode):
                 point["distance_cutoff"],
             )
             params = RerankParams(point["k_r"], point["interp_weight"])
-            stats = []
-            for kb, ref in zip(dev.kbests, dev.references):
+            hyps = []
+            for kb in dev.kbests:
                 query = dev.queries[kb.sent_id]
                 ml = retriever.retrieve(
                     kb, query.image_id, query.categories, mode, rparams
                 )
-                out = select_best(kb, ml, retriever, params)
-                stats.append(bleu_stats(out.chosen.tokens, ref))
-            assert bleu == bleu_score(sum_stats(stats)), (trial, point)
+                hyps.append(select_best(kb, ml, retriever, params).chosen.tokens)
+            stats = bleu_stats(hyps, dev.references)
+            assert bleu == bleu_score(stats.sum(axis=0)), (trial, point)
         moved += len({bleu for _, bleu in res.trace}) > 1
     assert moved >= 4
 
