@@ -16,6 +16,7 @@ from tsr import (
     Hypothesis,
     IdfTable,
     KBestList,
+    Retriever,
     stepwise_search,
 )
 
@@ -49,7 +50,7 @@ kbests = [
 refs = [list(tok("a man runs here today")),
         list(tok("the dog jumps around now"))]
 
-dev = DevSet(Collection(docs), idf, kbests, refs)
+dev = DevSet(Retriever(Collection(docs), idf), kbests, refs)
 grid = GridSpec(k_n=[1, 2], k_m=[1, 2], k_r=[2, 1],
                 interp_weight=[1000.0, 0.0])
 

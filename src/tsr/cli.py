@@ -52,10 +52,15 @@ from .retrieval import (
 from .textcore import build_idf, IdfTable, read_token_lines, write_lines
 from .tune import _PARAMS, DevSet, GridSpec, stepwise_search
 
-_PATH_KEYS = (
-    "collection", "idf", "kbest", "out_dir", "features", "queries",
-    "references",
-)
+# The paths _load_inputs takes, in its argument order, and their help.
+_INPUTS = {
+    "collection": "collection record file",
+    "idf": "idf table",
+    "kbest": "k-best lists",
+    "features": "image feature file (cnn mode)",
+    "queries": "per-sentence image ids / categories (cnn, hca modes)",
+}
+_PATH_KEYS = (*_INPUTS, "out_dir", "references")
 # Parameter keys default to None: the mode's defaults fill them in.
 # workers is checked but changes nothing: sentences are scored in turn.
 _PIPELINE_KEYS = {
@@ -129,11 +134,19 @@ def _check_mode(mode: str, features, queries) -> None:
         raise ValueError(f"{mode} mode requires a queries path")
 
 
-def _load_inputs(mode: str, collection, idf, features, queries):
-    """Load idf, collection, features (cnn only) and queries for a mode
-    _check_mode passed. A gate that can admit no caption would make
-    every sentence fall back to txt, so hca rejects an unannotated
-    collection, and cnn features that name no collection image."""
+def _load_inputs(
+    mode: str, collection, idf, kbest, features=None, queries=None
+):
+    """What a scoring command reads, for a mode _check_mode passed, in
+    one order: the idf table, the collection and, in cnn mode only, the
+    features; then the run's one Retriever over them; then the queries
+    and the k-best lists. Returns (retriever, queries, kbests).
+
+    A gate that can admit no caption would make every sentence fall
+    back to txt, so hca rejects an unannotated collection, and cnn
+    features that name no collection image. queries may leave a
+    sentence out, since a sentence may have no image, but not name one
+    the k-best lacks."""
     idf_table = IdfTable.load(idf)
     coll = load_collection(collection)
     if mode == "hca" and not (coll.cat_group >= 0).any():
@@ -143,18 +156,14 @@ def _load_inputs(mode: str, collection, idf, features, queries):
         raise ValueError(
             f"{features}: no feature vector for any collection image"
         )
-    return idf_table, coll, feats, read_queries(queries) if queries else {}
-
-
-def _read_kbest(path, queries: dict, queries_path) -> list:
-    """The k-best lists at path. queries may leave a sentence out, since
-    a sentence may have no image, but not name one the k-best lacks."""
-    kbests = read_kbest(path)
+    retriever = Retriever(coll, idf_table, feats)
+    by_sentence = read_queries(queries) if queries else {}
+    kbests = read_kbest(kbest)
     known = {kb.sent_id for kb in kbests}
-    extra = [sent_id for sent_id in queries if sent_id not in known]
+    extra = [sent_id for sent_id in by_sentence if sent_id not in known]
     if extra:
-        raise mismatched_ids(queries_path, path, [], extra)
-    return kbests
+        raise mismatched_ids(queries, kbest, [], extra)
+    return retriever, by_sentence, kbests
 
 
 def _run_sentences(work, kbests) -> list:
@@ -183,16 +192,13 @@ def cmd_build_index(args) -> int:
 def cmd_retrieve(args) -> int:
     _check_mode(args.mode, args.features, args.queries)
     params, _ = _resolve_params(args.mode, vars(args))
-    idf, coll, feats, queries = _load_inputs(
-        args.mode, args.collection, args.idf, args.features, args.queries
-    )
-    retriever = Retriever(coll, idf, feats)
-    kbests = _read_kbest(args.kbest, queries, args.queries)
+    inputs = map(vars(args).get, _INPUTS)
+    retriever, queries, kbests = _load_inputs(args.mode, *inputs)
     work = functools.partial(
         retrieve_sentence, retriever, queries, args.mode, params
     )
     matchlists = _run_sentences(work, kbests)
-    write_matchlists(matchlists, coll, args.out)
+    write_matchlists(matchlists, retriever.coll, args.out)
     fallbacks = sum(ml.used_fallback for ml in matchlists)
     print(f"sentences: {len(matchlists)}")
     print(f"fallbacks: {fallbacks} / {len(matchlists)}")
@@ -201,10 +207,9 @@ def cmd_retrieve(args) -> int:
 
 def cmd_rerank(args) -> int:
     params = _override(RerankParams(), vars(args))
-    coll = load_collection(args.collection)
-    retriever = Retriever(coll, IdfTable.load(args.idf))
-    kbests = read_kbest(args.kbest)
-    dump = read_matchlists(args.matches, coll)
+    inputs = map(vars(args).get, _INPUTS)  # no --features or --queries
+    retriever, _, kbests = _load_inputs("txt", *inputs)
+    dump = read_matchlists(args.matches, retriever.coll)
     matchlists = join_sentences(
         args.kbest,
         ([kb.sent_id for kb in kbests], kbests),
@@ -257,11 +262,8 @@ def cmd_pipeline(args) -> int:
     mode = cfg["mode"]
     _check_mode(mode, cfg["features"], cfg["queries"])
     retrieval_params, rerank_params = _resolve_params(mode, cfg)
-    idf, coll, feats, queries = _load_inputs(
-        mode, cfg["collection"], cfg["idf"], cfg["features"], cfg["queries"]
-    )
-    retriever = Retriever(coll, idf, feats)
-    kbests = _read_kbest(cfg["kbest"], queries, cfg["queries"])
+    inputs = map(cfg.get, _INPUTS)
+    retriever, queries, kbests = _load_inputs(mode, *inputs)
     refs = (
         _aligned_references(cfg["references"], kbests, cfg["kbest"])
         if cfg["references"]
@@ -335,18 +337,10 @@ def cmd_tune(args) -> int:
     grid = GridSpec.from_dict(spec)
     grid.check_mode(mode)
 
-    idf, coll, feats, queries = _load_inputs(
-        mode, args.collection, args.idf, args.features, args.queries
-    )
-    kbests = _read_kbest(args.kbest, queries, args.queries)
-    dev = DevSet(
-        coll=coll,
-        idf=idf,
-        kbests=kbests,
-        references=_aligned_references(args.references, kbests, args.kbest),
-        feats=feats,
-        queries=queries,
-    )
+    inputs = map(vars(args).get, _INPUTS)
+    retriever, queries, kbests = _load_inputs(mode, *inputs)
+    references = _aligned_references(args.references, kbests, args.kbest)
+    dev = DevSet(retriever, kbests, references, queries)
     result = stepwise_search(grid, dev, mode)
 
     if args.trace_out:
@@ -378,6 +372,17 @@ def _add_param_flags(parser, *classes) -> None:
                 "--" + f.name.replace("_", "-"),
                 dest=f.name,
                 type=type(f.default),
+            )
+
+
+def _add_input_flags(parser, gated: bool, required: bool = True) -> None:
+    """One flag per path _load_inputs takes, in its order: --collection,
+    --idf and --kbest (required unless required is False), then, on a
+    command with the gated modes, --features and --queries."""
+    for i, (key, text) in enumerate(_INPUTS.items()):
+        if i < 3 or gated:
+            parser.add_argument(
+                "--" + key, required=required and i < 3, help=text
             )
 
 
@@ -413,22 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "retrieve", help="retrieve matches for every sentence's k-best list"
     )
-    sp.add_argument("--collection", required=True)
-    sp.add_argument("--idf", required=True)
-    sp.add_argument("--kbest", required=True)
+    _add_input_flags(sp, gated=True)
     sp.add_argument("--out", required=True, help="match dump output path")
     sp.add_argument("--mode", choices=MODES, default="txt")
-    sp.add_argument("--features", help="image feature file (cnn mode)")
-    sp.add_argument("--queries", help="per-sentence image ids / categories")
     _add_param_flags(sp, RetrievalParams)
     sp.set_defaults(func=cmd_retrieve)
 
     sp = sub.add_parser(
         "rerank", help="rerank k-best lists against a match dump"
     )
-    sp.add_argument("--collection", required=True)
-    sp.add_argument("--idf", required=True)
-    sp.add_argument("--kbest", required=True)
+    _add_input_flags(sp, gated=False)
     sp.add_argument("--matches", required=True, help="match dump path")
     sp.add_argument("--out", required=True)
     _add_param_flags(sp, RerankParams)
@@ -439,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", help="run retrieval and reranking end to end"
     )
     sp.add_argument("--config", help="JSON config; flags override fields")
-    for key in _PATH_KEYS:
-        sp.add_argument("--" + key.replace("_", "-"), dest=key)
+    _add_input_flags(sp, gated=True, required=False)
+    sp.add_argument("--out-dir", dest="out_dir")
+    sp.add_argument("--references")
     sp.add_argument("--mode", choices=MODES)
     _add_param_flags(sp, *_PARAMS)
     sp.add_argument("--workers", type=int, help="checked, then ignored")
@@ -469,12 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", help="step-wise hyperparameter search on a dev set"
     )
     sp.add_argument("--grid", required=True, help="JSON grid spec")
-    sp.add_argument("--collection", required=True)
-    sp.add_argument("--idf", required=True)
-    sp.add_argument("--kbest", required=True)
+    _add_input_flags(sp, gated=True)
     sp.add_argument("--references", required=True)
-    sp.add_argument("--queries")
-    sp.add_argument("--features")
     sp.add_argument("--trace-out", dest="trace_out")
     sp.add_argument("--best-out", dest="best_out")
     sp.set_defaults(func=cmd_tune)

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import textcore
-from .textcore import read_blocks, write_arrays, write_lines
+from .textcore import check_not_str, read_blocks, write_arrays, write_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -78,12 +78,14 @@ def check_records(
     categories: Sequence[frozenset[str] | None],
 ) -> None:
     """The rules of caption records, given as columns: ids, tokens and a
-    given category set must be non-empty; EmptyCaption when only the
-    tokens are. Each rule is one pass over a column, and its message
-    names the first record: a caller with many records that is refused
-    checks them one at a time to name the bad one."""
+    given category set must be non-empty, and tokens not a str;
+    EmptyCaption when only the tokens are empty. Each rule is one pass
+    over a column, and its message names the first record or the
+    column: a caller with many records that is refused checks them one
+    at a time to name the bad one."""
     if not (all(caption_ids) and all(image_ids)):
         raise ValueError("empty caption_id or image_id")
+    check_not_str("tokens", token_lists)
     if not all(token_lists):
         raise EmptyCaption(f"empty caption {caption_ids[0]!r}")
     # Every set is None or non-empty.

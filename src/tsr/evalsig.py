@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .retrieval import _is_number, check_count
-from .textcore import read_records
+from .textcore import check_not_str, read_records
 
 MAX_ORDER = 4
 # Columns of a statistics row.
@@ -61,6 +61,8 @@ def bleu_stats(
         raise ValueError(
             f"{len(hyps)} hypotheses but {len(refs)} references"
         )
+    check_not_str("hyps", hyps)
+    check_not_str("refs", refs)
     orders = range(1, MAX_ORDER + 1)
     rows = []
     for hyp, ref in zip(hyps, refs):

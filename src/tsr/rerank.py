@@ -35,7 +35,7 @@ from .retrieval import (
     checked_row,
     check_weight,
 )
-from .textcore import joined_line, write_lines
+from .textcore import check_not_str, joined_line, write_lines
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ def prefix_relevances(
     already holds a prefix's numerator at the last type of its last
     caption, since captions are summed in match order.
     """
+    check_not_str("token_lists", token_lists)
     coll = retriever.coll
     size, pairs = len(coll), matches.matches
     rows = np.fromiter((checked_row(r, s, size) for r, s in pairs), np.int64)

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .collection import Collection, FeatureStore, parse_categories
-from .textcore import joined_line, read_records, write_lines
+from .textcore import check_not_str, joined_line, read_records, write_lines
 
 MODES = ("txt", "cnn", "hca")
 
@@ -91,7 +91,9 @@ class KBestList:
 
     def _add(self, hyp: Hypothesis, seen: set[tuple[str, ...]]) -> bool:
         """Append hyp: its score must be finite and not above the last
-        one's. False, adding nothing, if its tokens are in seen."""
+        one's, and its tokens not a str. False, adding nothing, if its
+        tokens are in seen."""
+        check_not_str("tokens", (hyp.tokens,))
         if not math.isfinite(hyp.decoder_score):
             raise self._broken("non-finite decoder score")
         if self.hyps and hyp.decoder_score > self.hyps[-1].decoder_score:
@@ -187,7 +189,6 @@ class Query:
     """Per-sentence retrieval metadata: the source image id (None when
     unknown) and its category annotation (None when unannotated)."""
 
-    sent_id: str
     image_id: str | None = None
     categories: frozenset[str] | None = None
 
@@ -289,6 +290,7 @@ class Retriever:
     ) -> MatchList:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        check_not_str("query_categories", (query_categories,))
         if params is None:
             params = RETRIEVAL_DEFAULTS[mode]
         hyps = kbest.hyps[: params.k_n]
@@ -427,7 +429,7 @@ def retrieve_sentence(
 ) -> MatchList:
     """kbest's match list. A sentence queries leaves out has no image
     and no categories, so a gated mode falls back to txt for it."""
-    query = queries.get(kbest.sent_id, Query(kbest.sent_id))
+    query = queries.get(kbest.sent_id, Query())
     return retriever.retrieve(
         kbest, query.image_id, query.categories, mode, params
     )
@@ -626,5 +628,5 @@ def read_queries(path) -> dict[str, Query]:
             raise ValueError(f"{where}: empty image_id ('-' marks none)")
         image_id = fields[1] if fields[1] != "-" else None
         categories = parse_categories(fields[2]) if len(fields) == 3 else None
-        queries[sent_id] = Query(sent_id, image_id, categories)
+        queries[sent_id] = Query(image_id, categories)
     return queries

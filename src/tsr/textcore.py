@@ -122,6 +122,14 @@ def joined_line(
     return line
 
 
+def check_not_str(name: str, sequences: Iterable) -> None:
+    """ValueError naming the argument name if one of sequences is a str,
+    which would be read as one token, or label, per character. One pass
+    in C, so that a block of records costs little."""
+    if any(map(str.__instancecheck__, sequences)):
+        raise ValueError(f"{name}: a str where a sequence of strings belongs")
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each of lines plus a newline to path as UTF-8, atomically:
     see _replacing."""

@@ -14,6 +14,8 @@ the whole trace.
 Each piece of work is done once and reused by every point that needs
 it, with the same bits as a point evaluated from scratch:
 
+* The collection is indexed once, by the Retriever the dev set holds
+  (the command line's loader builds it); the search builds none.
 * Sentences are retrieved once per (k_n, distance_cutoff), at the
   grid's largest k_m. Selection is a total order (score descending,
   then caption id) and the fallback does not depend on k_m, so the
@@ -34,7 +36,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .collection import Collection, FeatureStore
 from .evalsig import bleu_score, bleu_stats
 from .rerank import RerankParams, prefix_relevances, select_best
 from .retrieval import (
@@ -119,15 +120,14 @@ class GridSpec:
 
 @dataclass
 class DevSet:
-    """Everything one tuning evaluation needs: the collection bundle,
-    k-best lists, per-sentence query metadata, and references aligned
-    positionally with the k-best lists."""
+    """Everything one tuning evaluation needs: the Retriever over the
+    collection, its idf table and (cnn) features, the k-best lists,
+    references aligned positionally with them, and per-sentence query
+    metadata."""
 
-    coll: Collection
-    idf: object
+    retriever: Retriever
     kbests: list[KBestList]
     references: list[list[str]]
-    feats: FeatureStore | None = None
     queries: dict[str, Query] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -151,8 +151,8 @@ class TuneResult:
 def stepwise_search(
     grid: GridSpec, dev: DevSet, mode: str = "txt"
 ) -> TuneResult:
-    """Run the step-wise sweep and return incumbents, their BLEU, and
-    the full (parameters, BLEU) trace in evaluation order."""
+    """Run the step-wise sweep with dev's Retriever; return incumbents,
+    their BLEU, and the full (parameters, BLEU) trace in evaluation order."""
     grid.check_mode(mode)
     depth = max(len(kb.hyps) for kb in dev.kbests)
     if depth < max(grid.k_n):
@@ -171,7 +171,7 @@ def stepwise_search(
             for cls in _PARAMS
         )
 
-    retriever = Retriever(dev.coll, dev.idf, dev.feats)
+    retriever = dev.retriever
     top_k_m, top_k_r = max(grid.k_m), max(grid.k_r)
     # Per retrieval at the grid's largest k_m: each sentence's matches
     # and, per k_m, the relevances of its first max(k_r) hypotheses

@@ -651,7 +651,7 @@ def test_stepwise_tuner_finds_planted_optimum():
                 best_v, best_b = v, b
         current[name] = best_v
 
-    dev = DevSet(Collection(docs), idf, kbests, refs)
+    dev = DevSet(Retriever(Collection(docs), idf), kbests, refs)
     res = stepwise_search(GridSpec(**grid), dev)
     assert len(res.trace) == 8
     for (point, bleu), (want_pt, want_b) in zip(res.trace, expected_trace):

@@ -10,7 +10,7 @@ from tsr import (
     Retriever,
     load_collection,
 )
-from tsr.collection import load_features, write_normal_form
+from tsr.collection import check_records, load_features, write_normal_form
 from oracles import FixedIdf, assert_same_collection, both_loads, oracle_index
 
 
@@ -208,6 +208,16 @@ def test_first_of_several_repeated_ids_is_named(tmp_path):
             load_collection(path)
         assert str(err.value) == f"{path}:{where}: {message}"
     assert told_apart >= 10
+
+
+def test_caption_tokens_given_as_a_str_rejected():
+    """A str is not read as one token per character, whether a CaptionDoc
+    or a block of records gives it."""
+    with pytest.raises(ValueError, match="^tokens: a str where"):
+        CaptionDoc("c1", "i1", "a man")
+    block = (["c1", "c2"], ["i1", "i2"], [["a", "man"], "a man"], [None] * 2)
+    with pytest.raises(ValueError, match="^tokens: a str where"):
+        check_records(*block)
 
 
 def test_index_keys_beyond_int32(tmp_path):

@@ -28,6 +28,13 @@ def stats_row(matches, totals, hyp_len, ref_len):
 
 
 class TestBleuStats:
+    @pytest.mark.parametrize("side", ["hyps", "refs"])
+    def test_a_str_is_not_a_token_sequence(self, side):
+        pair = {"hyps": [["a", "man"]], "refs": [["a", "man"]]}
+        pair[side] = ["a man"]
+        with pytest.raises(ValueError, match=f"^{side}: a str where"):
+            bleu_stats(pair["hyps"], pair["refs"])
+
     def test_perfect_match(self):
         s = row("a man rides a horse", "a man rides a horse")
         assert s.tolist() == [5, 4, 3, 2, 5, 4, 3, 2, 5, 5]

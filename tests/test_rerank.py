@@ -32,6 +32,11 @@ def hyp(text, score=-1.0):
 
 
 class TestRelevanceScore:
+    def test_a_str_is_not_a_token_sequence(self):
+        doc = CaptionDoc("c1", "i1", ("a", "man"))
+        with pytest.raises(ValueError, match="^token_lists: a str where"):
+            relevance_scores(["a man"], *ml(IDF, doc))
+
     def test_no_overlap_is_zero(self):
         doc = CaptionDoc("c1", "i1", ("the", "cat"))
         assert relevance_scores([("a", "dog")], *ml(IDF, doc))[0] == 0.0

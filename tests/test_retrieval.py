@@ -260,6 +260,16 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="mode"):
             Retriever(coll, idf, feats).retrieve(kb, mode="visual")
 
+    def test_query_categories_given_as_a_str_rejected(self):
+        # "dog" would be read as the labels d, o and g, and fall back
+        coll, idf, feats = toy_setup()
+        retriever = Retriever(coll, idf, feats)
+        kb = KBestList("s1", [hyp("a dog")])
+        with pytest.raises(ValueError, match="^query_categories: a str"):
+            retriever.retrieve(kb, query_categories="dog", mode="hca")
+        ml = retriever.retrieve(kb, query_categories=["dog"], mode="hca")
+        assert not ml.used_fallback
+
     def test_no_zero_scores_stored(self):
         coll, idf, feats = toy_setup()
         kb = KBestList("s1", [hyp("a dog")])
@@ -595,6 +605,12 @@ def test_kbest_validation():
         KBestList("s", [hyp("a", -2.0), hyp("b", -1.0)])
     with pytest.raises(ValueError, match="non-finite"):
         KBestList("s", [Hypothesis(("a",), float("inf"))])
+
+
+def test_hypothesis_tokens_given_as_a_str_rejected():
+    # a str is not read as one token per character
+    with pytest.raises(ValueError, match="^tokens: a str where"):
+        KBestList("s", [Hypothesis("a man", -1.0)])
 
 
 def test_params_validation():

@@ -259,9 +259,39 @@ def repeated_id(arrays):
     arrays["caption_ids"] = np.frombuffer("\n".join(ids).encode(), np.uint8)
 
 
+def rank_below_zero(name):
+    """The entry n - 1 of the rank array name stored as -1: a permutation
+    once wrapped, which only the range check of _sorts refuses."""
+
+    def breach(arrays):
+        rank = arrays[name]
+        rank[rank == rank.size - 1] = -1
+
+    breach.__name__ = f"{name}_below_zero"
+    return breach
+
+
+def rank_past_the_end(name):
+    """An entry of the rank array name stored as n, one past the end."""
+
+    def breach(arrays):
+        arrays[name][0] = arrays[name].size
+
+    breach.__name__ = f"{name}_past_the_end"
+    return breach
+
+
+def rank_of_another_dtype(arrays):
+    """caption_rank stored as uint32: the same bytes as the int32 array,
+    which only the layout check of the sidecar reader refuses."""
+    arrays["caption_rank"] = arrays["caption_rank"].astype(np.uint32)
+
+
 @pytest.mark.parametrize("breach", [
     shorter, emptied, term_out_of_range, unsorted_row, rank_not_a_permutation,
-    repeated_id,
+    repeated_id, rank_of_another_dtype,
+    *(f(name) for f in (rank_below_zero, rank_past_the_end)
+      for name in ("caption_rank", "term_rank")),
 ])
 def test_sidecar_that_breaks_an_invariant(coll_path, breach):
     load_collection(coll_path)

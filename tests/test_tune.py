@@ -57,8 +57,8 @@ def make_dev(feats=None, queries=None):
         ["the", "dog", "jumps", "around", "now"],
     ]
     return DevSet(
-        Collection(docs), idf, kbests, refs,
-        feats=feats, queries=queries or {},
+        Retriever(Collection(docs), idf, feats), kbests, refs,
+        queries=queries or {},
     )
 
 
@@ -70,12 +70,12 @@ class TestValidation:
     def test_devset_length_mismatch_rejected(self):
         dev = make_dev()
         with pytest.raises(ValueError, match="references"):
-            DevSet(dev.coll, dev.idf, dev.kbests, dev.references[:1])
+            DevSet(dev.retriever, dev.kbests, dev.references[:1])
 
     def test_empty_devset_rejected(self):
         dev = make_dev()
         with pytest.raises(ValueError, match="empty"):
-            DevSet(dev.coll, dev.idf, [], [])
+            DevSet(dev.retriever, [], [])
 
     def test_unknown_mode_rejected(self):
         grid = GridSpec([1], [1], [1], [0.0])
@@ -109,7 +109,7 @@ class TestSweepStructure:
 
     def test_cnn_cutoff_sweep_appends_a_fifth_stage(self):
         feats = FeatureStore({f"i{k}": [float(k), 0.0] for k in range(1, 6)})
-        queries = {"s1": Query("s1", "i1"), "s2": Query("s2", "i4")}
+        queries = {"s1": Query("i1"), "s2": Query("i4")}
         grid = GridSpec([2], [2], [2], [1000.0], distance_cutoff=[100.0, 2.5])
         res = stepwise_search(grid, make_dev(feats, queries), mode="cnn")
         assert len(res.trace) == 4 + 2
@@ -125,7 +125,7 @@ class TestSweepStructure:
 
         monkeypatch.setattr(tsr.tune.Retriever, "retrieve", recording)
         feats = FeatureStore({f"i{k}": [float(k), 0.0] for k in range(1, 6)})
-        queries = {"s1": Query("s1", "i1"), "s2": Query("s2", "i4")}
+        queries = {"s1": Query("i1"), "s2": Query("i4")}
         grid = GridSpec([1, 2], [2], [2], [1000.0], [100.0, 2.5], 0.5)
         res = stepwise_search(grid, make_dev(feats, queries), mode="cnn")
         assert set(weights) == {0.5} and len(weights) == 2 * 3
@@ -192,7 +192,6 @@ def random_dev(rng, mode):
     images = sorted({doc.image_id for doc in docs}) + ["no-features"]
     queries = {
         kb.sent_id: Query(
-            kb.sent_id,
             images[int(rng.integers(0, len(images)))],
             docs[int(rng.integers(0, len(docs)))].categories,
         )
@@ -219,7 +218,8 @@ def random_dev(rng, mode):
     )
     feats = FeatureStore(feats_map) if mode == "cnn" else None
     idf = random_idf_table(rng, vocab)
-    return grid, DevSet(Collection(docs), idf, kbests, refs, feats, queries)
+    retriever = Retriever(Collection(docs), idf, feats)
+    return grid, DevSet(retriever, kbests, refs, queries)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -234,7 +234,7 @@ def test_trace_equals_points_evaluated_from_scratch(mode):
     for trial in range(12):
         grid, dev = random_dev(rng, mode)
         res = stepwise_search(grid, dev, mode)
-        retriever = Retriever(dev.coll, dev.idf, dev.feats)
+        retriever = dev.retriever
         for point, bleu in res.trace:
             rparams = RetrievalParams(
                 point["k_n"], point["k_m"], grid.distance_weight,
