@@ -24,7 +24,6 @@ from .evalsig import (
     approx_randomization,
     bleu_score,
     bleu_stats,
-    check_seed,
     join_sentences,
     mismatched_ids,
     read_sentence_file,
@@ -41,7 +40,6 @@ from .retrieval import (
     RETRIEVAL_DEFAULTS,
     Retriever,
     RetrievalParams,
-    check_count,
     cutoff_from_json,
     read_kbest,
     read_matchlists,
@@ -49,7 +47,14 @@ from .retrieval import (
     retrieve_sentence,
     write_matchlists,
 )
-from .textcore import build_idf, IdfTable, read_token_lines, write_lines
+from .textcore import (
+    build_idf,
+    check_count,
+    check_seed,
+    IdfTable,
+    read_token_lines,
+    write_lines,
+)
 from .tune import _PARAMS, DevSet, GridSpec, stepwise_search
 
 # The paths _load_inputs takes, in its argument order, and their help.

@@ -10,15 +10,16 @@ record per line:
 with the fourth field optional. Feature files carry one image embedding
 per line as ``image_id<TAB>f1 f2 ... fD`` with a constant D per file.
 
-A Collection is held as columns, not as one object per caption: the
-caption ids as a list of str; an image table, one int32 code per doc
-into the list of distinct image ids, numbered by first appearance;
-each caption's token count, as the differences of an offsets array;
-and one int32 category group id per doc (-1 for none) into the list
-of distinct category sets, numbered by first appearance. A caption's
-term ids are kept only as its types, in the index below, since no
-stage reads token order. Retrieval and rerank name a caption by its
-row; no ``CaptionDoc`` is made back from the columns.
+A Collection is made only from the arrays a sidecar stores (see
+below), held as columns, not as one object per caption: the caption
+ids as a list of str; an image table, one int32 code per doc into the
+list of distinct image ids, numbered by first appearance; each
+caption's token count, as the differences of an offsets array; and one
+int32 category group id per doc (-1 for none) into the list of
+distinct category sets, each its sorted labels joined by commas. A
+caption's term ids are kept only as its types, in the index below.
+Retrieval and rerank name a caption by its row; no ``CaptionDoc`` is
+made back from the columns.
 
 Indexing builds a docs-by-terms type-incidence matrix in CSR form, so
 retrieval can score the whole collection with one sparse matrix-vector
@@ -29,12 +30,13 @@ the docs in file order, each doc's types sorted, assigns them; so score
 accumulation order, and therefore every output byte, is reproducible
 across runs.
 
-load_collection and load_features keep the arrays they build in a
+load_collection and load_features keep the arrays they make in a
 sidecar beside their input, ``<file>.tsr-index.npz``, keyed by the
 sha256 of the file and of this loader's source; a repeat load of an
-unchanged file adopts them, checked, instead of parsing the text. The
-text stays the source: a sidecar that is missing, stale or damaged is
-ignored and rewritten, and one that cannot be written is skipped.
+unchanged file adopts them instead of parsing the text. Adopted or
+parsed, the arrays go through the one constructor that checks them.
+The text stays the source: a sidecar that is missing, stale or damaged
+is ignored and rewritten, and one that cannot be written is skipped.
 """
 
 from __future__ import annotations
@@ -78,19 +80,28 @@ def check_records(
     categories: Sequence[frozenset[str] | None],
 ) -> None:
     """The rules of caption records, given as columns: ids, tokens and a
-    given category set must be non-empty, and tokens not a str;
-    EmptyCaption when only the tokens are empty. Each rule is one pass
-    over a column, and its message names the first record or the
-    column: a caller with many records that is refused checks them one
-    at a time to name the bad one."""
+    given category set must be non-empty, tokens and a category set not
+    a str, and no label may hold a comma; EmptyCaption when only the
+    tokens are empty. Each rule is one pass over a column, and its
+    message names the first record or the column: a caller with many
+    records that is refused checks them one at a time to name the bad
+    one."""
     if not (all(caption_ids) and all(image_ids)):
         raise ValueError("empty caption_id or image_id")
     check_not_str("tokens", token_lists)
     if not all(token_lists):
         raise EmptyCaption(f"empty caption {caption_ids[0]!r}")
+    check_not_str("categories", categories)
     # Every set is None or non-empty.
     if categories.count(None) + sum(map(bool, categories)) < len(categories):
         raise ValueError(f"empty category set on caption {caption_ids[0]!r}")
+    # A set is kept as its labels joined by commas, which a comma in a
+    # label would split; each distinct set is looked at once.
+    labels = itertools.chain.from_iterable(set(categories) - {None})
+    if any("," in label for label in labels):
+        raise ValueError(
+            f"comma in a category label on caption {caption_ids[0]!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -110,163 +121,44 @@ class CaptionDoc:
         )
 
 
-@dataclass
-class Columns:
-    """Checked caption records before indexing. Term ids are provisional:
-    given in order of first appearance in the token stream."""
-
-    caption_ids: list[str]
-    image_code: np.ndarray  # int32 index into images per doc
-    images: list[str]  # distinct image ids, by first appearance
-    lengths: np.ndarray  # token count per doc
-    tokens: np.ndarray  # provisional term id per token, docs in order
-    terms: list[str]  # term per provisional id
-    group: np.ndarray  # int32 category group id per doc, -1 for none
-    group_sets: list[frozenset[str]]
-    where: Callable[[int], str] = lambda i: ""  # error prefix of doc i
-
-    @classmethod
-    def of(cls, blocks: Iterable[Sequence[list]]) -> Columns:
-        """Columns of checked records, given as blocks of four columns:
-        caption ids, image ids, token lists and category sets (None for
-        none). Each column of a block is taken in one pass. Image ids
-        are interned as they are read: a record's own id str is dropped
-        with its block unless it is the first of its image."""
-        ids: list[str] = []
-        codes, tokens, group = array("i"), array("i"), array("i")
-        lengths = array("q")
-        image_codes = defaultdict(itertools.count().__next__)
-        term_ids = defaultdict(itertools.count().__next__)
-        group_ids = defaultdict(itertools.count().__next__)
-        group_ids[None] = -1
-        for caption_ids, image_ids, token_lists, categories in blocks:
-            ids += caption_ids
-            codes.fromlist(list(map(image_codes.__getitem__, image_ids)))
-            lengths.fromlist(list(map(len, token_lists)))
-            flat = itertools.chain.from_iterable(token_lists)
-            tokens.fromlist(list(map(term_ids.__getitem__, flat)))
-            group.fromlist(list(map(group_ids.__getitem__, categories)))
-        return cls(
-            ids,
-            np.frombuffer(codes, np.int32),
-            list(image_codes),
-            np.frombuffer(lengths, np.int64),
-            np.frombuffer(tokens, np.int32),
-            list(term_ids),
-            np.frombuffer(group, np.int32),
-            list(group_ids)[1:],
-        )
-
-
 class Collection:
     """Immutable indexed collection of caption documents.
 
-    All derived structures are made once in the constructor, by one of
-    two paths: built from docs or from the columns load_collection
-    parsed, or adopted from the arrays of a sidecar (see
-    load_collection). Both end in _check, which states the collection's
-    invariants. The docs themselves are not kept.
+    Made in one place, this constructor, from the arrays of a collection
+    as _COLLECTION_ARRAYS lays them out, each string column a list of
+    str: those _built makes of docs or of a parsed file, or those of a
+    sidecar (see load_collection). _check states the invariants they
+    must hold. The docs themselves are not kept.
     """
 
     def __init__(
         self,
         docs: Iterable[CaptionDoc] = (),
-        columns: Columns | None = None,
-        stored: dict[str, np.ndarray] | None = None,
+        arrays: dict | None = None,
     ):
-        if stored is not None:
-            self._adopt(stored)
-        else:
-            if columns is None:
-                docs = list(docs)
-                fields = ("caption_id", "image_id", "tokens", "categories")
-                columns = Columns.of(
-                    [[list(map(operator.attrgetter(f), docs)) for f in fields]]
-                )
-            self._build(columns)
-        self.type_counts = np.diff(self.matrix.indptr).astype(np.float64)
-        self._check()
-
-    def _build(self, columns: Columns) -> None:
-        self.caption_ids = ids = columns.caption_ids
-        self.image_code = columns.image_code
-        self.images = columns.images
-        # Rank of each doc's caption_id in string order, used as the
-        # deterministic tie-break key when scores are equal.
-        self.caption_rank, i = _string_rank(ids)
-        if i is not None:
-            where = columns.where(i)
-            raise ValueError(f"{where}duplicate caption_id {ids[i]!r}")
-
-        # Final term ids order terms by (first doc, term string). Each new
-        # provisional id is one above all ids before it in the token
-        # stream, so an id first appears where the running max reaches it.
-        self.offsets = np.concatenate(([0], np.cumsum(columns.lengths)))
-        top = np.maximum.accumulate(columns.tokens)
-        provisional = np.arange(len(columns.terms), dtype=top.dtype)
-        first = np.searchsorted(top, provisional)  # token position, by id
-        del top
-        doc_of = np.searchsorted(self.offsets, first, "right") - 1
-        terms, first_doc = columns.terms, doc_of.tolist()
-        order = sorted(
-            range(len(terms)), key=lambda p: (first_doc[p], terms[p])
-        )
-        self.vocab = {terms[p]: i for i, p in enumerate(order)}
-        # Rank of each term id's string in string order: rerank sums a
-        # caption's types in that order.
-        self.term_rank, _ = _string_rank(list(self.vocab))
-        final = np.empty(len(order), dtype=np.int32)
-        final[order] = np.arange(len(order), dtype=np.int32)
-        # Replacing the provisional ids frees them before the matrix is
-        # built: only one per-token id array is alive while it is, and
-        # none once the columns are dropped.
-        columns.tokens = final[columns.tokens]
-        self.matrix = _csr(
-            *_type_incidence(columns.lengths, columns.tokens, len(order)),
-            len(order),
-        )
-
+        if arrays is None:
+            docs = list(docs)
+            fields = ("caption_id", "image_id", "tokens", "categories")
+            columns = [list(map(operator.attrgetter(f), docs)) for f in fields]
+            arrays = _built([columns], lambda i: "")
+        self.caption_ids = arrays["caption_ids"]
+        self.image_code = arrays["image_code"]
+        self.images = arrays["images"]
+        self.caption_rank = arrays["caption_rank"]
+        self.offsets = arrays["offsets"]
+        self.vocab = dict(zip(arrays["terms"], itertools.count()))
+        self.term_rank = arrays["term_rank"]
+        n_terms = len(self.vocab)
+        self.matrix = _csr(arrays["indptr"], arrays["indices"], n_terms)
         # Category sets mapped to small group ids; -1 marks docs with
         # no annotations (they can never satisfy a strict-equality gate).
-        self.cat_group = columns.group
-        self._cat_groups = dict(zip(columns.group_sets, itertools.count()))
-
-    def _adopt(self, stored: dict[str, np.ndarray]) -> None:
-        """Take the arrays _stored wrote, laid out as _COLLECTION_ARRAYS
-        says; ValueError if a blob does not decode."""
-        self.caption_ids = _strings(stored["caption_ids"])
-        self.image_code = stored["image_code"]
-        self.images = _strings(stored["images"])
-        self.caption_rank = stored["caption_rank"]
-        self.offsets = stored["offsets"]
-        terms = _strings(stored["terms"])
-        self.vocab = dict(zip(terms, itertools.count()))
-        self.term_rank = stored["term_rank"]
-        self.matrix = _csr(stored["indptr"], stored["indices"], len(terms))
-        self.cat_group = stored["cat_group"]
-        groups = _strings(stored["group_sets"])
+        self.cat_group = arrays["cat_group"]
         self._cat_groups = {
-            frozenset(labels.split(",")): i for i, labels in enumerate(groups)
+            frozenset(labels.split(",")): i
+            for i, labels in enumerate(arrays["group_sets"])
         }
-
-    def _stored(self) -> dict[str, np.ndarray]:
-        """The arrays _adopt takes back, strings as _blob writes them.
-        Only a collection read from a file is stored: none of its ids,
-        terms or labels holds a line break, a term no whitespace and a
-        label no comma."""
-        return {
-            "caption_ids": _blob(self.caption_ids),
-            "image_code": self.image_code,
-            "images": _blob(self.images),
-            "caption_rank": self.caption_rank,
-            "offsets": self.offsets,
-            "terms": _blob(self.vocab),
-            "term_rank": self.term_rank,
-            "indptr": self.matrix.indptr.astype(np.int64),
-            "indices": self.matrix.indices.astype(np.int32, copy=False),
-            "cat_group": self.cat_group,
-            "group_sets": _blob(",".join(sorted(g)) for g in self._cat_groups),
-        }
+        self.type_counts = np.diff(self.matrix.indptr).astype(np.float64)
+        self._check()
 
     def _check(self) -> None:
         """The collection's invariants; ValueError naming the first that
@@ -341,6 +233,79 @@ class Collection:
         return self._cat_groups.get(frozenset(categories))
 
 
+def _built(blocks: Iterable[Sequence[list]], where: Callable) -> dict:
+    """The arrays, as a Collection takes them, of checked caption
+    records given as blocks of four columns: caption ids, image ids,
+    token lists and category sets (None for none). A repeated caption
+    id fails as ``<where(i)>duplicate caption_id ...``, i the record of
+    its first repeat. Each column of a block is taken in one pass. Image
+    ids, terms and category sets are interned as they are read: a
+    record's own image id str is dropped with its block unless it is
+    the first of its image. Term ids are provisional at first, in order
+    of first appearance in the token stream."""
+    ids: list[str] = []
+    codes, tokens, group = array("i"), array("i"), array("i")
+    lengths = array("q")
+    image_codes = defaultdict(itertools.count().__next__)
+    term_ids = defaultdict(itertools.count().__next__)
+    group_ids = defaultdict(itertools.count().__next__)
+    group_ids[None] = -1
+    for caption_ids, image_ids, token_lists, categories in blocks:
+        ids += caption_ids
+        codes.fromlist(list(map(image_codes.__getitem__, image_ids)))
+        lengths.fromlist(list(map(len, token_lists)))
+        flat = itertools.chain.from_iterable(token_lists)
+        tokens.fromlist(list(map(term_ids.__getitem__, flat)))
+        group.fromlist(list(map(group_ids.__getitem__, categories)))
+    images, terms = list(image_codes), list(term_ids)
+    group_sets = [",".join(sorted(labels)) for labels in list(group_ids)[1:]]
+    # The interning dicts are freed before the index is built.
+    del image_codes, term_ids, group_ids
+    # Rank of each doc's caption_id in string order, used as the
+    # deterministic tie-break key when scores are equal.
+    caption_rank, i = _string_rank(ids)
+    if i is not None:
+        raise ValueError(f"{where(i)}duplicate caption_id {ids[i]!r}")
+
+    # Final term ids order terms by (first doc, term string). Each new
+    # provisional id is one above all ids before it in the token
+    # stream, so an id first appears where the running max reaches it.
+    lengths = np.frombuffer(lengths, np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    tokens = np.frombuffer(tokens, np.int32)
+    top = np.maximum.accumulate(tokens)
+    provisional = np.arange(len(terms), dtype=top.dtype)
+    first = np.searchsorted(top, provisional)  # token position, by id
+    del top
+    first_doc = (np.searchsorted(offsets, first, "right") - 1).tolist()
+    order = sorted(range(len(terms)), key=lambda p: (first_doc[p], terms[p]))
+    terms = [terms[p] for p in order]
+    # Rank of each term id's string in string order: rerank sums a
+    # caption's types in that order.
+    term_rank, _ = _string_rank(terms)
+    final = np.empty(len(order), dtype=np.int32)
+    final[order] = np.arange(len(order), dtype=np.int32)
+    # Replacing the provisional ids frees them before the matrix is
+    # built: only one per-token id array is alive while it is, and
+    # none once it is.
+    tokens = final[tokens]
+    indptr, indices = _type_incidence(lengths, tokens, len(terms))
+    del tokens
+    return {
+        "caption_ids": ids,
+        "image_code": np.frombuffer(codes, np.int32),
+        "images": images,
+        "caption_rank": caption_rank,
+        "offsets": offsets,
+        "terms": terms,
+        "term_rank": term_rank,
+        "indptr": indptr,
+        "indices": indices,
+        "cat_group": np.frombuffer(group, np.int32),
+        "group_sets": group_sets,
+    }
+
+
 def _string_rank(strings: list[str]) -> tuple[np.ndarray, int | None]:
     """The int32 rank of each string in Python's string order, and the
     first index holding a string an earlier one holds (None if none),
@@ -378,10 +343,9 @@ def _rows_ascend(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return bool(rising.all())
 
 
-def _blob(strings: Iterable[str]) -> np.ndarray:
+def _blob(strings: list[str]) -> np.ndarray:
     """strings as one UTF-8 byte array, each ended by a line break; none
     may hold one."""
-    strings = list(strings)
     text = "\n".join(strings) + "\n" if strings else ""
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
@@ -390,7 +354,7 @@ def _strings(blob: np.ndarray) -> list[str]:
     """The strings of a _blob; ValueError if it is not one."""
     strings = blob.tobytes().decode("utf-8").split("\n")
     if strings.pop():
-        raise ValueError("collection index: a string blob is not ended")
+        raise ValueError("sidecar: a string blob is not ended")
     return strings
 
 
@@ -452,20 +416,18 @@ def load_collection(path, skip_empty: bool = False) -> Collection:
     the built arrays and does not parse it.
     """
     if skip_empty:
-        return Collection(columns=_read_columns(path, skip_empty=True))
+        return Collection(arrays=_read_collection(path, skip_empty=True))
     return _through_sidecar(
-        path,
-        _COLLECTION_ARRAYS,
-        lambda stored: Collection(stored=stored),
-        lambda: Collection(columns=_read_columns(path, skip_empty=False)),
-        Collection._stored,
+        path, _COLLECTION_ARRAYS, lambda a: Collection(arrays=a),
+        lambda: _read_collection(path, skip_empty=False),
     )
 
 
 # Suffix of the sidecar beside a collection or feature file.
 SIDECAR = ".tsr-index.npz"
 # The arrays of a sidecar, name -> (dtype, ndim), besides its uint8 key.
-# Strings are stored as _blob bytes.
+# Each uint8 array is a string column: a list of str in memory, stored
+# as its _blob.
 _COLLECTION_ARRAYS = {
     "caption_ids": (np.uint8, 1),
     "image_code": (np.int32, 1),
@@ -491,42 +453,47 @@ _UNUSABLE = (
 )
 
 
-def _through_sidecar(path, layout, adopt, parse, arrays_of):
-    """What adopt makes of the arrays of path's sidecar, ``<path>.tsr-
+def _through_sidecar(path, layout, make, parse):
+    """What make makes of the arrays of path's sidecar, ``<path>.tsr-
     index.npz``, when its key is path's and its arrays have layout;
-    else what parse makes of the file, whose arrays_of are written as
-    its sidecar. adopt raises ValueError on arrays that break a rule.
-    The key is the sha256 of the file's bytes, then of the loader's
-    source, so an edited file or a changed loader never reuses a
-    sidecar. The file is hashed again after the parse, and the sidecar
-    written only if it did not change meanwhile. A sidecar that cannot
-    be written is skipped with a warning: the result never depends on
-    the sidecar. Only a regular file has one: a pipe cannot be read
-    twice."""
+    else what make makes of the arrays parse reads from the file, which
+    are then written as its sidecar. make raises ValueError on arrays
+    that break a rule. The key is the sha256 of the file's bytes, then
+    of the loader's source, so an edited file or a changed loader never
+    reuses a sidecar. The file is hashed again after the parse, and the
+    sidecar written only if it did not change meanwhile. A sidecar that
+    cannot be written is skipped with a warning: the result never
+    depends on the sidecar. Only a regular file has one: a pipe cannot
+    be read twice."""
     if not os.path.isfile(path):
-        return parse()
+        return make(parse())
     sidecar = f"{os.fspath(path)}{SIDECAR}"
     key = _key(path)
     try:
-        return adopt(_read_arrays(sidecar, key, layout))
+        return make(_read_arrays(sidecar, key, layout))
     except _UNUSABLE:
         pass
-    built = parse()
+    arrays = parse()
+    made = make(arrays)
     if np.array_equal(_key(path), key):
+        stored = {
+            name: _blob(arrays[name]) if dtype is np.uint8 else arrays[name]
+            for name, (dtype, _) in layout.items()
+        }
         try:
-            write_arrays(sidecar, {"key": key, **arrays_of(built)})
+            write_arrays(sidecar, {"key": key, **stored})
         except OSError as exc:
             log.warning("%s: sidecar not written: %s", sidecar, exc)
-    return built
+    return made
 
 
 def _read_arrays(sidecar: str, key: np.ndarray, layout) -> dict:
     """The arrays of the sidecar, read-only, checked against key and
-    layout; an error of _UNUSABLE if they do not match, or the file is
-    unusable. Each array is read to its end, so that zipfile checks its
-    CRC, and its header must be the .npy 1.0 header write_arrays writes
-    and give the size read: a damaged header never makes an array of
-    another size."""
+    layout, its string columns as lists of str; an error of _UNUSABLE
+    if they do not match, or the file is unusable. Each array is read
+    to its end, so that zipfile checks its CRC, and its header must be
+    the .npy 1.0 header write_arrays writes and give the size read: a
+    damaged header never makes an array of another size."""
     with zipfile.ZipFile(sidecar) as archive:
 
         def read(name: str, dtype, ndim: int) -> np.ndarray:
@@ -544,7 +511,11 @@ def _read_arrays(sidecar: str, key: np.ndarray, layout) -> dict:
 
         if not np.array_equal(read("key", np.uint8, 1), key):
             raise ValueError("stale sidecar")
-        return {name: read(name, *spec) for name, spec in layout.items()}
+        arrays = {name: read(name, *spec) for name, spec in layout.items()}
+    for name, (dtype, _) in layout.items():
+        if dtype is np.uint8:
+            arrays[name] = _strings(arrays[name])
+    return arrays
 
 
 @functools.cache
@@ -568,11 +539,9 @@ def _key(path) -> np.ndarray:
     return np.frombuffer(digest.digest() + _loader_digest(), dtype=np.uint8)
 
 
-def _read_columns(path, skip_empty: bool) -> Columns:
-    """The Columns of the collection file at path, read a block of lines
-    at a time; see load_collection. A function of its own, which returns
-    before the index is built: what it holds to read the file is freed
-    first."""
+def _read_collection(path, skip_empty: bool) -> dict:
+    """The arrays _built makes of the collection file at path, read a
+    block of lines at a time; see load_collection."""
     name = os.fspath(path)
     kept = array("q")  # line number of each kept record
     parse = functools.lru_cache(maxsize=None)(parse_categories)
@@ -605,9 +574,7 @@ def _read_columns(path, skip_empty: bool) -> Columns:
             kept.extend(linenos)
             yield block
 
-    columns = Columns.of(blocks())
-    columns.where = lambda i: f"{name}:{kept[i]}: "
-    return columns
+    return _built(blocks(), lambda i: f"{name}:{kept[i]}: ")
 
 
 def write_normal_form(path, out) -> None:
@@ -642,74 +609,33 @@ class FeatureStore:
     to float64 and sum each row in a fixed order, so their bits do not
     depend on the BLAS; its float32 bound, which does, only picks which
     rows to measure.
+
+    Made in one place, this constructor, from the arrays ``{"ids": [str],
+    "matrix": float32 rows}`` that _checked_features makes of vectors
+    given in code or of a parsed file, or of a sidecar (see
+    load_features); each refusal is a ValueError.
     """
 
-    def __init__(self, vectors: dict[str, Sequence[float]] | None = None):
-        vectors = vectors or {}
-        labels = map("image {!r}".format, vectors)
-        self._fill([(labels, list(vectors), list(vectors.values()))])
-
-    @np.errstate(over="ignore")  # rounding to float32 may overflow
-    def _fill(
+    def __init__(
         self,
-        blocks: Iterable[tuple[Iterable[str], list, list]],
-        matrix: np.ndarray | None = None,
-    ) -> None:
-        """Keep one float32 row per image of each ``(labels, image_ids,
-        components)`` block, values read as float64 and rounded. Fails as
-        ``<label>: ...`` on a repeated id, a non-number, an empty vector,
-        a length other than the first row's, or a value not finite once
-        rounded. Each rule is one pass over the block; a refused block is
-        checked one row at a time, so that its first bad row is named.
-        Checked rows are appended to one growing float32 buffer, which
-        becomes the matrix without a copy; given the float32 matrix whose
-        rows the blocks are, in order, as a sidecar's are, that matrix
-        is kept instead, so that no second copy is made."""
-        self._row: dict[str, int] = {}
-        values = array("f")
-        dim = 0
-
-        def add(ids: list, components: list) -> None:
-            """Check a block and keep its rows; a message names its first
-            row, and a refused block keeps nothing."""
-            nonlocal dim
-            n = len(ids)
-            if len(set(ids)) < n or not self._row.keys().isdisjoint(ids):
-                raise ValueError(f"repeated image_id {ids[0]!r}")
-            try:
-                rows = np.asarray(components, np.float64).astype(np.float32)
-            except ValueError:
-                raise ValueError("non-numeric feature component") from None
-            size = rows.size // n
-            if not size:
-                raise ValueError("empty feature vector")
-            if rows.shape != (n, dim or size):
-                raise ValueError(
-                    f"vector length {size} != {dim or size};"
-                    " feature vectors must share one dimension"
-                )
-            if not np.isfinite(rows).all():
-                raise ValueError("non-finite feature component")
-            dim = dim or size
-            start = len(self._row)
-            self._row.update(zip(ids, range(start, start + n)))
-            if matrix is None:
-                values.frombytes(rows.tobytes())
-
-        for labels, ids, components in blocks:
-            if not ids:
-                continue
-            try:
-                add(ids, components)
-            except ValueError:
-                for label, image_id, row in zip(labels, ids, components):
-                    try:
-                        add([image_id], [row])
-                    except ValueError as exc:
-                        raise ValueError(f"{label}: {exc}") from None
-        if matrix is None:
-            matrix = np.frombuffer(values, np.float32)
-            matrix = matrix.reshape(len(self._row), dim)
+        vectors: dict[str, Sequence[float]] | None = None,
+        arrays: dict | None = None,
+    ):
+        if arrays is None:
+            vectors = vectors or {}
+            labels = map("image {!r}".format, vectors)
+            blocks = [(labels, list(vectors), list(vectors.values()))]
+            arrays = _checked_features(blocks)
+        ids, matrix = arrays["ids"], arrays["matrix"]
+        self._row = dict(zip(ids, itertools.count()))
+        if getattr(matrix, "dtype", None) != np.float32 or matrix.ndim != 2:
+            raise ValueError("features: not a float32 matrix")
+        if not len(self._row) == len(ids) == len(matrix):
+            raise ValueError("features: not one row per id, each id once")
+        if len(ids) and not matrix.shape[1]:
+            raise ValueError("features: empty feature vectors")
+        if not np.isfinite(matrix).all():
+            raise ValueError("features: non-finite feature component")
         self.matrix = matrix
 
     def __len__(self) -> int:
@@ -727,45 +653,77 @@ class FeatureStore:
         return np.fromiter(lookup, dtype=np.int32)
 
 
+@np.errstate(over="ignore")  # rounding to float32 may overflow
+def _checked_features(blocks: Iterable[tuple]) -> dict:
+    """The arrays of a FeatureStore of ``(labels, image_ids, components)``
+    blocks: the ids, and one float32 row per id, values read as float64
+    and rounded. Fails as ``<label>: ...`` on a repeated id, a
+    non-number, an empty vector, a length other than the first row's,
+    or a value not finite once rounded. Each rule is one pass over the
+    block; a refused block is checked one row at a time, so that its
+    first bad row is named. Checked rows are appended to one growing
+    float32 buffer, which becomes the matrix without a copy."""
+    ids: dict[str, None] = {}  # the ids kept, in order
+    values = array("f")
+    dim = 0
+
+    def add(block_ids: list, components: list) -> None:
+        """Check a block and keep its rows; a message names its first
+        row, and a refused block keeps nothing."""
+        nonlocal dim
+        n = len(block_ids)
+        if len(set(block_ids)) < n or not ids.keys().isdisjoint(block_ids):
+            raise ValueError(f"repeated image_id {block_ids[0]!r}")
+        try:
+            rows = np.asarray(components, np.float64).astype(np.float32)
+        except ValueError:
+            raise ValueError("non-numeric feature component") from None
+        size = rows.size // n
+        if not size:
+            raise ValueError("empty feature vector")
+        if rows.shape != (n, dim or size):
+            raise ValueError(
+                f"vector length {size} != {dim or size};"
+                " feature vectors must share one dimension"
+            )
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite feature component")
+        dim = dim or size
+        ids.update(dict.fromkeys(block_ids))
+        values.frombytes(rows.tobytes())
+
+    for labels, block_ids, components in blocks:
+        if not block_ids:
+            continue
+        try:
+            add(block_ids, components)
+        except ValueError:
+            for label, image_id, row in zip(labels, block_ids, components):
+                try:
+                    add([image_id], [row])
+                except ValueError as exc:
+                    raise ValueError(f"{label}: {exc}") from None
+    matrix = np.frombuffer(values, np.float32).reshape(len(ids), dim)
+    return {"ids": list(ids), "matrix": matrix}
+
+
 def load_features(path) -> FeatureStore:
     """Read a feature file into a FeatureStore; a malformed line fails
     naming its ``<file>:<line>``. The load goes through the file's
-    sidecar, as load_collection's does; adopted rows pass the checks
-    parsed ones do."""
-    return _through_sidecar(
-        path, _FEATURE_ARRAYS, _adopt_features, lambda: _parse_features(path),
-        lambda store: {"ids": _blob(store._row), "matrix": store.matrix},
-    )
-
-
-def _parse_features(path) -> FeatureStore:
+    sidecar, as load_collection's does."""
     name = os.fspath(path)
     message = "expected image_id<TAB>components"
-    store = FeatureStore()
-    store._fill(
-        (
-            (f"{name}:{lineno}" for lineno in linenos),
-            list(map(operator.itemgetter(0), rows)),
-            list(map(str.split, map(operator.itemgetter(1), rows))),
+
+    def parse() -> dict:
+        return _checked_features(
+            (
+                (f"{name}:{lineno}" for lineno in linenos),
+                list(map(operator.itemgetter(0), rows)),
+                list(map(str.split, map(operator.itemgetter(1), rows))),
+            )
+            for linenos, rows in read_blocks(path, "\t", (2,), message)
         )
-        for linenos, rows in read_blocks(path, "\t", (2,), message)
-    )
-    return store
 
-
-def _adopt_features(stored: dict[str, np.ndarray]) -> FeatureStore:
-    """The FeatureStore of a sidecar's arrays, through the checks of
-    parsed blocks; ValueError if they fail, or the rows are not one per
-    id. Rows are checked 4,096 at a time, so that no float64 copy of the
-    whole matrix is made."""
-    ids, matrix = _strings(stored["ids"]), stored["matrix"]
-    if len(ids) != len(matrix):
-        raise ValueError("feature sidecar: not one row per id")
-    store = FeatureStore()
-    blocks = (
-        (ids[i:i + 4096], matrix[i:i + 4096]) for i in range(0, len(ids), 4096)
+    return _through_sidecar(
+        path, _FEATURE_ARRAYS, lambda a: FeatureStore(arrays=a), parse
     )
-    store._fill(
-        ((map("image {!r}".format, b), b, rows) for b, rows in blocks), matrix
-    )
-    return store

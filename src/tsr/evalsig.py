@@ -29,14 +29,12 @@ would change p-values, so both are pinned here.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from .retrieval import _is_number, check_count
-from .textcore import check_not_str, read_records
+from .textcore import check_count, check_not_str, check_seed, read_records
 
 MAX_ORDER = 4
 # Columns of a statistics row.
@@ -118,12 +116,6 @@ def _bleu(*row: int) -> float:
         log_precisions += math.log(m / t) / MAX_ORDER
     brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     return brevity * math.exp(log_precisions)
-
-
-def check_seed(seed) -> None:
-    """Reject anything but a non-negative integer; bools are not integers."""
-    if not (_is_number(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def approx_randomization(stats_a, stats_b, trials: int, seed: int) -> float:

@@ -31,11 +31,10 @@ from .retrieval import (
     MatchList,
     Retriever,
     _each_sentence_once,
-    check_count,
     checked_row,
     check_weight,
 )
-from .textcore import check_not_str, joined_line, write_lines
+from .textcore import check_count, check_not_str, joined_line, write_lines
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .collection import Collection, FeatureStore, parse_categories
-from .textcore import check_not_str, joined_line, read_records, write_lines
+from .textcore import (
+    check_count,
+    check_not_str,
+    is_number,
+    joined_line,
+    read_records,
+    write_lines,
+)
 
 MODES = ("txt", "cnn", "hca")
 
@@ -125,20 +132,10 @@ class RetrievalParams:
         check_cutoff("distance_cutoff", self.distance_cutoff)
 
 
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def check_count(name: str, value) -> None:
-    """Reject anything but a positive integer; bools are not integers."""
-    if not (_is_number(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def check_weight(name: str, value) -> None:
     """Reject anything but a finite non-negative number."""
     if not (
-        _is_number(value, numbers.Real) and math.isfinite(value) and value >= 0
+        is_number(value, numbers.Real) and math.isfinite(value) and value >= 0
     ):
         raise ValueError(
             f"{name} must be a finite non-negative number, got {value!r}"
@@ -147,7 +144,7 @@ def check_weight(name: str, value) -> None:
 
 def check_cutoff(name: str, value) -> None:
     """Reject anything but a positive number; infinity passes, NaN not."""
-    if not (_is_number(value, numbers.Real) and value > 0):
+    if not (is_number(value, numbers.Real) and value > 0):
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 

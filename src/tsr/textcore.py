@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 import os
 import sys
 import uuid
@@ -122,6 +123,23 @@ def joined_line(
     return line
 
 
+def is_number(value, kind) -> bool:
+    """Whether value is of the numbers ABC kind; a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_count(name: str, value) -> None:
+    """Reject anything but a positive integer; bools are not integers."""
+    if not (is_number(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Reject anything but a non-negative integer; bools are not integers."""
+    if not (is_number(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def check_not_str(name: str, sequences: Iterable) -> None:
     """ValueError naming the argument name if one of sequences is a str,
     which would be read as one token, or label, per character. One pass
@@ -179,11 +197,21 @@ class IdfTable:
     immutable after construction."""
 
     def __init__(self, doc_count: int, df: dict[str, int]):
+        if not is_number(doc_count, numbers.Integral):
+            raise ValueError(
+                f"doc_count must be an integer, got {doc_count!r}"
+            )
         if doc_count <= 0:
             raise ValueError("doc_count must be positive")
         self.doc_count = doc_count
         self.df: dict[str, int] = {}
         for term, count in df.items():
+            # load parses each df as an int, so only counts given in code
+            # are checked for one.
+            if not is_number(count, numbers.Integral):
+                raise ValueError(
+                    f"df({term!r}) must be an integer, got {count!r}"
+                )
             self._add(term, count)
 
     def _add(self, term: str, count: int) -> None:
@@ -247,11 +275,13 @@ def build_idf(corpus: Iterable[Iterable[str]]) -> IdfTable:
 
     Every sequence counts as one document; df(w) is the number of
     documents whose type set contains w. Raises on an empty stream,
-    since an IDF table without documents is unusable.
+    since an IDF table without documents is unusable, and on a document
+    given as a str, which would count its characters.
     """
     df: dict[str, int] = {}
     doc_count = 0
     for tokens in corpus:
+        check_not_str("corpus", (tokens,))
         doc_count += 1
         for term in set(tokens):
             df[term] = df.get(term, 0) + 1

@@ -220,6 +220,31 @@ def test_caption_tokens_given_as_a_str_rejected():
         check_records(*block)
 
 
+def test_category_set_given_as_a_str_rejected():
+    """A str category set is not kept as a group of its own, which no
+    query for its one label would match."""
+    with pytest.raises(ValueError, match="^categories: a str where"):
+        CaptionDoc("c1", "i1", ("a", "dog"), "dog")
+    block = (["c1", "c2"], ["i1", "i2"], [["a"], ["b"]], [None, "dog"])
+    with pytest.raises(ValueError, match="^categories: a str where"):
+        check_records(*block)
+
+
+def test_comma_in_a_category_label_rejected():
+    """A set is kept as its labels joined by commas, so a label holding
+    a comma would come back as two labels; no file can hold one."""
+    with pytest.raises(
+        ValueError, match="^comma in a category label on caption 'c2'$"
+    ):
+        Collection([
+            CaptionDoc("c1", "i1", ("a",), frozenset({"x", "y"})),
+            CaptionDoc("c2", "i1", ("b",), frozenset({"x,y"})),
+        ])
+    coll = Collection([CaptionDoc("c1", "i1", ("a",), frozenset({"x", ""}))])
+    assert coll.category_group({"", "x"}) == 0
+    assert coll.category_group({"x"}) is None
+
+
 def test_index_keys_beyond_int32(tmp_path):
     """Docs times terms above 2**31: every row still holds exactly its
     doc's types, ascending, and both routes build the same index."""
@@ -361,6 +386,34 @@ def test_load_features_rejects_bad_values(tmp_path):
 def test_features_stored_float32_but_finite_checked():
     with pytest.raises(ValueError, match="non-finite"):
         FeatureStore({"i1": [1e39, 0.0]})
+
+
+@pytest.mark.parametrize("ids, matrix, message", [
+    (["a"], np.ones((1, 2)), "not a float32 matrix"),
+    (["a"], np.ones(2, np.float32), "not a float32 matrix"),
+    (["a"], [[1.0, 2.0]], "not a float32 matrix"),
+    (["a", "a"], np.ones((2, 2), np.float32), "not one row per id"),
+    (["a", "b"], np.ones((1, 2), np.float32), "not one row per id"),
+    (["a"], np.ones((2, 2), np.float32), "not one row per id"),
+    (["a", "b", "c"], np.ones((3, 0), np.float32), "empty feature vectors"),
+    (["a"], np.array([[1.0, np.nan]], np.float32), "non-finite"),
+    (["a"], np.array([[np.inf, 1.0]], np.float32), "non-finite"),
+])
+def test_feature_arrays_refused(ids, matrix, message):
+    """The arrays FeatureStore is made from, as a sidecar gives them:
+    each breach is a ValueError, never an IndexError, so that the load
+    parses the file again."""
+    with pytest.raises(ValueError, match=f"^features: {message}"):
+        FeatureStore(arrays={"ids": ids, "matrix": matrix})
+
+
+def test_feature_arrays_accepted():
+    matrix = np.array([[0.5, -1.0], [2.0, 3.0]], np.float32)
+    feats = FeatureStore(arrays={"ids": ["i1", "i2"], "matrix": matrix})
+    assert feats.matrix is matrix
+    assert feats.rows_of(["i2", "x", "i1"]).tolist() == [1, -1, 0]
+    empty = np.empty((0, 0), np.float32)
+    assert len(FeatureStore(arrays={"ids": [], "matrix": empty})) == 0
 
 
 def dense_type_incidence(docs, vocab):

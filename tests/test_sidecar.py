@@ -300,7 +300,9 @@ def test_sidecar_that_breaks_an_invariant(coll_path, breach):
     assert_rewritten(coll_path, restore(coll_path, arrays))
 
 
-@pytest.mark.parametrize("breach", ["non-finite", "repeated id", "row count"])
+@pytest.mark.parametrize(
+    "breach", ["non-finite", "repeated id", "row count", "empty vectors"]
+)
 def test_feature_sidecar_that_fails_a_block_check(tmp_path, breach):
     path = tmp_path / "feats.tsv"
     path.write_text("i1\t0.5 1.5\ni2\t1.0 -2.0\ni3\t3.0 4.0\n")
@@ -310,8 +312,10 @@ def test_feature_sidecar_that_fails_a_block_check(tmp_path, breach):
         arrays["matrix"][1, 0] = np.inf
     elif breach == "repeated id":
         arrays["ids"] = np.frombuffer(b"i1\ni2\ni1\n", np.uint8)
-    else:
+    elif breach == "row count":
         arrays["matrix"] = arrays["matrix"][:2]
+    else:  # a (3, 0) matrix: three ids, each with an empty vector
+        arrays["matrix"] = np.empty((3, 0), np.float32)
     damaged = restore(path, arrays)
     for _ in range(2):  # ignored and rewritten, then adopted
         feats = load_features(path)
@@ -342,14 +346,14 @@ def test_input_changed_during_the_parse_keeps_no_sidecar(
 ):
     """A file rewritten while it is parsed gets no sidecar: it would
     hold the arrays of one content under the key of another."""
-    read_columns = tsr.collection._read_columns
+    read_collection = tsr.collection._read_collection
 
     def read_then_edit(path, skip_empty):
-        columns = read_columns(path, skip_empty)
+        arrays = read_collection(path, skip_empty)
         coll_path.write_text(COLLECTION + "c99\timg0\tnew\n", encoding="utf-8")
-        return columns
+        return arrays
 
-    monkeypatch.setattr(tsr.collection, "_read_columns", read_then_edit)
+    monkeypatch.setattr(tsr.collection, "_read_collection", read_then_edit)
     assert len(load_collection(coll_path)) == 40
     assert not Path(f"{coll_path}{SIDECAR}").exists()
     monkeypatch.undo()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ def test_build_idf_rejects_empty_corpus():
         build_idf([])
 
 
+def test_build_idf_rejects_a_str_document():
+    """A document given as a str would count its characters."""
+    with pytest.raises(ValueError, match="^corpus: a str where"):
+        build_idf([["a", "man"], "a dog"])
+
+
 def test_invalid_df_rejected():
     with pytest.raises(ValueError):
         IdfTable(5, {"a": 0})
@@ -47,6 +54,27 @@ def test_invalid_df_rejected():
         IdfTable(5, {"a": 6})
     with pytest.raises(ValueError):
         IdfTable(0, {})
+
+
+@pytest.mark.parametrize("doc_count, df, message", [
+    (True, {"a": 1}, "doc_count must be an integer, got True"),
+    (2.5, {"a": 1}, "doc_count must be an integer, got 2.5"),
+    (2.0, {"a": 1}, "doc_count must be an integer, got 2.0"),
+    (3, {"a": 1.5}, "df('a') must be an integer, got 1.5"),
+    (3, {"a": True}, "df('a') must be an integer, got True"),
+])
+def test_non_integer_counts_rejected(doc_count, df, message):
+    """Counts that save would write and load refuse are refused when the
+    table is built."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IdfTable(doc_count, df)
+
+
+def test_numpy_integer_counts_accepted(tmp_path):
+    table = IdfTable(np.int64(4), {"a": np.int32(2)})
+    table.save(tmp_path / "idf.txt")
+    loaded = IdfTable.load(tmp_path / "idf.txt")
+    assert (loaded.doc_count, loaded.df) == (4, {"a": 2})
 
 
 def test_save_load_round_trip(tmp_path):
