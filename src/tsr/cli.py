@@ -40,7 +40,6 @@ from .retrieval import (
     RETRIEVAL_DEFAULTS,
     Retriever,
     RetrievalParams,
-    cutoff_from_json,
     read_kbest,
     read_matchlists,
     read_queries,
@@ -55,7 +54,7 @@ from .textcore import (
     read_token_lines,
     write_lines,
 )
-from .tune import _PARAMS, DevSet, GridSpec, stepwise_search
+from .tune import PARAMS, DevSet, GridSpec, stepwise_search
 
 # The paths _load_inputs takes, in its argument order, and their help.
 _INPUTS = {
@@ -71,20 +70,10 @@ _PATH_KEYS = (*_INPUTS, "out_dir", "references")
 _PIPELINE_KEYS = {
     **dict.fromkeys(_PATH_KEYS),
     "mode": "txt",
-    **{f.name: None for cls in _PARAMS for f in dataclasses.fields(cls)},
+    **{f.name: None for cls in PARAMS for f in dataclasses.fields(cls)},
     "workers": 1,
     "diagnostics": False,
 }
-
-
-def _resolve_params(
-    mode: str, cfg: dict
-) -> tuple[RetrievalParams, RerankParams]:
-    """The mode's default parameters, overridden by each one cfg sets."""
-    return (
-        _override(RETRIEVAL_DEFAULTS[mode], cfg),
-        _override(RERANK_DEFAULTS[mode], cfg),
-    )
 
 
 def _override(defaults, cfg: dict):
@@ -104,9 +93,12 @@ def _aligned_references(path, kbests, kbest_path) -> list[list[str]]:
     )
 
 
-def _load_json_object(path) -> dict:
-    """The JSON object a config or grid file holds. Python's NaN and
-    Infinity extensions are not JSON and fail."""
+def _load_json_object(path, what: str, keys) -> dict:
+    """The JSON object a config or grid file holds, each of its keys one
+    of keys, else ValueError ``unknown <what> keys: ...``. Python's NaN
+    and Infinity extensions are not JSON and fail. JSON has no infinity,
+    so "inf", as the distance_cutoff or an item of its list, is read as
+    math.inf, no cutoff, as _json_text writes it."""
 
     def refuse(constant):
         raise ValueError(
@@ -117,6 +109,15 @@ def _load_json_object(path) -> dict:
         loaded = json.load(handle, parse_constant=refuse)
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    unknown = set(loaded) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    cutoff = loaded.get("distance_cutoff")
+    if cutoff == "inf":
+        loaded["distance_cutoff"] = math.inf
+    elif isinstance(cutoff, list):
+        cutoffs = [math.inf if item == "inf" else item for item in cutoff]
+        loaded["distance_cutoff"] = cutoffs
     return loaded
 
 
@@ -196,7 +197,7 @@ def cmd_build_index(args) -> int:
 
 def cmd_retrieve(args) -> int:
     _check_mode(args.mode, args.features, args.queries)
-    params, _ = _resolve_params(args.mode, vars(args))
+    params = _override(RETRIEVAL_DEFAULTS[args.mode], vars(args))
     inputs = map(vars(args).get, _INPUTS)
     retriever, queries, kbests = _load_inputs(args.mode, *inputs)
     work = functools.partial(
@@ -235,18 +236,11 @@ def cmd_rerank(args) -> int:
 def _merge_pipeline_config(args) -> dict:
     cfg = dict(_PIPELINE_KEYS)
     if args.config:
-        loaded = _load_json_object(args.config)
-        unknown = set(loaded) - set(cfg)
-        if unknown:
-            raise ValueError(
-                f"unknown config keys: {', '.join(sorted(unknown))}"
-            )
-        cfg.update(loaded)
+        cfg.update(_load_json_object(args.config, "config", cfg))
     for key in _PIPELINE_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    cfg["distance_cutoff"] = cutoff_from_json(cfg["distance_cutoff"])
     for key in _PATH_KEYS:
         if cfg[key] is not None and not isinstance(cfg[key], str):
             raise ValueError(
@@ -266,7 +260,8 @@ def cmd_pipeline(args) -> int:
     cfg = _merge_pipeline_config(args)
     mode = cfg["mode"]
     _check_mode(mode, cfg["features"], cfg["queries"])
-    retrieval_params, rerank_params = _resolve_params(mode, cfg)
+    retrieval_params = _override(RETRIEVAL_DEFAULTS[mode], cfg)
+    rerank_params = _override(RERANK_DEFAULTS[mode], cfg)
     inputs = map(cfg.get, _INPUTS)
     retriever, queries, kbests = _load_inputs(mode, *inputs)
     refs = (
@@ -336,17 +331,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    spec = _load_json_object(args.grid)
-    mode = spec.pop("mode", "txt")
-    _check_mode(mode, args.features, args.queries)
-    grid = GridSpec.from_dict(spec)
-    grid.check_mode(mode)
+    fields = dataclasses.fields(GridSpec)
+    spec = _load_json_object(args.grid, "grid", [f.name for f in fields])
+    _check_mode(spec.get("mode", "txt"), args.features, args.queries)
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    if missing := ", ".join(sorted(required - set(spec))):
+        raise ValueError(f"grid is missing candidate lists: {missing}")
+    grid = GridSpec(**spec)
 
     inputs = map(vars(args).get, _INPUTS)
-    retriever, queries, kbests = _load_inputs(mode, *inputs)
+    retriever, queries, kbests = _load_inputs(grid.mode, *inputs)
     references = _aligned_references(args.references, kbests, args.kbest)
     dev = DevSet(retriever, kbests, references, queries)
-    result = stepwise_search(grid, dev, mode)
+    result = stepwise_search(grid, dev)
 
     if args.trace_out:
         trace = (
@@ -354,7 +351,7 @@ def cmd_tune(args) -> int:
         )
         write_lines(args.trace_out, trace)
     best = {
-        "mode": mode,
+        "mode": grid.mode,
         **dataclasses.asdict(result.retrieval_params),
         **dataclasses.asdict(result.rerank_params),
         "bleu": result.best_bleu,
@@ -447,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", dest="out_dir")
     sp.add_argument("--references")
     sp.add_argument("--mode", choices=MODES)
-    _add_param_flags(sp, *_PARAMS)
+    _add_param_flags(sp, *PARAMS)
     sp.add_argument("--workers", type=int, help="checked, then ignored")
     sp.add_argument(
         "--diagnostics", action="store_const", const=True, default=None

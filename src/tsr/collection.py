@@ -80,24 +80,30 @@ def check_records(
     categories: Sequence[frozenset[str] | None],
 ) -> None:
     """The rules of caption records, given as columns: ids, tokens and a
-    given category set must be non-empty, tokens and a category set not
-    a str, and no label may hold a comma; EmptyCaption when only the
-    tokens are empty. Each rule is one pass over a column, and its
-    message names the first record or the column: a caller with many
-    records that is refused checks them one at a time to name the bad
-    one."""
+    given category set must be non-empty, tokens not a str, a category
+    set None or a frozenset of str labels, none holding a comma;
+    EmptyCaption when only the tokens are empty. Each rule is one pass
+    over a column, or over its distinct sets, and its message names the
+    first record or the column: a caller with many records that is
+    refused checks them one at a time to name the bad one."""
     if not (all(caption_ids) and all(image_ids)):
         raise ValueError("empty caption_id or image_id")
     check_not_str("tokens", token_lists)
     if not all(token_lists):
         raise EmptyCaption(f"empty caption {caption_ids[0]!r}")
     check_not_str("categories", categories)
-    # Every set is None or non-empty.
-    if categories.count(None) + sum(map(bool, categories)) < len(categories):
-        raise ValueError(f"empty category set on caption {caption_ids[0]!r}")
     # A set is kept as its labels joined by commas, which a comma in a
-    # label would split; each distinct set is looked at once.
-    labels = itertools.chain.from_iterable(set(categories) - {None})
+    # label would split. After one pass over the types, each distinct
+    # set is looked at once.
+    typed = set(map(type, categories)) <= {frozenset, type(None)}
+    sets = set(categories) - {None} if typed else set()
+    labels = list(itertools.chain.from_iterable(sets))
+    if not (typed and all(map(str.__instancecheck__, labels))):
+        raise ValueError(
+            f"category set of caption {caption_ids[0]!r} not a frozenset of str"
+        )
+    if frozenset() in sets:
+        raise ValueError(f"empty category set on caption {caption_ids[0]!r}")
     if any("," in label for label in labels):
         raise ValueError(
             f"comma in a category label on caption {caption_ids[0]!r}"
@@ -386,9 +392,10 @@ def _csr(
     indptr: np.ndarray, indices: np.ndarray, n_terms: int
 ) -> sparse.csr_matrix:
     """The docs-by-terms matrix of int64 indptr and int32 indices, 1.0 at
-    each entry; with its data array made last, scipy makes no converting
-    copy. scipy is imported here, not with the module, so that the
-    commands that build no index never load it."""
+    each entry. scipy 1.17 shares indices but copies indptr into a new
+    int32 array, as its values fit one: 1.6 MB per 409,110 captions, on
+    each construction. scipy is imported here, not with the module, so
+    that the commands that build no index never load it."""
     from scipy import sparse
 
     return sparse.csr_matrix(

@@ -30,11 +30,16 @@ from .retrieval import (
     KBestList,
     MatchList,
     Retriever,
-    _each_sentence_once,
     checked_row,
     check_weight,
 )
-from .textcore import check_count, check_not_str, joined_line, write_lines
+from .textcore import (
+    check_count,
+    check_not_str,
+    each_sentence_once,
+    joined_line,
+    write_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ def write_output(outputs: Iterable[RerankedOutput], path) -> None:
     file is left behind."""
 
     def lines():
-        for out in _each_sentence_once(outputs):
+        for out in each_sentence_once(outputs):
             text = " ".join(out.chosen.tokens)
             same = tuple(text.split()) == out.chosen.tokens
             what = f"sentence {out.sent_id!r}"
@@ -179,7 +184,7 @@ def write_diagnostics(outputs: Iterable[RerankedOutput], path) -> None:
     file."""
 
     def lines():
-        for out in _each_sentence_once(outputs):
+        for out in each_sentence_once(outputs):
             fields = [
                 out.sent_id,
                 str(out.decoder_rank_of_chosen),

@@ -40,6 +40,7 @@ from .collection import Collection, FeatureStore, parse_categories
 from .textcore import (
     check_count,
     check_not_str,
+    each_sentence_once,
     is_number,
     joined_line,
     read_records,
@@ -97,17 +98,21 @@ class KBestList:
                 raise self._broken("duplicate hypothesis")
 
     def _add(self, hyp: Hypothesis, seen: set[tuple[str, ...]]) -> bool:
-        """Append hyp: its score must be finite and not above the last
-        one's, and its tokens not a str. False, adding nothing, if its
-        tokens are in seen."""
-        check_not_str("tokens", (hyp.tokens,))
+        """Append hyp: its tokens must be a tuple of str, and its score
+        finite and not above the last one's. False, adding nothing, if
+        its tokens are in seen."""
+        tokens = hyp.tokens
+        typed = isinstance(tokens, tuple)
+        if not (typed and all(map(str.__instancecheck__, tokens))):
+            check_not_str("tokens", (tokens,))
+            raise self._broken("tokens not a tuple of str")
         if not math.isfinite(hyp.decoder_score):
             raise self._broken("non-finite decoder score")
         if self.hyps and hyp.decoder_score > self.hyps[-1].decoder_score:
             raise self._broken("decoder scores increase")
-        if hyp.tokens in seen:
+        if tokens in seen:
             return False
-        seen.add(hyp.tokens)
+        seen.add(tokens)
         self.hyps.append(hyp)
         return True
 
@@ -146,13 +151,6 @@ def check_cutoff(name: str, value) -> None:
     """Reject anything but a positive number; infinity passes, NaN not."""
     if not (is_number(value, numbers.Real) and value > 0):
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def cutoff_from_json(value):
-    """A distance_cutoff as a JSON config or grid gives it. JSON has no
-    infinity, so the string "inf" spells no cutoff, as the JSON outputs
-    write it; any other value is returned for check_cutoff to judge."""
-    return math.inf if value == "inf" else value
 
 
 RETRIEVAL_DEFAULTS = {
@@ -522,17 +520,6 @@ def _kbest_records(path) -> Iterator[tuple]:
         yield where, parts[0].strip(), Hypothesis(tokens, score)
 
 
-def _each_sentence_once(items: Iterable) -> Iterator:
-    """items, failing on a sent_id an earlier item had (compared
-    stripped): a reader would merge or reject the two runs of lines."""
-    seen: set[str] = set()
-    for item in items:
-        if item.sent_id.strip() in seen:
-            raise ValueError(f"sentence {item.sent_id!r} written twice")
-        seen.add(item.sent_id.strip())
-        yield item
-
-
 def write_matchlists(
     matchlists: Iterable[MatchList], coll: Collection, path
 ) -> None:
@@ -543,7 +530,7 @@ def write_matchlists(
     or an id holding `` ||| `` or a line break, fails, leaving no file."""
 
     def lines():
-        for ml in _each_sentence_once(matchlists):
+        for ml in each_sentence_once(matchlists):
             flag = str(int(ml.used_fallback))
             named = [
                 (coll.caption_ids[checked_row(r, s, len(coll))], repr(s))

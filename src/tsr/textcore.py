@@ -123,6 +123,17 @@ def joined_line(
     return line
 
 
+def each_sentence_once(items: Iterable) -> Iterator:
+    """items, failing on a sent_id an earlier item had (compared
+    stripped): a reader would merge or reject the two runs of lines."""
+    seen: set[str] = set()
+    for item in items:
+        if item.sent_id.strip() in seen:
+            raise ValueError(f"sentence {item.sent_id!r} written twice")
+        seen.add(item.sent_id.strip())
+        yield item
+
+
 def is_number(value, kind) -> bool:
     """Whether value is of the numbers ABC kind; a bool is no number."""
     return isinstance(value, kind) and not isinstance(value, bool)

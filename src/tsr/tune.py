@@ -39,25 +39,26 @@ import numpy as np
 from .evalsig import bleu_score, bleu_stats
 from .rerank import RerankParams, prefix_relevances, select_best
 from .retrieval import (
+    MODES,
     KBestList,
     MatchList,
     Query,
     Retriever,
     RetrievalParams,
-    cutoff_from_json,
     retrieve_sentence,
 )
 
-_PARAMS = (RetrievalParams, RerankParams)
-_DECLARED_BY = {f.name: cls for cls in _PARAMS for f in fields(cls)}
+PARAMS = (RetrievalParams, RerankParams)
+_DECLARED_BY = {f.name: cls for cls in PARAMS for f in fields(cls)}
 
 
 @dataclass
 class GridSpec:
-    """Ordered candidate lists, one per swept parameter, plus the scalar
-    distance_weight every cnn retrieval uses. distance_cutoff may be
-    omitted; providing it outside cnn mode is an error. Each value must
-    pass the rule of the params class that declares its field."""
+    """Ordered candidate lists, one per swept parameter, the scalar
+    distance_weight every cnn retrieval uses, and the retrieval mode.
+    distance_cutoff may be omitted; providing it outside cnn mode is an
+    error. Each value must pass the rule of the params class that
+    declares its field."""
 
     k_n: list[int]
     k_m: list[int]
@@ -65,6 +66,7 @@ class GridSpec:
     interp_weight: list[float]
     distance_cutoff: list[float] | None = None
     distance_weight: float = RetrievalParams.distance_weight
+    mode: str = "txt"
 
     def __post_init__(self):
         RetrievalParams(distance_weight=self.distance_weight)
@@ -77,34 +79,9 @@ class GridSpec:
                 raise ValueError(f"empty candidate list for {name}")
             for value in values:
                 _DECLARED_BY[name](**{name: value})
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> GridSpec:
-        """Build from a grid JSON object without its ``mode`` key,
-        rejecting keys that are not fields and missing candidate lists;
-        "inf" in the distance_cutoff list is no cutoff."""
-        unknown = set(spec) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(
-                f"unknown grid keys: {', '.join(sorted(unknown))}"
-            )
-        missing = {
-            f.name for f in fields(cls) if f.default is MISSING
-        } - set(spec)
-        if missing:
-            raise ValueError(
-                f"grid is missing candidate lists: {', '.join(sorted(missing))}"
-            )
-        cutoffs = spec.get("distance_cutoff")
-        if isinstance(cutoffs, list):
-            cutoffs = list(map(cutoff_from_json, cutoffs))
-            spec = {**spec, "distance_cutoff": cutoffs}
-        return cls(**spec)
-
-    def check_mode(self, mode: str) -> None:
-        """Fail if the grid sweeps distance_cutoff outside cnn mode. An
-        unknown mode is refused by cli._check_mode and Retriever.retrieve."""
-        if self.distance_cutoff is not None and mode != "cnn":
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.distance_cutoff is not None and self.mode != "cnn":
             raise ValueError("distance_cutoff can only be swept in cnn mode")
 
     def sweep(self) -> list[tuple[str, list]]:
@@ -113,7 +90,7 @@ class GridSpec:
         return [
             (f.name, getattr(self, f.name))
             for f in fields(self)
-            if f.name != "distance_weight"
+            if f.name not in ("distance_weight", "mode")
             and (f.default is MISSING or getattr(self, f.name) is not None)
         ]
 
@@ -148,12 +125,10 @@ class TuneResult:
     trace: list[tuple[dict[str, float], float]]
 
 
-def stepwise_search(
-    grid: GridSpec, dev: DevSet, mode: str = "txt"
-) -> TuneResult:
-    """Run the step-wise sweep with dev's Retriever; return incumbents,
-    their BLEU, and the full (parameters, BLEU) trace in evaluation order."""
-    grid.check_mode(mode)
+def stepwise_search(grid: GridSpec, dev: DevSet) -> TuneResult:
+    """Run the step-wise sweep in the grid's mode with dev's Retriever;
+    return incumbents, their BLEU, and the full (parameters, BLEU) trace
+    in evaluation order."""
     depth = max(len(kb.hyps) for kb in dev.kbests)
     if depth < max(grid.k_n):
         raise ValueError(
@@ -168,10 +143,10 @@ def stepwise_search(
         values = {"distance_weight": grid.distance_weight, **point}
         return tuple(
             cls(**{f.name: values[f.name] for f in fields(cls)})
-            for cls in _PARAMS
+            for cls in PARAMS
         )
 
-    retriever = dev.retriever
+    retriever, mode = dev.retriever, grid.mode
     top_k_m, top_k_r = max(grid.k_m), max(grid.k_r)
     # Per retrieval at the grid's largest k_m: each sentence's matches
     # and, per k_m, the relevances of its first max(k_r) hypotheses
@@ -203,22 +178,15 @@ def stepwise_search(
         return bleu_score(np.sum(chosen, axis=0))
 
     trace: list[tuple[dict[str, float], float]] = []
-    best_bleu = None
     for name, values in sweep:
-        swept_best = None
-        swept_bleu = None
+        scored = []
         for value in values:
-            point = dict(current)
-            point[name] = value
+            point = {**current, name: value}
             bleu = evaluate(point)
             trace.append((point, bleu))
-            if (
-                swept_best is None
-                or bleu > swept_bleu
-                or (bleu == swept_bleu and value < swept_best)
-            ):
-                swept_best, swept_bleu = value, bleu
-        current[name] = swept_best
-        best_bleu = swept_bleu
+            scored.append((bleu, -value))
+        # the best BLEU, ties going to the smaller value
+        best_bleu, negated = max(scored)
+        current[name] = -negated
 
     return TuneResult(*params_at(current), best_bleu, trace)

@@ -749,6 +749,13 @@ class TestTune:
         assert self.tune(ws, grid) == 1
         assert "unknown grid keys: cutoff" in capsys.readouterr().err
 
+    def test_unknown_grid_key_named_before_the_mode_paths(self, ws, capsys):
+        # grid keys are checked before the paths a cnn grid needs, as a
+        # pipeline config's keys are
+        grid = {"mode": "cnn", **SMALL_GRID, "cutoff": [1.0]}
+        assert self.tune(ws, grid, collection=ws / "missing.tsv") == 1
+        assert capsys.readouterr().err == "error: unknown grid keys: cutoff\n"
+
     def test_missing_grid_list_rejected(self, ws, capsys):
         assert self.tune(ws, {"k_n": [1], "k_m": [1], "k_r": [1]}) == 1
         assert "interp_weight" in capsys.readouterr().err

@@ -230,6 +230,20 @@ def test_category_set_given_as_a_str_rejected():
         check_records(*block)
 
 
+@pytest.mark.parametrize(
+    "categories",
+    [{"dog"}, ["dog"], frozenset({1})],
+    ids=["set", "list", "int-label"],
+)
+def test_category_set_of_another_type_rejected(categories):
+    """A category set is None or a frozenset of str labels: another type
+    fails naming that rule, not as a TypeError from hashing the set or
+    from looking for a comma in a label."""
+    message = "^category set of caption 'c1' not a frozenset of str$"
+    with pytest.raises(ValueError, match=message):
+        CaptionDoc("c1", "i1", ("a", "dog"), categories)
+
+
 def test_comma_in_a_category_label_rejected():
     """A set is kept as its labels joined by commas, so a label holding
     a comma would come back as two labels; no file can hold one."""

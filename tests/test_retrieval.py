@@ -613,6 +613,17 @@ def test_hypothesis_tokens_given_as_a_str_rejected():
         KBestList("s", [Hypothesis("a man", -1.0)])
 
 
+@pytest.mark.parametrize(
+    "tokens", [["a", "b"], ("a", 1)], ids=["list", "int-token"]
+)
+def test_hypothesis_tokens_not_a_tuple_of_str_rejected(tokens):
+    # a list would fail hashing for the duplicate check as a TypeError
+    with pytest.raises(
+        ValueError, match="^sentence s: tokens not a tuple of str$"
+    ):
+        KBestList("s", [Hypothesis(tokens, -1.0)])
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         RetrievalParams(k_n=0)

@@ -78,14 +78,14 @@ class TestValidation:
             DevSet(dev.retriever, [], [])
 
     def test_unknown_mode_rejected(self):
-        grid = GridSpec([1], [1], [1], [0.0])
-        with pytest.raises(ValueError, match="mode"):
-            stepwise_search(grid, make_dev(), mode="visual")
+        with pytest.raises(ValueError, match="^unknown mode 'visual'$"):
+            GridSpec([1], [1], [1], [0.0], mode="visual")
 
     def test_cutoff_list_outside_cnn_rejected(self):
-        grid = GridSpec([1], [1], [1], [0.0], distance_cutoff=[50.0])
-        with pytest.raises(ValueError, match="cnn"):
-            stepwise_search(grid, make_dev(), mode="txt")
+        with pytest.raises(ValueError, match="only be swept in cnn mode"):
+            GridSpec([1], [1], [1], [0.0], [50.0], mode="txt")
+        with pytest.raises(ValueError, match="only be swept in cnn mode"):
+            GridSpec([1], [1], [1], [0.0], distance_cutoff=[50.0])
 
     def test_depth_checked_before_any_evaluation(self):
         grid = GridSpec([5], [1], [1], [0.0])
@@ -110,8 +110,10 @@ class TestSweepStructure:
     def test_cnn_cutoff_sweep_appends_a_fifth_stage(self):
         feats = FeatureStore({f"i{k}": [float(k), 0.0] for k in range(1, 6)})
         queries = {"s1": Query("i1"), "s2": Query("i4")}
-        grid = GridSpec([2], [2], [2], [1000.0], distance_cutoff=[100.0, 2.5])
-        res = stepwise_search(grid, make_dev(feats, queries), mode="cnn")
+        grid = GridSpec(
+            [2], [2], [2], [1000.0], distance_cutoff=[100.0, 2.5], mode="cnn"
+        )
+        res = stepwise_search(grid, make_dev(feats, queries))
         assert len(res.trace) == 4 + 2
         assert {p["distance_cutoff"] for p, _ in res.trace} == {100.0, 2.5}
 
@@ -126,8 +128,8 @@ class TestSweepStructure:
         monkeypatch.setattr(tsr.tune.Retriever, "retrieve", recording)
         feats = FeatureStore({f"i{k}": [float(k), 0.0] for k in range(1, 6)})
         queries = {"s1": Query("i1"), "s2": Query("i4")}
-        grid = GridSpec([1, 2], [2], [2], [1000.0], [100.0, 2.5], 0.5)
-        res = stepwise_search(grid, make_dev(feats, queries), mode="cnn")
+        grid = GridSpec([1, 2], [2], [2], [1000.0], [100.0, 2.5], 0.5, "cnn")
+        res = stepwise_search(grid, make_dev(feats, queries))
         assert set(weights) == {0.5} and len(weights) == 2 * 3
         assert res.retrieval_params.distance_weight == 0.5
         assert "distance_weight" not in res.trace[0][0]
@@ -215,6 +217,7 @@ def random_dev(rng, mode):
             rng.uniform(0.2, 1.5, 2).tolist() if mode == "cnn" else None
         ),
         distance_weight=0.5,
+        mode=mode,
     )
     feats = FeatureStore(feats_map) if mode == "cnn" else None
     idf = random_idf_table(rng, vocab)
@@ -233,7 +236,7 @@ def test_trace_equals_points_evaluated_from_scratch(mode):
     moved = 0
     for trial in range(12):
         grid, dev = random_dev(rng, mode)
-        res = stepwise_search(grid, dev, mode)
+        res = stepwise_search(grid, dev)
         retriever = dev.retriever
         for point, bleu in res.trace:
             rparams = RetrievalParams(
